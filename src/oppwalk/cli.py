@@ -73,14 +73,27 @@ def _row(family, params, analytic=None, lower=None, upper=None,
     return ",".join(cells)
 
 
+def _parse_value(token: str, kind, text: str):
+    """One number of the argument text; anything else is a usage error."""
+    try:
+        value = kind(token)
+    except ValueError:
+        raise ParameterError(f"bad value {token!r} in {text!r}") from None
+    if not np.isfinite(value):
+        raise ParameterError(f"non-finite value {token!r} in {text!r}")
+    return value
+
+
 def parse_range(text: str, kind=float) -> list:
     """Inclusive start:stop[:step] range, or comma list of values."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) not in (2, 3):
             raise ParameterError(f"bad range {text!r}; use start:stop[:step]")
-        start, stop = kind(parts[0]), kind(parts[1])
-        step = kind(parts[2]) if len(parts) == 3 else kind(1)
+        start, stop = (_parse_value(v, kind, text) for v in parts[:2])
+        step = kind(1)
+        if len(parts) == 3:
+            step = _parse_value(parts[2], kind, text)
         if step == 0 or (stop - start) * step < 0:
             raise ParameterError(
                 f"range {text!r} is empty or step sign inconsistent"
@@ -88,7 +101,7 @@ def parse_range(text: str, kind=float) -> list:
         count = int(np.floor((stop - start) / step + 1e-9)) + 1
         vals = [start + i * step for i in range(count)]
     else:
-        vals = [kind(v) for v in text.split(",") if v != ""]
+        vals = [_parse_value(v, kind, text) for v in text.split(",") if v != ""]
     if not vals:
         raise ParameterError(f"range {text!r} is empty")
     if kind is int:
@@ -99,10 +112,11 @@ def parse_range(text: str, kind=float) -> list:
 
 
 def _mc_columns(g, spec: ExperimentSpec):
-    """(mc_mean, mc_ci, trials) cells for one graph, honoring the cap."""
+    """(mc_mean, mc_ci, trials) cells for one graph, honoring the cap;
+    g is None when the sweep skipped building it."""
     if not spec.trials:
         return None, None, None
-    if g.n > spec.node_cap:
+    if g is None or g.n > spec.node_cap:
         return "skipped", "skipped", None
     cfg = walker.WalkConfig(trials=spec.trials, seed=spec.seed)
     est = walker.estimate_mean_latency(g, cfg)
@@ -123,11 +137,7 @@ def _run_cycle_sweep(spec: ExperimentSpec, rows: list[str]) -> None:
     for n, r in spec.params["points"]:
         g = graphs.build_cycle(n, r) if n <= spec.node_cap else None
         lower, upper = latency.cycle_latency_bounds(n, r)
-        mc = (None, None, None)
-        if g is not None and spec.trials:
-            mc = _mc_columns(g, spec)
-        elif spec.trials:
-            mc = ("skipped", "skipped", None)
+        mc = _mc_columns(g, spec)
         rows.append(_row(
             "cycle", f"n={n};r={r}",
             analytic=latency.mean_latency_cycle(n, r),
@@ -142,9 +152,7 @@ def _run_torus_sweep(spec: ExperimentSpec, rows: list[str]) -> None:
         tspec = graphs.TorusSpec(dims, r)
         g = graphs.build_torus(tspec) if tspec.n <= spec.node_cap else None
         lower, upper = latency.torus_latency_bounds(tspec)
-        mc = (None, None, None)
-        if spec.trials:
-            mc = _mc_columns(g, spec) if g is not None else ("skipped", "skipped", None)
+        mc = _mc_columns(g, spec)
         dims_txt = "x".join(str(k) for k in dims)
         rows.append(_row(
             "torus", f"dims={dims_txt};r={r}",
@@ -278,14 +286,17 @@ def parse_graph_spec(text: str, base_config=None, seed: int = 0,
     """Graph descriptors: cycle:N:R, torus:K1xK2[x..]:R, wireless:SEED."""
     parts = text.split(":")
     if parts[0] == "cycle" and len(parts) == 3:
-        return text, graphs.build_cycle(int(parts[1]), int(parts[2]))
+        n, r = (_parse_value(v, int, text) for v in parts[1:])
+        return text, graphs.build_cycle(n, r)
     if parts[0] == "torus" and len(parts) == 3:
-        dims = [int(k) for k in parts[1].split("x")]
-        return text, graphs.build_torus(graphs.TorusSpec(dims, int(parts[2])))
+        dims = [_parse_value(k, int, text) for k in parts[1].split("x")]
+        r = _parse_value(parts[2], int, text)
+        return text, graphs.build_torus(graphs.TorusSpec(dims, r))
     if parts[0] == "wireless" and len(parts) == 2:
         cfg = base_config or wireless.WirelessConfig(n=30)
-        topo = wireless.generate_topology(cfg, seed=int(parts[1]),
-                                          resample_until_connected=resample)
+        topo = wireless.generate_topology(
+            cfg, seed=_parse_value(parts[1], int, text),
+            resample_until_connected=resample)
         if not topo.connected:
             raise RuntimeError(f"wireless graph {text} is disconnected")
         return text, topo.graph
@@ -339,9 +350,9 @@ def run(spec: ExperimentSpec) -> str:
 def _add_common(p: argparse.ArgumentParser, mc: bool = True) -> None:
     p.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--node-cap", type=int,
-                   default=int(os.environ.get(NODE_CAP_ENV, DEFAULT_NODE_CAP)),
-                   help="skip numeric-oracle/MC columns above this size")
+    p.add_argument("--node-cap", type=int, default=None,
+                   help="skip numeric-oracle/MC columns above this size "
+                        f"(default ${NODE_CAP_ENV}, else {DEFAULT_NODE_CAP})")
     p.add_argument("--oracle", action="store_true",
                    help="also compute the independent oracle column")
     if mc:
@@ -434,13 +445,26 @@ def _wireless_base(args) -> wireless.WirelessConfig:
     return wireless.WirelessConfig(n=getattr(args, "n", 30) or 30)
 
 
+def _node_cap(args) -> int:
+    if args.node_cap is not None:
+        return args.node_cap
+    text = os.environ.get(NODE_CAP_ENV)
+    if text is None:
+        return DEFAULT_NODE_CAP
+    try:
+        return int(text)
+    except ValueError:
+        raise ParameterError(
+            f"{NODE_CAP_ENV} must be an integer, got {text!r}") from None
+
+
 def _spec_from_args(args) -> ExperimentSpec:
     spec = ExperimentSpec(
         kind=args.kind,
         out=args.out,
         seed=getattr(args, "seed", 0),
         trials=getattr(args, "trials", None),
-        node_cap=getattr(args, "node_cap", DEFAULT_NODE_CAP),
+        node_cap=_node_cap(args),
         oracle=getattr(args, "oracle", False),
         resample=getattr(args, "resample_until_connected", 100),
     )

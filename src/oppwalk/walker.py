@@ -5,11 +5,20 @@ A packet at node u hops to neighbor v with probability w(u,v)/deg(u)
 destination.  Walk length counts hops, matching the hitting-time convention
 h[s][s] = 0.
 
+Every walk runs on one kernel over the graph's CSR rows (Graph.csr, built
+once per graph and cached).  A walk at u with uniform draw x moves to the
+neighbor in column floor(x * deg(u)) of row u; on weighted graphs the
+fractional part of x * deg(u) then picks between that neighbor and its Vose
+alias (Graph.alias_table), so each hop costs O(1) whatever the degree.
+
 Randomness comes from numpy's PCG64 seeded through SeedSequence, so results
-are platform-independent for a fixed seed.  estimate_hitting derives one
-substream per ordered pair via spawn keys, making per-pair results
-independent of evaluation order; trials within a pair are drawn from that
-single substream in a fixed vectorized schedule.
+are platform-independent for a fixed seed.  The draw schedule is fixed: each
+step draws one uniform per still-active walk, in ascending walk order, and
+simulate_walk is a one-walk batch (one uniform per hop).  estimate_hitting
+derives one substream per ordered pair via spawn keys, making per-pair
+results independent of evaluation order.  Binary graphs keep the digits of
+the earlier cumulative-table pick; weighted graphs changed theirs once, when
+the alias tables replaced it.
 """
 from __future__ import annotations
 
@@ -77,26 +86,40 @@ class WalkEstimate:
     truncated: int
 
 
-def _transition_tables(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Padded neighbor-index and cumulative-probability tables.
+@dataclass(frozen=True)
+class _WalkTables:
+    """Next-hop tables of one graph: CSR rows plus, for weighted graphs,
+    the Vose alias table (prob and alias are None for binary graphs)."""
 
-    Row u lists the neighbors of u; cumulative probabilities end at exactly
-    1.0 and pad columns hold 1.0 so a uniform draw in [0,1) never selects
-    padding.
-    """
-    nbrs = g.neighbor_lists()
-    if any(nb.size == 0 for nb in nbrs):
+    indptr: np.ndarray
+    indices: np.ndarray
+    deg: np.ndarray  # row lengths as floats, scaled by the uniform draw
+    prob: np.ndarray | None
+    alias: np.ndarray | None
+
+    def next_hops(self, cur: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Next node of each walk at cur, given one uniform u per walk.
+
+        The column floor(u * deg) picks the CSR slot; on weighted graphs
+        the fractional part then chooses between the slot's neighbor and
+        its alias.
+        """
+        x = u * self.deg[cur]
+        col = x.astype(np.intp)
+        slot = self.indptr[cur] + col
+        nxt = self.indices[slot]
+        if self.prob is None:
+            return nxt
+        return np.where(x - col < self.prob[slot], nxt, self.alias[slot])
+
+
+def _walk_tables(g: Graph) -> _WalkTables:
+    indptr, indices = g.csr
+    deg = np.diff(indptr).astype(float)
+    if not deg.all():
         raise ParameterError("graph has an isolated node; walks cannot leave it")
-    width = max(nb.size for nb in nbrs)
-    nbr_idx = np.zeros((g.n, width), dtype=np.int64)
-    nbr_cum = np.ones((g.n, width))
-    for u, nb in enumerate(nbrs):
-        w = g.weights[u, nb]
-        cum = np.cumsum(w) / w.sum()
-        cum[-1] = 1.0
-        nbr_idx[u, : nb.size] = nb
-        nbr_cum[u, : nb.size] = cum
-    return nbr_idx, nbr_cum
+    prob, alias = (None, None) if g.is_binary else g.alias_table
+    return _WalkTables(indptr, indices, deg, prob, alias)
 
 
 def _validate_nodes(g: Graph, s: int, t: int) -> None:
@@ -108,42 +131,39 @@ def simulate_walk(g: Graph, s: int, t: int, rng: np.random.Generator,
                   max_steps: int | None = None) -> int:
     """Single walk from s until first arrival at t; returns hops taken.
 
+    A one-walk batch of the same kernel, drawing one uniform per hop.
     Returns max_steps if the cap is reached first; callers needing the
     truncation flag compare against the cap.
     """
     _validate_nodes(g, s, t)
-    if s == t:
-        return 0
     cap = 100 * g.n * g.n if max_steps is None else max_steps
-    nbr_idx, nbr_cum = _transition_tables(g)
-    u = s
-    for step in range(1, cap + 1):
-        pick = np.searchsorted(nbr_cum[u], rng.random(), side="right")
-        u = int(nbr_idx[u, min(pick, nbr_idx.shape[1] - 1)])
-        if u == t:
-            return step
-    return cap
+    steps, _ = _run_walks(g, [s], [t], cap, rng)
+    return int(steps[0])
 
 
-def _run_walks(tables, starts, targets, cap, rng):
-    """Vectorized batch of independent walks; returns (steps, truncated)."""
-    nbr_idx, nbr_cum = tables
-    state = np.array(starts, dtype=np.int64, copy=True)
-    targets = np.asarray(targets, dtype=np.int64)
-    steps = np.full(state.size, cap, dtype=np.int64)
-    active = np.flatnonzero(state != targets)
-    steps[state == targets] = 0
+def _run_walks(g: Graph, starts, targets, cap: int, rng):
+    """Batch of independent walks; returns (steps, truncated).
+
+    Each step draws one uniform per active walk, in ascending walk order,
+    and moves every active walk one hop.  The active set (ids, cur, tgt)
+    is compacted only on steps where some walk arrives.
+    """
+    tables = _walk_tables(g)
+    starts = np.asarray(starts, dtype=np.intp)
+    targets = np.asarray(targets, dtype=np.intp)
+    steps = np.where(starts == targets, 0, cap)
+    ids = np.flatnonzero(starts != targets)
+    cur, tgt = starts[ids], targets[ids]
     step = 0
-    while active.size and step < cap:
+    while ids.size and step < cap:
         step += 1
-        u = rng.random(active.size)
-        cum = nbr_cum[state[active]]
-        pick = (u[:, None] >= cum).sum(axis=1)
-        state[active] = nbr_idx[state[active], pick]
-        arrived = state[active] == targets[active]
-        steps[active[arrived]] = step
-        active = active[~arrived]
-    return steps, int(active.size)
+        cur = tables.next_hops(cur, rng.random(ids.size))
+        hit = cur == tgt
+        if np.count_nonzero(hit):  # much cheaper than hit.any() on short arrays
+            steps[ids[hit]] = step
+            miss = ~hit
+            ids, cur, tgt = ids[miss], cur[miss], tgt[miss]
+    return steps, int(ids.size)
 
 
 def _estimate(steps: np.ndarray, truncated: int) -> WalkEstimate:
@@ -166,12 +186,11 @@ def _pair_rng(seed: int, pair_index: int) -> np.random.Generator:
 def estimate_hitting(g: Graph, s: int, t: int, config: WalkConfig) -> WalkEstimate:
     """Monte-Carlo hitting-time estimate for one ordered pair."""
     _validate_nodes(g, s, t)
-    tables = _transition_tables(g)
     cap = config.resolved_max_steps(g.n)
     rng = _pair_rng(config.seed, s * g.n + t)
-    starts = np.full(config.trials, s, dtype=np.int64)
-    targets = np.full(config.trials, t, dtype=np.int64)
-    steps, truncated = _run_walks(tables, starts, targets, cap, rng)
+    starts = np.full(config.trials, s)
+    targets = np.full(config.trials, t)
+    steps, truncated = _run_walks(g, starts, targets, cap, rng)
     return _estimate(steps, truncated)
 
 
@@ -198,8 +217,7 @@ def estimate_mean_latency(g: Graph, config: WalkConfig) -> WalkEstimate:
     reps = np.arange(config.trials) % pairs.shape[0]
     starts = pairs[reps, 0]
     targets = pairs[reps, 1]
-    tables = _transition_tables(g)
     cap = config.resolved_max_steps(g.n)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
-    steps, truncated = _run_walks(tables, starts, targets, cap, rng)
+    steps, truncated = _run_walks(g, starts, targets, cap, rng)
     return _estimate(steps, truncated)

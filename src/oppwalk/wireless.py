@@ -64,6 +64,10 @@ class WirelessConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ParameterError("wireless topology needs n >= 2 nodes")
+        for name in ("area_side", "eta", "alpha", "p_min", "c_n"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if self.area_side <= 0:
             raise ParameterError("area_side must be positive")
         if self.eta < 1:
@@ -78,6 +82,8 @@ class WirelessConfig:
             p = np.asarray(self.power, dtype=float)
             if p.shape != (self.n, self.n):
                 raise ValidationError("per-pair power matrix must be n x n")
+            if not np.isfinite(p).all():
+                raise ValidationError("transmit powers must be finite")
             if np.abs(p - p.T).max() > 1e-12 * max(np.abs(p).max(), 1.0):
                 raise ValidationError(
                     "per-pair power matrix must be symmetric (p_ij == p_ji)"
@@ -87,6 +93,8 @@ class WirelessConfig:
             p = 0.5 * (p + p.T)
             p.setflags(write=False)
             object.__setattr__(self, "power", p)
+        elif not math.isfinite(self.power):
+            raise ValidationError(f"transmit power must be finite, got {self.power}")
         elif self.power <= 0:
             raise ParameterError("transmit power must be positive")
 

@@ -91,6 +91,28 @@ class TestUsageErrors:
         code, _, err = run_cli(["cycle-sweep", "--n", "4", "--r", "5"], capsys)
         assert code == 2
 
+    def test_bad_node_cap_env_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("OPPWALK_NODE_CAP", "abc")
+        code, _, err = run_cli(["cycle-sweep", "--n", "10", "--r", "1"], capsys)
+        assert code == 2
+        assert err.startswith("usage error:") and "OPPWALK_NODE_CAP" in err
+
+    def test_node_cap_env_honored(self, capsys, monkeypatch):
+        monkeypatch.setenv("OPPWALK_NODE_CAP", "5")
+        code, out, _ = run_cli(["cycle-sweep", "--n", "10", "--r", "1"], capsys)
+        assert code == 0
+        assert out.splitlines()[1].split(",")[5] == "skipped"
+
+    @pytest.mark.parametrize("argv", [
+        ["cycle-sweep", "--n", "10:abc", "--r", "1"],
+        ["epd-eta-sweep", "--etas", "2,nan", "--seeds", "2"],
+        ["walk-validate", "--graphs", "cycle:abc:1"],
+    ])
+    def test_bad_number_exit_2(self, capsys, argv):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("usage error:")
+
 
 class TestTorusSweeps:
     def test_fig6_large_closed_form_with_skips(self, capsys):

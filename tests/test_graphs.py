@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oppwalk.errors import ParameterError, ValidationError
 from oppwalk.graphs import (
@@ -36,10 +38,42 @@ class TestGraphInvariants:
         with pytest.raises(ValueError):
             g.weights[0, 1] = 5.0
 
+    def test_rejects_nan_weights(self):
+        with pytest.raises(ValidationError):
+            Graph(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+
     def test_weighted_graph_not_binary(self):
         g = Graph(np.array([[0.0, 2.5], [2.5, 0.0]]))
         assert not g.is_binary
         assert g.degrees.tolist() == [2.5, 2.5]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=2, max_value=6),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+       data=st.data())
+def test_rejects_non_finite_weights(n, seed, bad, data):
+    w = np.random.default_rng(seed).random((n, n))
+    w = np.triu(w, 1) + np.triu(w, 1).T
+    i = data.draw(st.integers(min_value=0, max_value=n - 1))
+    j = data.draw(st.integers(min_value=0, max_value=n - 1))
+    w[i, j] = w[j, i] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        Graph(w)
+
+
+class TestCsr:
+    def test_rows_match_dense_neighbors(self):
+        g = build_torus(TorusSpec([3, 4], 1))
+        indptr, indices = g.csr
+        for u, nb in enumerate(g.neighbor_lists()):
+            assert indices[indptr[u]:indptr[u + 1]].tolist() == nb.tolist()
+
+    def test_cached(self):
+        g = build_cycle(6, 1)
+        assert g.csr is g.csr
+        assert g.alias_table is g.alias_table
 
 
 class TestBuildCycle:

@@ -6,7 +6,7 @@ from oppwalk.graphs import Graph, TorusSpec, build_cycle, build_torus
 from oppwalk.latency import hitting_times, hitting_times_linear_system
 from oppwalk.walker import (
     WalkConfig,
-    _transition_tables,
+    _walk_tables,
     estimate_hitting,
     estimate_mean_latency,
     simulate_walk,
@@ -145,24 +145,73 @@ class TestEstimateMeanLatency:
         assert est.mean > 0
 
 
-def test_uniform_next_hop_frequencies():
-    # empirical next-hop distribution from a fixed node matches P's row
-    # within 3-sigma multinomial bounds over 1e5 draws
+def weighted4():
     w = np.zeros((4, 4))
     w[0, 1] = w[1, 0] = 1.0
     w[0, 2] = w[2, 0] = 2.0
     w[0, 3] = w[3, 0] = 3.0
     w[1, 2] = w[2, 1] = 1.0
-    g = Graph(w)
-    nbr_idx, nbr_cum = _transition_tables(g)
+    return Graph(w)
+
+
+def test_uniform_next_hop_frequencies():
+    # empirical next-hop distribution from a fixed node, drawn through the
+    # alias table, matches P's row within 3-sigma multinomial bounds over
+    # 1e5 draws
+    g = weighted4()
+    tables = _walk_tables(g)
+    assert tables.prob is not None
     rng = np.random.default_rng(123)
     draws = 100000
-    u = rng.random(draws)
-    picks = (u[:, None] >= nbr_cum[0]).sum(axis=1)
-    chosen = nbr_idx[0, picks]
+    chosen = tables.next_hops(np.zeros(draws, dtype=np.intp), rng.random(draws))
     probs = g.weights[0] / g.degrees[0]
     for node in (1, 2, 3):
         count = int((chosen == node).sum())
         expected = draws * probs[node]
         sigma = np.sqrt(draws * probs[node] * (1 - probs[node]))
         assert abs(count - expected) <= 3 * sigma
+    assert set(np.unique(chosen)) == {1, 2, 3}
+
+
+def test_alias_table_reproduces_transition_rows():
+    # column c of row u sends prob/d to its own neighbor and the rest to
+    # its alias; summed over the row this is exactly P[u]
+    g = weighted4()
+    indptr, indices = g.csr
+    prob, alias = g.alias_table
+    for u in range(g.n):
+        d = indptr[u + 1] - indptr[u]
+        row = np.zeros(g.n)
+        for k in range(indptr[u], indptr[u + 1]):
+            row[indices[k]] += prob[k] / d
+            row[alias[k]] += (1.0 - prob[k]) / d
+        np.testing.assert_allclose(row, g.weights[u] / g.degrees[u],
+                                   atol=1e-15)
+
+
+def test_weighted_hitting_matches_linear_system():
+    g = weighted4()
+    target = hitting_times_linear_system(g).h
+    for s, t in ((0, 1), (1, 3), (3, 2)):
+        est = estimate_hitting(g, s, t, WalkConfig(trials=40000, seed=9))
+        assert abs(est.mean - target[s, t]) <= 4 * est.ci_halfwidth / 1.96
+
+
+class TestGoldenStream:
+    """Seeded MC values on binary graphs, pinned across kernel rewrites:
+    one uniform per active walk per step, in ascending walk order."""
+
+    def test_mean_latency_torus(self):
+        est = estimate_mean_latency(build_torus(TorusSpec([4, 4], 1)),
+                                    WalkConfig(trials=20000, seed=7))
+        assert est.mean == 18.29895
+        assert est.ci_halfwidth == 0.25444183905803996
+
+    def test_hitting_cycle(self):
+        est = estimate_hitting(build_cycle(12, 2), 0, 5,
+                               WalkConfig(trials=5000, seed=3))
+        assert est.mean == 18.1266
+
+    def test_simulate_walk(self):
+        assert simulate_walk(build_cycle(9, 1), 0, 4,
+                             np.random.default_rng(11)) == 18

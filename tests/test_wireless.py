@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from oppwalk.errors import (
@@ -39,6 +41,20 @@ class TestWirelessConfig:
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ParameterError):
             WirelessConfig(**kwargs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(field=st.sampled_from(["area_side", "eta", "alpha", "p_min",
+                                  "c_n", "power"]),
+           bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_rejects_non_finite(self, field, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            WirelessConfig(n=5, **{field: bad})
+
+    def test_rejects_non_finite_power_matrix(self):
+        p = np.full((3, 3), 2.0)
+        p[0, 1] = p[1, 0] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            WirelessConfig(n=3, power=p)
 
     def test_rejects_asymmetric_power_matrix(self):
         p = np.full((3, 3), 2.0)
