@@ -5,6 +5,11 @@ Every sweep row uses the fixed column schema
 
     family,params,analytic,lower,upper,oracle,mc_mean,mc_ci,trials
 
+and one unit per row: cycle, torus and dimension sweeps and bounds-check
+write the mean latency T (resistance units), with Monte-Carlo hops divided
+by the total edge weight vol/2 (EPD = (vol/2) * T); wireless sweeps and
+walk-validate write the expected packet delay in hops.
+
 Numeric-oracle and Monte-Carlo columns are skipped (marker "skipped") for
 graphs above the node cap, so large closed-form sweeps stay honest about
 what was cross-checked.  Reruns with identical arguments and seed produce
@@ -15,7 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -111,16 +116,31 @@ def parse_range(text: str, kind=float) -> list:
     return vals
 
 
-def _mc_columns(g, spec: ExperimentSpec):
-    """(mc_mean, mc_ci, trials) cells for one graph, honoring the cap;
-    g is None when the sweep skipped building it."""
+def _mc_estimate(g, trials: int, seed: int, label: str) -> walker.WalkEstimate:
+    """Seeded Monte-Carlo mean latency of g in hops.  Walks cut at the step
+    cap enter the mean at the cap; a row with any gets a stderr warning,
+    never a CSV change."""
+    est = walker.estimate_mean_latency(
+        g, walker.WalkConfig(trials=trials, seed=seed))
+    if est.truncated:
+        print(f"warning: {label}: {est.truncated} of {est.trials_used} "
+              "walks hit the step cap", file=sys.stderr)
+    return est
+
+
+def _mc_columns(g, spec: ExperimentSpec, label: str):
+    """(mc_mean, mc_ci, trials) cells for one graph in the units of the
+    mean latency T, honoring the cap; g is None when the sweep skipped
+    building it."""
     if not spec.trials:
         return None, None, None
     if g is None or g.n > spec.node_cap:
         return "skipped", "skipped", None
-    cfg = walker.WalkConfig(trials=spec.trials, seed=spec.seed)
-    est = walker.estimate_mean_latency(g, cfg)
-    return est.mean, est.ci_halfwidth, est.trials_used
+    est = _mc_estimate(g, spec.trials, spec.seed, label)
+    # Walks count hops; the commute-time identity EPD = (vol/2) * T turns
+    # them into the resistance units of the analytic column.
+    edge_weight = g.degrees.sum() / 2
+    return est.mean / edge_weight, est.ci_halfwidth / edge_weight, est.trials_used
 
 
 def _oracle_latency(g, spec: ExperimentSpec):
@@ -137,9 +157,10 @@ def _run_cycle_sweep(spec: ExperimentSpec, rows: list[str]) -> None:
     for n, r in spec.params["points"]:
         g = graphs.build_cycle(n, r) if n <= spec.node_cap else None
         lower, upper = latency.cycle_latency_bounds(n, r)
-        mc = _mc_columns(g, spec)
+        params = f"n={n};r={r}"
+        mc = _mc_columns(g, spec, f"cycle {params}")
         rows.append(_row(
-            "cycle", f"n={n};r={r}",
+            "cycle", params,
             analytic=latency.mean_latency_cycle(n, r),
             lower=lower, upper=upper,
             oracle=_oracle_latency(g, spec),
@@ -152,10 +173,11 @@ def _run_torus_sweep(spec: ExperimentSpec, rows: list[str]) -> None:
         tspec = graphs.TorusSpec(dims, r)
         g = graphs.build_torus(tspec) if tspec.n <= spec.node_cap else None
         lower, upper = latency.torus_latency_bounds(tspec)
-        mc = _mc_columns(g, spec)
         dims_txt = "x".join(str(k) for k in dims)
+        params = f"dims={dims_txt};r={r}"
+        mc = _mc_columns(g, spec, f"torus {params}")
         rows.append(_row(
-            "torus", f"dims={dims_txt};r={r}",
+            "torus", params,
             analytic=latency.mean_latency_torus(tspec),
             lower=lower, upper=upper,
             oracle=_oracle_latency(g, spec),
@@ -220,9 +242,8 @@ def _epd_rows(family: str, labels, configs, base, spec: ExperimentSpec,
                 oracles.append(
                     latency.expected_packet_delay(g, "linear-system"))
             if spec.trials:
-                cfg = walker.WalkConfig(trials=spec.trials,
-                                        seed=spec.seed + seed_idx)
-                est = walker.estimate_mean_latency(g, cfg)
+                est = _mc_estimate(g, spec.trials, spec.seed + seed_idx,
+                                   f"{family} {label} seed {seed_idx}")
                 mc_means.append(est.mean)
                 mc_cis.append(est.ci_halfwidth)
                 trials_used.append(est.trials_used)
@@ -239,10 +260,7 @@ def _epd_rows(family: str, labels, configs, base, spec: ExperimentSpec,
 def _run_epd_eta_sweep(spec: ExperimentSpec, rows: list[str]) -> None:
     base = spec.params["config"]
     etas = spec.params["etas"]
-    configs = [wireless.WirelessConfig(
-        n=base.n, area_side=base.area_side, eta=e, alpha=base.alpha,
-        p_min=base.p_min, c_n=base.c_n, threshold=base.threshold,
-        power=base.power) for e in etas]
+    configs = [replace(base, eta=e) for e in etas]
     labels = [f"eta={_fmt(e)}" for e in etas]
     _epd_rows("wireless-eta", labels, configs, base, spec, rows)
 
@@ -254,10 +272,7 @@ def _run_epd_pmin_sweep(spec: ExperimentSpec, rows: list[str]) -> None:
     configs, labels = [], []
     for e in etas:
         for p in pmins:
-            configs.append(wireless.WirelessConfig(
-                n=base.n, area_side=base.area_side, eta=e, alpha=base.alpha,
-                p_min=p, c_n=base.c_n, threshold=base.threshold,
-                power=base.power))
+            configs.append(replace(base, eta=e, p_min=p))
             labels.append(f"eta={_fmt(e)};p_min={_fmt(p)}")
     _epd_rows("wireless-pmin", labels, configs, base, spec, rows)
 
@@ -269,10 +284,7 @@ def _run_epd_threshold_sweep(spec: ExperimentSpec, rows: list[str]) -> None:
     configs, labels = [], []
     for e in etas:
         for tau in taus:
-            configs.append(wireless.WirelessConfig(
-                n=base.n, area_side=base.area_side, eta=e, alpha=base.alpha,
-                p_min=base.p_min, c_n=base.c_n, threshold=tau,
-                power=base.power))
+            configs.append(replace(base, eta=e, threshold=tau))
             labels.append(f"eta={_fmt(e)};tau={_fmt(tau)}")
     _epd_rows("wireless-threshold", labels, configs, base, spec, rows)
 
@@ -311,8 +323,7 @@ def _run_walk_validate(spec: ExperimentSpec, rows: list[str]) -> None:
         analytic = latency.expected_packet_delay(g)
         oracle = (latency.expected_packet_delay(g, "linear-system")
                   if spec.oracle else None)
-        cfg = walker.WalkConfig(trials=trials, seed=spec.seed)
-        est = walker.estimate_mean_latency(g, cfg)
+        est = _mc_estimate(g, trials, spec.seed, f"walk-validate {label}")
         rows.append(_row(
             "walk-validate", label, analytic=analytic, oracle=oracle,
             mc_mean=est.mean, mc_ci=est.ci_halfwidth, trials=est.trials_used,
@@ -354,7 +365,10 @@ def _add_common(p: argparse.ArgumentParser, mc: bool = True) -> None:
                    help="skip numeric-oracle/MC columns above this size "
                         f"(default ${NODE_CAP_ENV}, else {DEFAULT_NODE_CAP})")
     p.add_argument("--oracle", action="store_true",
-                   help="also compute the independent oracle column")
+                   help="write the linear-system EPD oracle column of wireless "
+                        "sweeps and walk-validate; cycle, torus and dimension "
+                        "sweeps write their latency oracle below the node cap "
+                        "without it")
     if mc:
         p.add_argument("--trials", type=int, default=None,
                        help="Monte-Carlo walks per sweep point")
@@ -437,10 +451,7 @@ def _wireless_base(args) -> wireless.WirelessConfig:
     if args.config:
         cfg = wireless.load_config(args.config)
         if getattr(args, "n", None) and args.n != cfg.n:
-            cfg = wireless.WirelessConfig(
-                n=args.n, area_side=cfg.area_side, eta=cfg.eta,
-                alpha=cfg.alpha, p_min=cfg.p_min, c_n=cfg.c_n,
-                threshold=cfg.threshold, power=cfg.power)
+            cfg = replace(cfg, n=args.n)
         return cfg
     return wireless.WirelessConfig(n=getattr(args, "n", 30) or 30)
 

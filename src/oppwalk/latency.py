@@ -3,16 +3,24 @@
 Mean latency of a connected graph is T = 2/(n-1) * Tr(L+), the trace of the
 Laplacian pseudoinverse scaled over node pairs.  For cycle and torus
 families T evaluates through the closed-form spectra; for arbitrary graphs
-through the numeric spectrum, with an independent dense-pseudoinverse route
-kept as an oracle.
+through the numeric spectrum.  The oracle route uses no eigensolver: on a
+connected graph L+ = (L + J/n)^{-1} - J/n with J the all-ones matrix, so
+
+    Tr(L+) = Tr((L + J/n)^{-1}) - 1
+
+from one dense inverse (Ghosh, Boyd & Saberi 2008).
 
 Per-pair hitting times come from the normalized-Laplacian eigendecomposition
 
     H_st = 2m * sum_{lam_k > 0} (1/lam_k) * (v_kt^2 / d_t - v_ks v_kt / sqrt(d_s d_t))
 
-with a first-step-analysis linear-system solver shipped alongside as the
-second route.  Expected packet delay (EPD) is the average hitting time over
-all ordered pairs.
+and, as the second route, from the fundamental matrix of the walk
+(Kemeny & Snell 1960, section 4.4)
+
+    Z = (I - P + 1 pi^T)^{-1},   H_st = (Z_tt - Z_st) / pi_t,
+
+with P = D^{-1} W and stationary distribution pi = d / vol.  Expected
+packet delay (EPD) is the average hitting time over all ordered pairs.
 """
 from __future__ import annotations
 
@@ -60,15 +68,6 @@ class LatencyReport:
     mc_ci_halfwidth: float | None = None
     mc_trials: int | None = None
 
-    def csv_row(self, family: str, params: str) -> str:
-        """Row in the fixed schema
-        family,params,analytic,lower,upper,oracle,mc_mean,mc_ci,trials."""
-        def fmt(v):
-            return "" if v is None else f"{v:.12g}"
-        return ",".join([family, params] + [fmt(v) for v in (
-            self.analytic, self.lower_bound, self.upper_bound, self.oracle,
-            self.mc_mean, self.mc_ci_halfwidth, self.mc_trials)])
-
 
 @dataclass(frozen=True)
 class HittingMatrix:
@@ -103,12 +102,17 @@ def mean_latency_spectral(g: Graph) -> float:
 
 
 def mean_latency_pinv(g: Graph) -> float:
-    """Oracle route: trace of the explicitly assembled Moore-Penrose
-    pseudoinverse of the Laplacian (SVD-based, independent of eigh)."""
+    """Oracle route, independent of eigh: T = 2/(n-1) * (Tr((L + J/n)^{-1}) - 1).
+
+    Exact only on a connected graph, where J/n shifts the single zero
+    eigenvalue of L to 1 and leaves the rest of the spectrum alone.
+    """
     if g.n < 2:
         raise ParameterError("mean latency needs n >= 2")
     _require_connected(g)
-    return 2.0 / (g.n - 1) * float(np.trace(np.linalg.pinv(g.laplacian())))
+    shifted = g.laplacian()
+    shifted += 1.0 / g.n
+    return 2.0 / (g.n - 1) * (float(np.trace(np.linalg.inv(shifted))) - 1.0)
 
 
 def mean_latency_cycle(n: int, r: int) -> float:
@@ -186,17 +190,19 @@ def hitting_times(g: Graph) -> HittingMatrix:
 
 
 def hitting_times_linear_system(g: Graph) -> HittingMatrix:
-    """First-step-analysis oracle: for each target t solve
-    (I - P restricted to s != t) h = 1 with P = D^{-1} A."""
+    """Fundamental-matrix oracle, independent of eigh: one dense inverse
+    Z = (I - P + 1 pi^T)^{-1} gives H_st = (Z_tt - Z_st) / pi_t, with
+    P = D^{-1} W and pi = d / vol.
+
+    It solves the first-step equations h_st = 1 + sum_u P_su h_ut for every
+    target at once; Z exists only on a connected graph.
+    """
     _require_connected(g)
-    n = g.n
-    P = g.weights / g.degrees[:, None]
-    h = np.zeros((n, n))
-    idx_all = np.arange(n)
-    for t in range(n):
-        idx = idx_all[idx_all != t]
-        A = np.eye(n - 1) - P[np.ix_(idx, idx)]
-        h[idx, t] = np.linalg.solve(A, np.ones(n - 1))
+    d = g.degrees
+    pi = d / d.sum()
+    z = np.linalg.inv(np.eye(g.n) - g.weights / d[:, None] + pi[None, :])
+    h = (np.diag(z)[None, :] - z) / pi[None, :]
+    np.fill_diagonal(h, 0.0)
     return HittingMatrix(h=h)
 
 

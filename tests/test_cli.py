@@ -1,8 +1,14 @@
+import csv
+import dataclasses
+import io
+
 import pytest
 
+from oppwalk import walker, wireless
 from oppwalk.cli import (
     CSV_HEADER,
     ExperimentSpec,
+    _row,
     build_parser,
     main,
     parse_graph_spec,
@@ -15,6 +21,24 @@ def run_cli(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def csv_rows(text):
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert rows
+    return rows
+
+
+class TestRow:
+    def test_csv_row_full(self):
+        row = _row("torus", "dims=3x3;r=1", analytic=0.5, lower=0.25,
+                   upper=1.0, oracle=0.5, mc_mean=0.49, mc_ci=0.01,
+                   trials=1000)
+        assert row == "torus,dims=3x3;r=1,0.5,0.25,1,0.5,0.49,0.01,1000"
+
+    def test_csv_row_optional_fields_empty(self):
+        row = _row("cycle", "n=3;r=1", analytic=2.0, lower=1.0, upper=3.0)
+        assert row == "cycle,n=3;r=1,2,1,3,,,,"
 
 
 class TestParseRange:
@@ -173,6 +197,87 @@ class TestWalkValidate:
         assert g.n == 30
         with pytest.raises(ParameterError):
             parse_graph_spec("hypercube:4")
+
+
+class TestMonteCarloAgreesWithAnalytic:
+    """Every sweep kind that writes MC columns writes them in the units of
+    its analytic column: |z| <= 4 per row, z = |mc - analytic| / (ci / 1.96)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["cycle-sweep", "--n", "12:24:12", "--r", "1:2", "--trials", "2000"],
+        ["torus-sweep", "--dims", "4x5", "--r", "1", "--trials", "2000"],
+        ["dimension-sweep", "--dims", "4,5", "--r", "1", "--trials", "2000"],
+        ["epd-eta-sweep", "--etas", "2,4", "--n", "12", "--seeds", "2",
+         "--trials", "1000"],
+        ["epd-pmin-sweep", "--pmins", "0.1,0.2", "--etas", "2", "--n", "12",
+         "--seeds", "2", "--trials", "1000"],
+        ["epd-threshold-sweep", "--taus", "0.3,0.5", "--etas", "2",
+         "--n", "12", "--seeds", "2", "--trials", "1000"],
+        ["walk-validate", "--graphs", "cycle:8:1,torus:4x4:1,wireless:0",
+         "--trials", "2000"],
+    ])
+    def test_z_within_4(self, capsys, argv):
+        code, out, _ = run_cli(argv + ["--seed", "5"], capsys)
+        assert code == 0
+        for row in csv_rows(out):
+            analytic, mc = float(row["analytic"]), float(row["mc_mean"])
+            z = abs(mc - analytic) / (float(row["mc_ci"]) / 1.96)
+            assert z <= 4.0, row
+
+
+class TestTruncationWarning:
+    CASES = [
+        (["cycle-sweep", "--n", "12", "--r", "1", "--trials", "200"],
+         "warning: cycle n=12;r=1: "),
+        (["epd-eta-sweep", "--etas", "2", "--n", "12", "--seeds", "1",
+          "--trials", "200"], "warning: wireless-eta eta=2 seed 0: "),
+        (["walk-validate", "--graphs", "cycle:12:1", "--trials", "200"],
+         "warning: walk-validate cycle:12:1: "),
+    ]
+
+    @pytest.mark.parametrize("argv,prefix", CASES)
+    def test_warns_on_stderr_only(self, capsys, monkeypatch, argv, prefix):
+        _, plain, err = run_cli(argv, capsys)
+        assert err == ""
+        monkeypatch.setattr(walker.WalkConfig, "resolved_max_steps",
+                            lambda self, n: 3)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0
+        assert err.startswith(prefix) and "walks hit the step cap" in err
+        assert out.splitlines()[0] == CSV_HEADER
+        assert len(out.splitlines()) == len(plain.splitlines())
+
+
+class TestConfigOverride:
+    @pytest.mark.parametrize("argv,swept", [
+        (["epd-eta-sweep", "--etas", "2,3"], {"eta"}),
+        (["epd-pmin-sweep", "--pmins", "0.1,0.2", "--etas", "2"],
+         {"eta", "p_min"}),
+        (["epd-threshold-sweep", "--taus", "0.3,0.4", "--etas", "2"],
+         {"eta", "threshold"}),
+    ])
+    def test_n_override_keeps_every_field(self, tmp_path, capsys,
+                                          monkeypatch, argv, swept):
+        path = tmp_path / "w.cfg"
+        path.write_text("n=20\nc_n=1.5\nthreshold=0.35\nalpha=3.0\n"
+                        "p_min=0.15\npower=2.5\n")
+        expected = dataclasses.replace(wireless.load_config(path), n=14)
+        seen = []
+        build = wireless.build_wireless_graph
+
+        def spy(cfg, placement):
+            seen.append(cfg)
+            return build(cfg, placement)
+
+        monkeypatch.setattr(wireless, "build_wireless_graph", spy)
+        code, _, err = run_cli(argv + ["--config", str(path), "--n", "14",
+                                       "--seeds", "1"], capsys)
+        assert code == 0, err
+        assert seen
+        for cfg in seen:
+            for f in dataclasses.fields(cfg):
+                if f.name not in swept:
+                    assert getattr(cfg, f.name) == getattr(expected, f.name), f.name
 
 
 class TestDeterminism:

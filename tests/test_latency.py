@@ -215,18 +215,70 @@ class TestExpectedPacketDelay:
             expected_packet_delay(build_cycle(4, 1), "guesswork")
 
 
+def pinv_trace_reference(g):
+    """Tr(L+) from the SVD-based Moore-Penrose pseudoinverse."""
+    return float(np.trace(np.linalg.pinv(g.laplacian())))
+
+
+def first_step_reference(g):
+    """Hitting times from one first-step solve per target t:
+    (I - P restricted to s != t) h = 1 with P = D^{-1} W."""
+    n = g.n
+    P = g.weights / g.degrees[:, None]
+    h = np.zeros((n, n))
+    for t in range(n):
+        idx = np.flatnonzero(np.arange(n) != t)
+        A = np.eye(n - 1) - P[np.ix_(idx, idx)]
+        h[idx, t] = np.linalg.solve(A, np.ones(n - 1))
+    return h
+
+
+def weighted_random_graph(n=25, seed=3):
+    """Connected graph with random positive weights: a ring plus random
+    chords."""
+    rng = np.random.default_rng(seed)
+    w = np.triu(rng.uniform(0.1, 5.0, (n, n)) * (rng.random((n, n)) < 0.2), 1)
+    w = w + w.T
+    ring, nxt = np.arange(n), (np.arange(n) + 1) % n
+    w[ring, nxt] = w[nxt, ring] = rng.uniform(0.1, 5.0, n)
+    return Graph(w)
+
+
+ORACLE_GRAPHS = [
+    lambda: build_cycle(7, 1),
+    lambda: build_cycle(40, 5),
+    lambda: build_torus(TorusSpec([4, 4], 1)),
+    lambda: build_torus(TorusSpec([5, 7], 2)),
+    lambda: build_torus(TorusSpec([3, 4, 5], 1)),
+    lambda: generate_topology(WirelessConfig(n=20), seed=9,
+                              resample_until_connected=50).graph,
+    weighted_random_graph,
+]
+
+
+class TestDenseOracles:
+    @pytest.mark.parametrize("builder", ORACLE_GRAPHS)
+    def test_mean_latency_pinv_matches_pseudoinverse(self, builder):
+        g = builder()
+        expected = 2.0 / (g.n - 1) * pinv_trace_reference(g)
+        assert mean_latency_pinv(g) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("builder", ORACLE_GRAPHS)
+    def test_hitting_times_match_first_step_solves(self, builder):
+        g = builder()
+        h = hitting_times_linear_system(g).h
+        np.testing.assert_allclose(h, first_step_reference(g),
+                                   rtol=1e-12, atol=0.0)
+        assert not np.diag(h).any()
+
+    @pytest.mark.parametrize("oracle", [mean_latency_pinv,
+                                        hitting_times_linear_system])
+    def test_disconnected_rejected(self, oracle):
+        with pytest.raises(DisconnectedGraphError):
+            oracle(two_component_graph())
+
+
 class TestLatencyReport:
-    def test_csv_row_full(self):
-        rep = LatencyReport(analytic=0.5, lower_bound=0.25, upper_bound=1.0,
-                            oracle=0.5, mc_mean=0.49, mc_ci_halfwidth=0.01,
-                            mc_trials=1000)
-        row = rep.csv_row("torus", "dims=3x3;r=1")
-        assert row == "torus,dims=3x3;r=1,0.5,0.25,1,0.5,0.49,0.01,1000"
-
-    def test_csv_row_optional_fields_empty(self):
-        rep = LatencyReport(analytic=2.0, lower_bound=1.0, upper_bound=3.0)
-        assert rep.csv_row("cycle", "n=3;r=1") == "cycle,n=3;r=1,2,1,3,,,,"
-
     def test_invariant_holds_on_report_from_graph(self):
         g = build_cycle(9, 2)
         lower, upper = latency_bounds(g)
