@@ -21,7 +21,6 @@ from .graphs import (
 )
 from .latency import (
     HittingMatrix,
-    LatencyReport,
     cycle_latency_bounds,
     expected_packet_delay,
     hitting_times,
@@ -58,6 +57,7 @@ from .wireless import (
     build_wireless_graph,
     coverage_radius,
     generate_topology,
+    generate_topologies,
     place_nodes,
     received_power,
     reference_distance,

@@ -8,8 +8,11 @@ Every sweep row uses the fixed column schema
 and one unit per row: cycle, torus and dimension sweeps and bounds-check
 write the mean latency T (resistance units), with Monte-Carlo hops divided
 by the total edge weight vol/2 (EPD = (vol/2) * T); wireless sweeps and
-walk-validate write the expected packet delay in hops.
+walk-validate write the expected packet delay in hops.  The mc_ci of a
+wireless ensemble row is the 95% CI halfwidth of the ensemble mean.
 
+Each sweep subcommand's parser sets `rows`, the function that turns the
+parsed arguments into CSV rows; `run` writes the header and those rows.
 Numeric-oracle and Monte-Carlo columns are skipped (marker "skipped") for
 graphs above the node cap, so large closed-form sweeps stay honest about
 what was cross-checked.  Reruns with identical arguments and seed produce
@@ -18,9 +21,10 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,34 +36,19 @@ NODE_CAP_ENV = "OPPWALK_NODE_CAP"
 
 CSV_HEADER = "family,params,analytic,lower,upper,oracle,mc_mean,mc_ci,trials"
 
-KINDS = (
-    "cycle-sweep",
-    "torus-sweep",
-    "dimension-sweep",
-    "bounds-check",
-    "epd-eta-sweep",
-    "epd-pmin-sweep",
-    "epd-threshold-sweep",
-    "walk-validate",
-)
-
-
-@dataclass
-class ExperimentSpec:
-    """One experiment run: a kind plus its swept/fixed parameters."""
-
-    kind: str
-    params: dict = field(default_factory=dict)
-    out: str = "-"
-    seed: int = 0
-    trials: int | None = None
-    node_cap: int = DEFAULT_NODE_CAP
-    oracle: bool = False
-    resample: int = 100
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ParameterError(f"unknown experiment kind {self.kind!r}")
+# Wireless ensemble sweeps: subcommand -> (family, axes).  Each axis is
+# (flag, default range, WirelessConfig field, label key); rows run over the
+# product of the axes, the first (eta) outermost.
+_EPD_SWEEPS = {
+    "epd-eta-sweep": ("wireless-eta", (
+        ("--etas", "2:6:0.5", "eta", "eta"),)),
+    "epd-pmin-sweep": ("wireless-pmin", (
+        ("--etas", "2,4", "eta", "eta"),
+        ("--pmins", "0.05:0.3:0.05", "p_min", "p_min"))),
+    "epd-threshold-sweep": ("wireless-threshold", (
+        ("--etas", "2,4", "eta", "eta"),
+        ("--taus", "0.1:0.7:0.1", "threshold", "tau"))),
+}
 
 
 def _fmt(x) -> str:
@@ -128,173 +117,138 @@ def _mc_estimate(g, trials: int, seed: int, label: str) -> walker.WalkEstimate:
     return est
 
 
-def _mc_columns(g, spec: ExperimentSpec, label: str):
-    """(mc_mean, mc_ci, trials) cells for one graph in the units of the
-    mean latency T, honoring the cap; g is None when the sweep skipped
-    building it."""
-    if not spec.trials:
-        return None, None, None
-    if g is None or g.n > spec.node_cap:
-        return "skipped", "skipped", None
-    est = _mc_estimate(g, spec.trials, spec.seed, label)
-    # Walks count hops; the commute-time identity EPD = (vol/2) * T turns
-    # them into the resistance units of the analytic column.
-    edge_weight = g.degrees.sum() / 2
-    return est.mean / edge_weight, est.ci_halfwidth / edge_weight, est.trials_used
-
-
-def _oracle_latency(g, spec: ExperimentSpec):
-    if g is None or g.n > spec.node_cap:
-        return "skipped"
-    return latency.mean_latency_pinv(g)
-
-
 # ---------------------------------------------------------------------------
-# family sweeps
+# cycle and torus sweeps
 
 
-def _run_cycle_sweep(spec: ExperimentSpec, rows: list[str]) -> None:
-    for n, r in spec.params["points"]:
-        g = graphs.build_cycle(n, r) if n <= spec.node_cap else None
+def _lattice_row(args, family, params, n, build, analytic, bounds) -> str:
+    """One row in the units of T.  build() makes the n-node graph for the
+    dense oracle and, with --trials, the Monte-Carlo columns; above the node
+    cap it is never called and those columns read "skipped"."""
+    oracle = mc_mean = mc_ci = trials = None
+    if n > args.node_cap:
+        oracle = "skipped"
+        if args.trials:
+            mc_mean = mc_ci = "skipped"
+    else:
+        g = build()
+        oracle = latency.mean_latency_pinv(g)
+        if args.trials:
+            est = _mc_estimate(g, args.trials, args.seed, f"{family} {params}")
+            # Walks count hops; the commute-time identity EPD = (vol/2) * T
+            # turns them into the resistance units of the analytic column.
+            edge_weight = g.degrees.sum() / 2
+            mc_mean = est.mean / edge_weight
+            mc_ci = est.ci_halfwidth / edge_weight
+            trials = est.trials_used
+    lower, upper = bounds
+    return _row(family, params, analytic=analytic, lower=lower, upper=upper,
+                oracle=oracle, mc_mean=mc_mean, mc_ci=mc_ci, trials=trials)
+
+
+def _cycle_rows(args):
+    for n, r in itertools.product(parse_range(args.n, int),
+                                  parse_range(args.r, int)):
+        yield _lattice_row(args, "cycle", f"n={n};r={r}", n,
+                           lambda: graphs.build_cycle(n, r),
+                           latency.mean_latency_cycle(n, r),
+                           latency.cycle_latency_bounds(n, r))
+
+
+def _torus_row(args, dims, r) -> str:
+    tspec = graphs.TorusSpec(dims, r)
+    params = f"dims={'x'.join(str(k) for k in dims)};r={r}"
+    return _lattice_row(args, "torus", params, tspec.n,
+                        lambda: graphs.build_torus(tspec),
+                        latency.mean_latency_torus(tspec),
+                        latency.torus_latency_bounds(tspec))
+
+
+def _torus_rows(args):
+    axes = [parse_range(part, int) for part in args.dims.split("x")]
+    for *dims, r in itertools.product(*axes, parse_range(args.r, int)):
+        yield _torus_row(args, dims, r)
+
+
+def _dimension_rows(args):
+    dims = parse_range(args.dims, int)
+    for r in parse_range(args.r, int):
+        for m in range(1, len(dims) + 1):
+            yield _torus_row(args, dims[:m], r)
+
+
+def _bounds_rows(args):
+    for n, r in itertools.product(parse_range(args.n, int),
+                                  parse_range(args.r, int)):
         lower, upper = latency.cycle_latency_bounds(n, r)
-        params = f"n={n};r={r}"
-        mc = _mc_columns(g, spec, f"cycle {params}")
-        rows.append(_row(
-            "cycle", params,
-            analytic=latency.mean_latency_cycle(n, r),
-            lower=lower, upper=upper,
-            oracle=_oracle_latency(g, spec),
-            mc_mean=mc[0], mc_ci=mc[1], trials=mc[2],
-        ))
-
-
-def _run_torus_sweep(spec: ExperimentSpec, rows: list[str]) -> None:
-    for dims, r in spec.params["points"]:
-        tspec = graphs.TorusSpec(dims, r)
-        g = graphs.build_torus(tspec) if tspec.n <= spec.node_cap else None
-        lower, upper = latency.torus_latency_bounds(tspec)
-        dims_txt = "x".join(str(k) for k in dims)
-        params = f"dims={dims_txt};r={r}"
-        mc = _mc_columns(g, spec, f"torus {params}")
-        rows.append(_row(
-            "torus", params,
-            analytic=latency.mean_latency_torus(tspec),
-            lower=lower, upper=upper,
-            oracle=_oracle_latency(g, spec),
-            mc_mean=mc[0], mc_ci=mc[1], trials=mc[2],
-        ))
-
-
-def _run_bounds_check(spec: ExperimentSpec, rows: list[str]) -> None:
-    for n, r in spec.params["points"]:
-        lower, upper = latency.cycle_latency_bounds(n, r)
-        rows.append(_row(
-            "cycle", f"n={n};r={r}",
-            analytic=latency.mean_latency_cycle(n, r),
-            lower=lower, upper=upper,
-        ))
+        yield _row("cycle", f"n={n};r={r}",
+                   analytic=latency.mean_latency_cycle(n, r),
+                   lower=lower, upper=upper)
 
 
 # ---------------------------------------------------------------------------
 # wireless ensembles
 
 
-def _ensemble_topologies(base: wireless.WirelessConfig, configs,
-                         spec: ExperimentSpec, n_seeds: int):
-    """Per seed: one placement that is connected at every sweep point.
+def _wireless_base(args) -> wireless.WirelessConfig:
+    if args.config:
+        cfg = wireless.load_config(args.config)
+        if getattr(args, "n", None) and args.n != cfg.n:
+            cfg = replace(cfg, n=args.n)
+        return cfg
+    return wireless.WirelessConfig(n=getattr(args, "n", 30) or 30)
 
-    A single placement serves the whole sweep so nested sweep points stay
-    comparable; placements are redrawn (deterministic sub-seeds) until all
-    sweep-point graphs are connected.
-    """
+
+def _epd_rows(args):
+    """Ensemble mean EPD per sweep point.  Each ensemble seed places its
+    nodes once for the whole sweep, so nested sweep points stay comparable;
+    the placement is redrawn until the graph of every point is connected."""
+    family, axes = _EPD_SWEEPS[args.kind]
+    base = _wireless_base(args)
+    ranges = [parse_range(getattr(args, flag[2:]), float)
+              for flag, *_ in axes]
+    fields = [field for _, _, field, _ in axes]
+    keys = [key for *_, key in axes]
+    configs, labels = [], []
+    for values in itertools.product(*ranges):
+        configs.append(replace(base, **dict(zip(fields, values))))
+        labels.append(";".join(f"{k}={_fmt(v)}" for k, v in zip(keys, values)))
     per_seed = []
-    for seed_idx in range(n_seeds):
-        chosen = None
-        for attempt in range(spec.resample):
-            ss = np.random.SeedSequence(entropy=spec.seed,
-                                        spawn_key=(seed_idx, attempt))
-            rng = np.random.Generator(np.random.PCG64(ss))
-            placement = wireless.place_nodes(base, rng)
-            topos = [wireless.build_wireless_graph(cfg, placement)
-                     for cfg in configs]
-            if all(t.connected for t in topos):
-                chosen = topos
-                break
-        if chosen is None:
+    for s in range(args.seeds):
+        topos = wireless.generate_topologies(
+            base, configs, args.seed, args.resample_until_connected,
+            prefix=(s,))
+        if not all(t.connected for t in topos):
             raise RuntimeError(
-                f"no connected placement found for ensemble seed {seed_idx} "
-                f"within {spec.resample} attempts"
-            )
-        per_seed.append(chosen)
-    return per_seed
-
-
-def _epd_rows(family: str, labels, configs, base, spec: ExperimentSpec,
-              rows: list[str]) -> None:
-    n_seeds = spec.params.get("seeds", 20)
-    per_seed = _ensemble_topologies(base, configs, spec, n_seeds)
+                f"no connected placement found for ensemble seed {s} within "
+                f"{max(1, args.resample_until_connected)} attempts")
+        per_seed.append(topos)
     for j, label in enumerate(labels):
-        epds, oracles, mc_means, mc_cis, trials_used = [], [], [], [], []
-        for seed_idx in range(n_seeds):
-            g = per_seed[seed_idx][j].graph
-            epds.append(latency.expected_packet_delay(g))
-            if spec.oracle:
-                oracles.append(
-                    latency.expected_packet_delay(g, "linear-system"))
-            if spec.trials:
-                est = _mc_estimate(g, spec.trials, spec.seed + seed_idx,
-                                   f"{family} {label} seed {seed_idx}")
-                mc_means.append(est.mean)
-                mc_cis.append(est.ci_halfwidth)
-                trials_used.append(est.trials_used)
-        rows.append(_row(
-            family, label,
-            analytic=float(np.mean(epds)),
-            oracle=float(np.mean(oracles)) if oracles else None,
-            mc_mean=float(np.mean(mc_means)) if mc_means else None,
-            mc_ci=float(np.mean(mc_cis)) if mc_cis else None,
-            trials=sum(trials_used) if trials_used else None,
-        ))
-
-
-def _run_epd_eta_sweep(spec: ExperimentSpec, rows: list[str]) -> None:
-    base = spec.params["config"]
-    etas = spec.params["etas"]
-    configs = [replace(base, eta=e) for e in etas]
-    labels = [f"eta={_fmt(e)}" for e in etas]
-    _epd_rows("wireless-eta", labels, configs, base, spec, rows)
-
-
-def _run_epd_pmin_sweep(spec: ExperimentSpec, rows: list[str]) -> None:
-    base = spec.params["config"]
-    pmins = spec.params["pmins"]
-    etas = spec.params["etas"]
-    configs, labels = [], []
-    for e in etas:
-        for p in pmins:
-            configs.append(replace(base, eta=e, p_min=p))
-            labels.append(f"eta={_fmt(e)};p_min={_fmt(p)}")
-    _epd_rows("wireless-pmin", labels, configs, base, spec, rows)
-
-
-def _run_epd_threshold_sweep(spec: ExperimentSpec, rows: list[str]) -> None:
-    base = spec.params["config"]
-    taus = spec.params["taus"]
-    etas = spec.params["etas"]
-    configs, labels = [], []
-    for e in etas:
-        for tau in taus:
-            configs.append(replace(base, eta=e, threshold=tau))
-            labels.append(f"eta={_fmt(e)};tau={_fmt(tau)}")
-    _epd_rows("wireless-threshold", labels, configs, base, spec, rows)
+        gs = [topos[j].graph for topos in per_seed]
+        analytic = float(np.mean([latency.expected_packet_delay(g) for g in gs]))
+        oracle = mc_mean = mc_ci = trials = None
+        if args.oracle:
+            oracle = float(np.mean([
+                latency.expected_packet_delay(g, "linear-system") for g in gs]))
+        if args.trials:
+            ests = [_mc_estimate(g, args.trials, args.seed + s,
+                                 f"{family} {label} seed {s}")
+                    for s, g in enumerate(gs)]
+            mc_mean = float(np.mean([e.mean for e in ests]))
+            # The per-seed means are independent, so the CI of their mean
+            # adds the per-seed halfwidths in quadrature.
+            mc_ci = float(np.sqrt(sum(e.ci_halfwidth ** 2 for e in ests))
+                          / len(ests))
+            trials = sum(e.trials_used for e in ests)
+        yield _row(family, label, analytic=analytic, oracle=oracle,
+                   mc_mean=mc_mean, mc_ci=mc_ci, trials=trials)
 
 
 # ---------------------------------------------------------------------------
 # walk validation
 
 
-def parse_graph_spec(text: str, base_config=None, seed: int = 0,
-                     resample: int = 100):
+def parse_graph_spec(text: str, base_config=None, resample: int = 100):
     """Graph descriptors: cycle:N:R, torus:K1xK2[x..]:R, wireless:SEED."""
     parts = text.split(":")
     if parts[0] == "cycle" and len(parts) == 3:
@@ -315,150 +269,25 @@ def parse_graph_spec(text: str, base_config=None, seed: int = 0,
     raise ParameterError(f"bad graph descriptor {text!r}")
 
 
-def _run_walk_validate(spec: ExperimentSpec, rows: list[str]) -> None:
-    trials = spec.trials or 100000
-    for text in spec.params["graphs"]:
-        label, g = parse_graph_spec(text, spec.params.get("config"),
-                                    spec.seed, spec.resample)
-        analytic = latency.expected_packet_delay(g)
+def _walk_validate_rows(args):
+    texts = [s for s in args.graphs.split(",") if s]
+    if not texts:
+        raise ParameterError("--graphs must list at least one graph")
+    config = _wireless_base(args)
+    for text in texts:
+        label, g = parse_graph_spec(text, config, args.resample_until_connected)
         oracle = (latency.expected_packet_delay(g, "linear-system")
-                  if spec.oracle else None)
-        est = _mc_estimate(g, trials, spec.seed, f"walk-validate {label}")
-        rows.append(_row(
-            "walk-validate", label, analytic=analytic, oracle=oracle,
-            mc_mean=est.mean, mc_ci=est.ci_halfwidth, trials=est.trials_used,
-        ))
+                  if args.oracle else None)
+        est = _mc_estimate(g, args.trials, args.seed, f"walk-validate {label}")
+        yield _row("walk-validate", label,
+                   analytic=latency.expected_packet_delay(g), oracle=oracle,
+                   mc_mean=est.mean, mc_ci=est.ci_halfwidth,
+                   trials=est.trials_used)
 
 
-_RUNNERS = {
-    "cycle-sweep": _run_cycle_sweep,
-    "torus-sweep": _run_torus_sweep,
-    "dimension-sweep": _run_torus_sweep,  # same row shape, points differ
-    "bounds-check": _run_bounds_check,
-    "epd-eta-sweep": _run_epd_eta_sweep,
-    "epd-pmin-sweep": _run_epd_pmin_sweep,
-    "epd-threshold-sweep": _run_epd_threshold_sweep,
-    "walk-validate": _run_walk_validate,
-}
-
-
-def run(spec: ExperimentSpec) -> str:
-    """Execute one experiment and return the CSV text (also written to
-    spec.out unless it is '-')."""
-    rows = [CSV_HEADER]
-    _RUNNERS[spec.kind](spec, rows)
-    text = "\n".join(rows) + "\n"
-    if spec.out != "-":
-        with open(spec.out, "w", newline="") as f:
-            f.write(text)
-    return text
-
-
-# ---------------------------------------------------------------------------
-# argument parsing
-
-
-def _add_common(p: argparse.ArgumentParser, mc: bool = True) -> None:
-    p.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--node-cap", type=int, default=None,
-                   help="skip numeric-oracle/MC columns above this size "
-                        f"(default ${NODE_CAP_ENV}, else {DEFAULT_NODE_CAP})")
-    p.add_argument("--oracle", action="store_true",
-                   help="write the linear-system EPD oracle column of wireless "
-                        "sweeps and walk-validate; cycle, torus and dimension "
-                        "sweeps write their latency oracle below the node cap "
-                        "without it")
-    if mc:
-        p.add_argument("--trials", type=int, default=None,
-                       help="Monte-Carlo walks per sweep point")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="oppwalk",
-        description="Latency experiments for random-walk routing",
-    )
-    sub = ap.add_subparsers(dest="kind", required=True)
-
-    p = sub.add_parser("cycle-sweep", help="mean latency over cycles")
-    p.add_argument("--n", required=True, help="node count or range")
-    p.add_argument("--r", required=True, help="neighbor radius or range")
-    _add_common(p)
-
-    p = sub.add_parser("torus-sweep", help="mean latency over 2-D tori")
-    p.add_argument("--dims", required=True,
-                   help="axis sizes K1xK2[x..]; one axis may be a range a:b[:c]")
-    p.add_argument("--r", required=True, help="neighbor radius or range")
-    _add_common(p)
-
-    p = sub.add_parser("dimension-sweep",
-                       help="mean latency over torus dimension prefixes")
-    p.add_argument("--dims", default="16,18,20,22",
-                   help="comma axis sizes; prefixes of length 1..m are swept")
-    p.add_argument("--r", default="1:4", help="neighbor radius or range")
-    _add_common(p)
-
-    p = sub.add_parser("bounds-check", help="closed-form bounds vs latency")
-    p.add_argument("--n", required=True)
-    p.add_argument("--r", required=True)
-    _add_common(p, mc=False)
-
-    for kind, extra in (
-        ("epd-eta-sweep", (("--etas", "2:6:0.5"),)),
-        ("epd-pmin-sweep", (("--pmins", "0.05:0.3:0.05"), ("--etas", "2,4"))),
-        ("epd-threshold-sweep", (("--taus", "0.1:0.7:0.1"), ("--etas", "2,4"))),
-    ):
-        p = sub.add_parser(kind, help="wireless ensemble EPD sweep")
-        for flag, default in extra:
-            p.add_argument(flag, default=default)
-        p.add_argument("--config", default=None,
-                       help="key=value wireless config file")
-        p.add_argument("--n", type=int, default=30)
-        p.add_argument("--seeds", type=int, default=20,
-                       help="ensemble size (placements per sweep point)")
-        p.add_argument("--resample-until-connected", type=int, default=100)
-        _add_common(p)
-
-    p = sub.add_parser("walk-validate",
-                       help="Monte-Carlo agreement with analytic EPD")
-    p.add_argument("--graphs", required=True,
-                   help="comma list: cycle:N:R, torus:K1xK2:R, wireless:SEED")
-    p.add_argument("--config", default=None)
-    p.add_argument("--resample-until-connected", type=int, default=100)
-    _add_common(p)
-
-    p = sub.add_parser("spectrum-export",
-                       help="closed-form spectrum CSV, one eigenvalue per line")
-    p.add_argument("--family", choices=("cycle", "torus"), required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--dims")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--out", default="-")
-
-    p = sub.add_parser("wireless-export",
-                       help="generate one topology; write edge list + positions")
-    p.add_argument("--config", default=None)
-    p.add_argument("--n", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--resample-until-connected", type=int, default=0)
-    p.add_argument("--out-prefix", required=True)
-
-    return ap
-
-
-def _wireless_base(args) -> wireless.WirelessConfig:
-    if args.config:
-        cfg = wireless.load_config(args.config)
-        if getattr(args, "n", None) and args.n != cfg.n:
-            cfg = replace(cfg, n=args.n)
-        return cfg
-    return wireless.WirelessConfig(n=getattr(args, "n", 30) or 30)
-
-
-def _node_cap(args) -> int:
-    if args.node_cap is not None:
-        return args.node_cap
+def _node_cap(flag) -> int:
+    if flag is not None:
+        return flag
     text = os.environ.get(NODE_CAP_ENV)
     if text is None:
         return DEFAULT_NODE_CAP
@@ -469,59 +298,138 @@ def _node_cap(args) -> int:
             f"{NODE_CAP_ENV} must be an integer, got {text!r}") from None
 
 
-def _spec_from_args(args) -> ExperimentSpec:
-    spec = ExperimentSpec(
-        kind=args.kind,
-        out=args.out,
-        seed=getattr(args, "seed", 0),
-        trials=getattr(args, "trials", None),
-        node_cap=_node_cap(args),
-        oracle=getattr(args, "oracle", False),
-        resample=getattr(args, "resample_until_connected", 100),
+def run(args) -> str:
+    """Write CSV_HEADER and the rows of one parsed sweep command to
+    args.out ('-' is stdout) and return the CSV text."""
+    if "node_cap" in vars(args):
+        args.node_cap = _node_cap(args.node_cap)
+    text = "\n".join([CSV_HEADER, *args.rows(args)]) + "\n"
+    if args.out == "-":
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", newline="") as f:
+            f.write(text)
+    return text
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
+
+
+def _count(minimum: int):
+    """argparse type: an integer of at least `minimum`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    parse.__name__ = "integer"
+    return parse
+
+
+def _sweep(sub, kind: str, rows, help: str):
+    """Subparser of a CSV sweep whose rows come from rows(args)."""
+    p = sub.add_parser(kind, help=help)
+    p.set_defaults(command=run, rows=rows)
+    p.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
+    p.add_argument("--seed", type=int, default=0)
+    return p
+
+
+def _add_mc(p, trials=None) -> None:
+    p.add_argument("--node-cap", type=int, default=None,
+                   help="skip numeric-oracle/MC columns above this size "
+                        f"(default ${NODE_CAP_ENV}, else {DEFAULT_NODE_CAP})")
+    p.add_argument("--trials", type=_count(1), default=trials,
+                   help="Monte-Carlo walks per sweep point")
+
+
+def _add_oracle(p) -> None:
+    p.add_argument("--oracle", action="store_true",
+                   help="write the fundamental-matrix EPD oracle column")
+
+
+def _add_resample(p, default: int) -> None:
+    p.add_argument("--resample-until-connected", type=_count(0),
+                   default=default,
+                   help="placement attempts per seed (0 or 1: one attempt)")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog="oppwalk",
+        description="Latency experiments for random-walk routing",
     )
-    if args.kind in ("cycle-sweep", "bounds-check"):
-        ns = parse_range(args.n, int)
-        rs = parse_range(args.r, int)
-        spec.params["points"] = [(n, r) for n in ns for r in rs]
-    elif args.kind == "torus-sweep":
-        axes = []
-        for part in args.dims.split("x"):
-            axes.append(parse_range(part, int))
-        rs = parse_range(args.r, int)
-        dim_combos = [[]]
-        for axis in axes:
-            dim_combos = [combo + [k] for combo in dim_combos for k in axis]
-        spec.params["points"] = [(tuple(d), r) for d in dim_combos for r in rs]
-    elif args.kind == "dimension-sweep":
-        dims = parse_range(args.dims, int)
-        rs = parse_range(args.r, int)
-        spec.params["points"] = [
-            (tuple(dims[:m]), r)
-            for r in rs for m in range(1, len(dims) + 1)
-        ]
-    elif args.kind == "epd-eta-sweep":
-        spec.params["config"] = _wireless_base(args)
-        spec.params["etas"] = parse_range(args.etas, float)
-        spec.params["seeds"] = args.seeds
-    elif args.kind == "epd-pmin-sweep":
-        spec.params["config"] = _wireless_base(args)
-        spec.params["pmins"] = parse_range(args.pmins, float)
-        spec.params["etas"] = parse_range(args.etas, float)
-        spec.params["seeds"] = args.seeds
-    elif args.kind == "epd-threshold-sweep":
-        spec.params["config"] = _wireless_base(args)
-        spec.params["taus"] = parse_range(args.taus, float)
-        spec.params["etas"] = parse_range(args.etas, float)
-        spec.params["seeds"] = args.seeds
-    elif args.kind == "walk-validate":
-        spec.params["graphs"] = [s for s in args.graphs.split(",") if s]
-        if not spec.params["graphs"]:
-            raise ParameterError("--graphs must list at least one graph")
-        spec.params["config"] = _wireless_base(args) if args.config else None
-    return spec
+    sub = ap.add_subparsers(dest="kind", required=True)
+
+    p = _sweep(sub, "cycle-sweep", _cycle_rows, "mean latency over cycles")
+    p.add_argument("--n", required=True, help="node count or range")
+    p.add_argument("--r", required=True, help="neighbor radius or range")
+    _add_mc(p)
+
+    p = _sweep(sub, "torus-sweep", _torus_rows, "mean latency over 2-D tori")
+    p.add_argument("--dims", required=True,
+                   help="axis sizes K1xK2[x..]; one axis may be a range a:b[:c]")
+    p.add_argument("--r", required=True, help="neighbor radius or range")
+    _add_mc(p)
+
+    p = _sweep(sub, "dimension-sweep", _dimension_rows,
+               "mean latency over torus dimension prefixes")
+    p.add_argument("--dims", default="16,18,20,22",
+                   help="comma axis sizes; prefixes of length 1..m are swept")
+    p.add_argument("--r", default="1:4", help="neighbor radius or range")
+    _add_mc(p)
+
+    p = _sweep(sub, "bounds-check", _bounds_rows,
+               "closed-form bounds vs latency")
+    p.add_argument("--n", required=True)
+    p.add_argument("--r", required=True)
+
+    for kind, (_family, axes) in _EPD_SWEEPS.items():
+        p = _sweep(sub, kind, _epd_rows, "wireless ensemble EPD sweep")
+        for flag, default, *_ in axes:
+            p.add_argument(flag, default=default)
+        p.add_argument("--config", default=None,
+                       help="key=value wireless config file")
+        p.add_argument("--n", type=int, default=30)
+        p.add_argument("--seeds", type=_count(1), default=20,
+                       help="ensemble size (placements per sweep point)")
+        _add_resample(p, 100)
+        _add_mc(p)
+        _add_oracle(p)
+
+    p = _sweep(sub, "walk-validate", _walk_validate_rows,
+               "Monte-Carlo agreement with analytic EPD")
+    p.add_argument("--graphs", required=True,
+                   help="comma list: cycle:N:R, torus:K1xK2:R, wireless:SEED")
+    p.add_argument("--config", default=None)
+    _add_resample(p, 100)
+    _add_mc(p, trials=100000)
+    _add_oracle(p)
+
+    p = sub.add_parser("spectrum-export",
+                       help="closed-form spectrum CSV, one eigenvalue per line")
+    p.set_defaults(command=_run_spectrum_export)
+    p.add_argument("--family", choices=("cycle", "torus"), required=True)
+    p.add_argument("--n", type=int)
+    p.add_argument("--dims")
+    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--out", default="-")
+
+    p = sub.add_parser("wireless-export",
+                       help="generate one topology; write edge list + positions")
+    p.set_defaults(command=_run_wireless_export)
+    p.add_argument("--config", default=None)
+    p.add_argument("--n", type=int, default=30)
+    p.add_argument("--seed", type=int, default=0)
+    _add_resample(p, 0)
+    p.add_argument("--out-prefix", required=True)
+
+    return ap
 
 
-def _run_spectrum_export(args) -> int:
+def _run_spectrum_export(args) -> None:
     if args.family == "cycle":
         if args.n is None:
             raise ParameterError("--n is required for family=cycle")
@@ -538,10 +446,9 @@ def _run_spectrum_export(args) -> int:
     else:
         with open(args.out, "w", newline="") as f:
             f.write(text)
-    return 0
 
 
-def _run_wireless_export(args) -> int:
+def _run_wireless_export(args) -> None:
     cfg = _wireless_base(args)
     topo = wireless.generate_topology(
         cfg, seed=args.seed,
@@ -550,20 +457,12 @@ def _run_wireless_export(args) -> int:
     wireless.save_positions(topo.placement, args.out_prefix + ".positions.csv")
     if not topo.connected:
         print("warning: generated topology is disconnected", file=sys.stderr)
-    return 0
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.kind == "spectrum-export":
-            return _run_spectrum_export(args)
-        if args.kind == "wireless-export":
-            return _run_wireless_export(args)
-        spec = _spec_from_args(args)
-        text = run(spec)
-        if spec.out == "-":
-            sys.stdout.write(text)
+        args.command(args)
         return 0
     except ParameterError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -41,7 +41,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "LatencyReport",
     "HittingMatrix",
     "mean_latency_spectral",
     "mean_latency_pinv",
@@ -54,19 +53,6 @@ __all__ = [
     "hitting_times_linear_system",
     "expected_packet_delay",
 ]
-
-
-@dataclass(frozen=True)
-class LatencyReport:
-    """One latency result with its bounds and optional cross-checks."""
-
-    analytic: float
-    lower_bound: float
-    upper_bound: float
-    oracle: float | None = None
-    mc_mean: float | None = None
-    mc_ci_halfwidth: float | None = None
-    mc_trials: int | None = None
 
 
 @dataclass(frozen=True)

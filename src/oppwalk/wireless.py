@@ -39,6 +39,7 @@ __all__ = [
     "topology_coefficient_from_powers",
     "build_wireless_graph",
     "generate_topology",
+    "generate_topologies",
     "load_config",
     "save_positions",
 ]
@@ -238,23 +239,30 @@ def build_wireless_graph(config: WirelessConfig,
                             placement=placement)
 
 
+def generate_topologies(base: WirelessConfig, configs, seed: int,
+                        resample_until_connected: int = 0,
+                        prefix: tuple[int, ...] = ()) -> list[WirelessTopology]:
+    """One topology per config, all built on one placement of `base`.
+
+    Attempt k places the nodes from SeedSequence(seed, spawn_key=(*prefix,
+    k)).  Up to max(1, resample_until_connected) attempts are made; the
+    first whose topologies are all connected is returned, else the last.
+    """
+    for attempt in range(max(1, resample_until_connected)):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(*prefix, attempt))
+        placement = place_nodes(base, np.random.Generator(np.random.PCG64(ss)))
+        topos = [build_wireless_graph(cfg, placement) for cfg in configs]
+        if all(t.connected for t in topos):
+            break
+    return topos
+
+
 def generate_topology(config: WirelessConfig, seed: int,
                       resample_until_connected: int = 0) -> WirelessTopology:
-    """Place nodes and build the topology for one seed.
-
-    resample_until_connected > 0 redraws the placement (deterministic
-    sub-seeds of `seed`) up to that many attempts until the thresholded
-    graph is connected; the last attempt is returned either way.
-    """
-    attempts = max(1, resample_until_connected)
-    topo = None
-    for attempt in range(attempts):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(attempt,))
-        rng = np.random.Generator(np.random.PCG64(ss))
-        topo = build_wireless_graph(config, place_nodes(config, rng))
-        if topo.connected or resample_until_connected == 0:
-            return topo
-    return topo
+    """Place nodes and build the topology for one seed, redrawing the
+    placement until it is connected (see generate_topologies)."""
+    return generate_topologies(config, [config], seed,
+                               resample_until_connected)[0]
 
 
 _CONFIG_FIELDS = {

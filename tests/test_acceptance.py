@@ -156,10 +156,14 @@ def test_criterion_5_bound_sandwich():
             ok and worst <= 1e-9)
 
 
+def _sweep_csv(argv):
+    """CSV text of one sweep command, parsed as the CLI parses it."""
+    return cli.run(cli.build_parser().parse_args(argv))
+
+
 def test_criterion_6_cycle_and_dimension_sweeps():
-    spec = cli.ExperimentSpec(kind="cycle-sweep")
-    spec.params["points"] = [(300, r) for r in range(1, 11)]
-    rows = cli.run(spec).strip().split("\n")[1:]
+    rows = _sweep_csv(["cycle-sweep", "--n", "300", "--r", "1:10"])
+    rows = rows.strip().split("\n")[1:]
     cyc = [float(r.split(",")[2]) for r in rows]
     fig4 = all(a > b for a, b in zip(cyc, cyc[1:]))
 
@@ -186,12 +190,7 @@ def _epd_sweep_outputs():
         "tau": ["epd-threshold-sweep", "--taus", "0.1:0.7:0.1",
                 "--etas", "2,4", "--seeds", "20", "--seed", "0"],
     }
-    out = {}
-    parser = cli.build_parser()
-    for key, argv in argv_sets.items():
-        spec = cli._spec_from_args(parser.parse_args(argv))
-        out[key] = cli.run(spec)
-    return out
+    return {key: _sweep_csv(argv) for key, argv in argv_sets.items()}
 
 
 def _column(csv_text, col=2):
@@ -219,14 +218,13 @@ def test_criterion_7_wireless_epd_trends():
 
 
 def test_criterion_8_determinism():
-    parser = cli.build_parser()
     argv = ["walk-validate",
             "--graphs", "cycle:3:1,cycle:4:1,cycle:8:2,torus:4x4:1,"
                         "wireless:0,wireless:1,wireless:2,wireless:3,"
                         "wireless:4",
             "--trials", str(MC_TRIALS), "--seed", str(MC_SEED)]
-    first = cli.run(cli._spec_from_args(parser.parse_args(argv)))
-    second = cli.run(cli._spec_from_args(parser.parse_args(argv)))
+    first = _sweep_csv(argv)
+    second = _sweep_csv(argv)
     mc_ok = first == second
     sweeps1 = _epd_sweep_outputs()
     sweeps2 = _epd_sweep_outputs()

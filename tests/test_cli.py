@@ -2,12 +2,13 @@ import csv
 import dataclasses
 import io
 
+import numpy as np
+
 import pytest
 
 from oppwalk import walker, wireless
 from oppwalk.cli import (
     CSV_HEADER,
-    ExperimentSpec,
     _row,
     build_parser,
     main,
@@ -80,7 +81,7 @@ class TestCycleSweep:
 
     def test_oracle_column_below_cap(self, capsys):
         code, out, _ = run_cli(
-            ["cycle-sweep", "--n", "20", "--r", "1", "--oracle"], capsys)
+            ["cycle-sweep", "--n", "20", "--r", "1"], capsys)
         row = out.strip().split("\n")[1].split(",")
         assert abs(float(row[2]) - float(row[5])) < 1e-9
 
@@ -136,6 +137,25 @@ class TestUsageErrors:
         code, _, err = run_cli(argv, capsys)
         assert code == 2
         assert err.startswith("usage error:")
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["epd-eta-sweep", "--etas", "2", "--seeds", "0"], "--seeds"),
+        (["cycle-sweep", "--n", "10", "--r", "1", "--trials", "0"], "--trials"),
+        (["epd-eta-sweep", "--etas", "2", "--trials", "-5"], "--trials"),
+        (["walk-validate", "--graphs", "cycle:4:1", "--trials", "0"], "--trials"),
+        (["epd-eta-sweep", "--etas", "2", "--resample-until-connected", "-1"],
+         "--resample-until-connected"),
+        (["walk-validate", "--graphs", "wireless:1",
+          "--resample-until-connected", "-1"], "--resample-until-connected"),
+        (["cycle-sweep", "--n", "10", "--r", "1", "--oracle"], "--oracle"),
+        (["bounds-check", "--n", "10", "--r", "1", "--node-cap", "5"],
+         "--node-cap"),
+    ])
+    def test_bad_count_or_flag_exit_2(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv, capsys)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 class TestTorusSweeps:
@@ -223,6 +243,30 @@ class TestMonteCarloAgreesWithAnalytic:
             analytic, mc = float(row["analytic"]), float(row["mc_mean"])
             z = abs(mc - analytic) / (float(row["mc_ci"]) / 1.96)
             assert z <= 4.0, row
+
+
+class TestEnsembleCI:
+    def test_mc_ci_is_ci_of_ensemble_mean(self, capsys, monkeypatch):
+        graphs_seen = []
+        estimate = walker.estimate_mean_latency
+
+        def spy(g, cfg):
+            graphs_seen.append(g)
+            return estimate(g, cfg)
+
+        monkeypatch.setattr(walker, "estimate_mean_latency", spy)
+        code, out, _ = run_cli(
+            ["epd-eta-sweep", "--etas", "2", "--n", "12", "--seeds", "4",
+             "--trials", "500", "--seed", "5"], capsys)
+        assert code == 0 and len(graphs_seen) == 4
+        ests = [estimate(g, walker.WalkConfig(trials=500, seed=5 + i))
+                for i, g in enumerate(graphs_seen)]
+        row = csv_rows(out)[0]
+        assert float(row["mc_mean"]) == pytest.approx(
+            np.mean([e.mean for e in ests]), rel=1e-11)
+        assert float(row["mc_ci"]) == pytest.approx(
+            np.sqrt(sum(e.ci_halfwidth ** 2 for e in ests)) / 4, rel=1e-11)
+        assert int(row["trials"]) == sum(e.trials_used for e in ests)
 
 
 class TestTruncationWarning:
@@ -314,6 +358,13 @@ class TestWirelessSweepsSmall:
         assert code == 0
         assert len(out.strip().split("\n")) == 3
 
+    def test_zero_resample_is_one_attempt(self, capsys):
+        argv = ["epd-eta-sweep", "--etas", "2,3", "--n", "12", "--seeds", "2"]
+        zero = run_cli(argv + ["--resample-until-connected", "0"], capsys)
+        one = run_cli(argv + ["--resample-until-connected", "1"], capsys)
+        assert zero[0] == 0
+        assert zero == one
+
 
 class TestExports:
     def test_spectrum_export_cycle(self, tmp_path, capsys):
@@ -343,11 +394,6 @@ class TestExports:
         assert edges.startswith("n 15")
         positions = (tmp_path / "topo.positions.csv").read_text()
         assert positions.startswith("i,x,y")
-
-
-def test_experiment_spec_rejects_unknown_kind():
-    with pytest.raises(ParameterError):
-        ExperimentSpec(kind="heat-death-sweep")
 
 
 def test_parser_builds():

@@ -4,7 +4,6 @@ import pytest
 from oppwalk.errors import DisconnectedGraphError, ParameterError
 from oppwalk.graphs import Graph, TorusSpec, build_cycle, build_torus
 from oppwalk.latency import (
-    LatencyReport,
     cycle_latency_bounds,
     expected_packet_delay,
     hitting_times,
@@ -276,13 +275,3 @@ class TestDenseOracles:
     def test_disconnected_rejected(self, oracle):
         with pytest.raises(DisconnectedGraphError):
             oracle(two_component_graph())
-
-
-class TestLatencyReport:
-    def test_invariant_holds_on_report_from_graph(self):
-        g = build_cycle(9, 2)
-        lower, upper = latency_bounds(g)
-        rep = LatencyReport(analytic=mean_latency_spectral(g),
-                            lower_bound=lower, upper_bound=upper)
-        assert rep.lower_bound <= rep.analytic <= rep.upper_bound
-        assert rep.analytic > 0

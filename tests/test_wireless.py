@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from oppwalk.wireless import (
     WirelessConfig,
     build_wireless_graph,
     coverage_radius,
+    generate_topologies,
     generate_topology,
     load_config,
     place_nodes,
@@ -241,6 +243,23 @@ class TestBuildWirelessGraph:
         b = generate_topology(cfg, seed=6, resample_until_connected=50)
         assert np.array_equal(a.graph.weights, b.graph.weights)
         assert a.connected
+
+    def test_generate_topologies_share_one_placement(self):
+        base = WirelessConfig(n=30)
+        configs = [base, dataclasses.replace(base, eta=4.0)]
+        topos = generate_topologies(base, configs, seed=3,
+                                    resample_until_connected=50, prefix=(1,))
+        assert all(t.connected for t in topos)
+        assert topos[0].placement is topos[1].placement
+
+    def test_generate_topologies_returns_last_attempt(self):
+        cfg = WirelessConfig(n=50, eta=6.0, threshold=0.9)
+        topo, = generate_topologies(cfg, [cfg], seed=1,
+                                    resample_until_connected=3, prefix=(4,))
+        assert not topo.connected
+        ss = np.random.SeedSequence(entropy=1, spawn_key=(4, 2))
+        last = place_nodes(cfg, np.random.Generator(np.random.PCG64(ss)))
+        assert np.array_equal(topo.placement.positions, last.positions)
 
 
 class TestConfigFile:
