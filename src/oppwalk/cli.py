@@ -13,10 +13,10 @@ wireless ensemble row is the 95% CI halfwidth of the ensemble mean.
 
 Each sweep subcommand's parser sets `rows`, the function that turns the
 parsed arguments into CSV rows; `run` writes the header and those rows.
-Numeric-oracle and Monte-Carlo columns are skipped (marker "skipped") for
-graphs above the node cap, so large closed-form sweeps stay honest about
-what was cross-checked.  Reruns with identical arguments and seed produce
-byte-identical files.
+The numeric-oracle and Monte-Carlo columns of cycle, torus and dimension
+sweeps are skipped (marker "skipped") for graphs above the node cap, so
+large closed-form sweeps stay honest about what was cross-checked.
+Reruns with identical arguments and seed produce byte-identical files.
 """
 from __future__ import annotations
 
@@ -191,12 +191,16 @@ def _bounds_rows(args):
 
 
 def _wireless_base(args) -> wireless.WirelessConfig:
-    if args.config:
+    """The --config file (else the defaults at n=30), at --n nodes if given.
+    An unreadable or invalid file is a usage error."""
+    n = getattr(args, "n", None)
+    if not args.config:
+        return wireless.WirelessConfig(n=30 if n is None else n)
+    try:
         cfg = wireless.load_config(args.config)
-        if getattr(args, "n", None) and args.n != cfg.n:
-            cfg = replace(cfg, n=args.n)
-        return cfg
-    return wireless.WirelessConfig(n=getattr(args, "n", 30) or 30)
+    except (OSError, ValueError) as exc:
+        raise ParameterError(f"bad --config file: {exc}") from None
+    return cfg if n is None else replace(cfg, n=n)
 
 
 def _epd_rows(args):
@@ -337,12 +341,16 @@ def _sweep(sub, kind: str, rows, help: str):
     return p
 
 
-def _add_mc(p, trials=None) -> None:
+def _add_trials(p, default=None) -> None:
+    p.add_argument("--trials", type=_count(1), default=default,
+                   help="Monte-Carlo walks per sweep point")
+
+
+def _add_mc(p) -> None:
     p.add_argument("--node-cap", type=int, default=None,
                    help="skip numeric-oracle/MC columns above this size "
                         f"(default ${NODE_CAP_ENV}, else {DEFAULT_NODE_CAP})")
-    p.add_argument("--trials", type=_count(1), default=trials,
-                   help="Monte-Carlo walks per sweep point")
+    _add_trials(p)
 
 
 def _add_oracle(p) -> None:
@@ -392,11 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, default=default)
         p.add_argument("--config", default=None,
                        help="key=value wireless config file")
-        p.add_argument("--n", type=int, default=30)
+        p.add_argument("--n", type=int, default=None,
+                       help="node count (default: the --config file, else 30)")
         p.add_argument("--seeds", type=_count(1), default=20,
                        help="ensemble size (placements per sweep point)")
         _add_resample(p, 100)
-        _add_mc(p)
+        _add_trials(p)
         _add_oracle(p)
 
     p = _sweep(sub, "walk-validate", _walk_validate_rows,
@@ -405,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list: cycle:N:R, torus:K1xK2:R, wireless:SEED")
     p.add_argument("--config", default=None)
     _add_resample(p, 100)
-    _add_mc(p, trials=100000)
+    _add_trials(p, default=100000)
     _add_oracle(p)
 
     p = sub.add_parser("spectrum-export",
@@ -421,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="generate one topology; write edge list + positions")
     p.set_defaults(command=_run_wireless_export)
     p.add_argument("--config", default=None)
-    p.add_argument("--n", type=int, default=30)
+    p.add_argument("--n", type=int, default=None,
+                   help="node count (default: the --config file, else 30)")
     p.add_argument("--seed", type=int, default=0)
     _add_resample(p, 0)
     p.add_argument("--out-prefix", required=True)

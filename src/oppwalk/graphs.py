@@ -9,7 +9,6 @@ use the same convention.
 from __future__ import annotations
 
 import io
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -72,7 +71,7 @@ class Graph:
     @cached_property
     def edge_count(self) -> int:
         """Number of undirected edges (nonzero weight pairs)."""
-        return int(np.count_nonzero(np.triu(self.weights)))
+        return int(np.count_nonzero(self.weights)) // 2
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -118,27 +117,15 @@ class Graph:
     def laplacian(self) -> np.ndarray:
         return np.diag(self.degrees) - self.weights
 
-    def neighbor_lists(self) -> list[np.ndarray]:
-        """Adjacency-list view: index array of neighbors per node."""
-        return [np.flatnonzero(row) for row in self.weights]
-
     def is_connected(self) -> bool:
-        n = self.n
-        if n == 1:
-            return True
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        queue = deque([0])
-        nbrs = self.neighbor_lists()
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for v in nbrs[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    queue.append(v)
-        return count == n
+        """Breadth-first sweep from node 0, one whole frontier per step."""
+        seen = np.zeros(self.n, dtype=bool)
+        frontier = seen.copy()
+        frontier[0] = True
+        while frontier.any():
+            seen |= frontier
+            frontier = self.weights[frontier].any(axis=0) & ~seen
+        return bool(seen.all())
 
 
 @dataclass(frozen=True)
@@ -178,7 +165,7 @@ class TorusSpec:
 def build_cycle(n: int, r: int) -> Graph:
     """r-nearest-neighbor cycle: i ~ j iff circular distance in [1, r].
 
-    Adjacency is circulant and 2r-regular.
+    Adjacency is circulant and 2r-regular: the one-axis torus.
     """
     n, r = int(n), int(r)
     if n < 3:
@@ -190,11 +177,7 @@ def build_cycle(n: int, r: int) -> Graph:
             f"2r+1 <= n required to avoid duplicate wrap-around edges "
             f"(got n={n}, r={r})"
         )
-    idx = np.arange(n)
-    dist = np.abs(idx[:, None] - idx[None, :])
-    dist = np.minimum(dist, n - dist)
-    weights = ((dist >= 1) & (dist <= r)).astype(float)
-    return Graph(weights)
+    return build_torus(TorusSpec((n,), r))
 
 
 def cartesian_product(g1: Graph, g2: Graph) -> Graph:
@@ -207,29 +190,34 @@ def cartesian_product(g1: Graph, g2: Graph) -> Graph:
 
 
 def build_torus(spec: TorusSpec) -> Graph:
-    """m-dimensional r-nearest-neighbor torus as a product of cycles."""
-    g = build_cycle(spec.dims[0], spec.r)
-    for k in spec.dims[1:]:
-        g = cartesian_product(g, build_cycle(k, spec.r))
-    return g
+    """m-dimensional r-nearest-neighbor torus, the Cartesian product of
+    r-nearest-neighbor cycles, filled row by row from torus_neighbors."""
+    nodes = np.arange(spec.n)
+    weights = np.zeros((spec.n, spec.n))
+    weights[nodes[:, None], torus_neighbors(spec, nodes)] = 1.0
+    return Graph(weights)
 
 
-def torus_neighbors(spec: TorusSpec, index: int) -> np.ndarray:
-    """Neighbor indices of one torus node from coordinate arithmetic,
-    without materializing the adjacency matrix: along each axis the
-    neighbors are the nodes at circular distance 1..r.  Sorted, distinct."""
-    if not (0 <= index < spec.n):
-        raise ParameterError(f"node index {index} out of range for n={spec.n}")
-    coords = list(np.unravel_index(index, spec.dims))
+def torus_neighbors(spec: TorusSpec, index) -> np.ndarray:
+    """Neighbor indices of torus nodes from coordinate arithmetic, without
+    materializing the adjacency matrix: along each axis the neighbors are
+    the nodes at circular distance 1..r.  For an int index, the 2mr sorted
+    distinct neighbors; for an index array, one such row per node."""
+    index = np.asarray(index)
+    bad = index[(index < 0) | (index >= spec.n)]
+    if bad.size:
+        raise ParameterError(
+            f"node index {bad[0]} out of range for n={spec.n}")
+    coords = np.unravel_index(index, spec.dims)
+    stride = spec.n
     out = []
-    for axis, k in enumerate(spec.dims):
-        orig = coords[axis]
+    for c, k in zip(coords, spec.dims):
+        stride //= k
+        # 2r+1 <= k, so the 2r shifts along one axis reach distinct nodes
         for step in range(1, spec.r + 1):
-            for c in ((orig + step) % k, (orig - step) % k):
-                coords[axis] = c
-                out.append(int(np.ravel_multi_index(coords, spec.dims)))
-        coords[axis] = orig
-    return np.unique(np.array(out, dtype=np.int64))
+            for shift in (step, -step):
+                out.append(index + ((c + shift) % k - c) * stride)
+    return np.sort(np.stack(out, axis=-1), axis=-1)
 
 
 def complete_graph(n: int) -> Graph:

@@ -150,12 +150,38 @@ class TestUsageErrors:
         (["cycle-sweep", "--n", "10", "--r", "1", "--oracle"], "--oracle"),
         (["bounds-check", "--n", "10", "--r", "1", "--node-cap", "5"],
          "--node-cap"),
+        (["epd-eta-sweep", "--etas", "2", "--node-cap", "5"], "--node-cap"),
+        (["walk-validate", "--graphs", "cycle:4:1", "--node-cap", "5"],
+         "--node-cap"),
     ])
     def test_bad_count_or_flag_exit_2(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
             run_cli(argv, capsys)
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        None, "n=20\neta=nan\n", "n=abc\n", "n=20\nradius=3\n", "eta=2\n",
+    ], ids=["missing-file", "nan", "bad-int", "unknown-key", "no-n"])
+    @pytest.mark.parametrize("argv", [
+        ["epd-eta-sweep", "--etas", "2", "--seeds", "1"],
+        ["wireless-export", "--out-prefix", "unused"],
+    ], ids=["sweep", "export"])
+    def test_bad_config_file_exit_2(self, tmp_path, capsys, argv, text):
+        path = tmp_path / "w.cfg"
+        if text is not None:
+            path.write_text(text)
+        code, out, err = run_cli(argv + ["--config", str(path)], capsys)
+        assert code == 2
+        assert err.startswith("usage error: bad --config file:"), err
+        assert out == ""
+
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_too_few_wireless_nodes_exit_2(self, capsys, n):
+        code, _, err = run_cli(
+            ["epd-eta-sweep", "--etas", "2", "--seeds", "1", "--n", n], capsys)
+        assert code == 2
+        assert err.startswith("usage error:") and "n >= 2" in err
 
 
 class TestTorusSweeps:
@@ -349,14 +375,24 @@ class TestWirelessSweepsSmall:
         assert [ln.split(",")[1] for ln in lines] == ["eta=2", "eta=4"]
         assert float(lines[0].split(",")[2]) > 0
 
-    def test_pmin_sweep_with_config_file(self, tmp_path, capsys):
+    def test_pmin_sweep_with_config_file(self, tmp_path, capsys,
+                                         monkeypatch):
         cfg = tmp_path / "w.cfg"
         cfg.write_text("n=20\npower=2.0\n")
+        seen = []
+        build = wireless.build_wireless_graph
+
+        def spy(config, placement):
+            seen.append(config.n)
+            return build(config, placement)
+
+        monkeypatch.setattr(wireless, "build_wireless_graph", spy)
         code, out, _ = run_cli(
             ["epd-pmin-sweep", "--pmins", "0.1,0.2", "--etas", "2",
              "--seeds", "2", "--config", str(cfg)], capsys)
         assert code == 0
         assert len(out.strip().split("\n")) == 3
+        assert seen and set(seen) == {20}
 
     def test_zero_resample_is_one_attempt(self, capsys):
         argv = ["epd-eta-sweep", "--etas", "2,3", "--n", "12", "--seeds", "2"]
@@ -394,6 +430,16 @@ class TestExports:
         assert edges.startswith("n 15")
         positions = (tmp_path / "topo.positions.csv").read_text()
         assert positions.startswith("i,x,y")
+
+    def test_wireless_export_n_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text("n=12\n")
+        prefix = str(tmp_path / "topo")
+        code, _, _ = run_cli(
+            ["wireless-export", "--config", str(cfg), "--out-prefix", prefix],
+            capsys)
+        assert code == 0
+        assert (tmp_path / "topo.edges").read_text().startswith("n 12\n")
 
 
 def test_parser_builds():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from oppwalk.errors import ParameterError, ValidationError
 from oppwalk.graphs import (
@@ -67,8 +68,9 @@ class TestCsr:
     def test_rows_match_dense_neighbors(self):
         g = build_torus(TorusSpec([3, 4], 1))
         indptr, indices = g.csr
-        for u, nb in enumerate(g.neighbor_lists()):
-            assert indices[indptr[u]:indptr[u + 1]].tolist() == nb.tolist()
+        for u, row in enumerate(g.weights):
+            assert (indices[indptr[u]:indptr[u + 1]].tolist()
+                    == np.flatnonzero(row).tolist())
 
     def test_cached(self):
         g = build_cycle(6, 1)
@@ -179,6 +181,17 @@ class TestTorus:
         for idx in [0, 7, 59, 100]:
             assert np.array_equal(torus_neighbors(spec, idx),
                                   np.flatnonzero(g.weights[idx]))
+        rows = torus_neighbors(spec, np.arange(spec.n))
+        assert rows.shape == (spec.n, 2 * spec.m * spec.r)
+        for idx, row in enumerate(rows):
+            assert np.array_equal(row, np.flatnonzero(g.weights[idx]))
+        assert np.array_equal(torus_neighbors(spec, [100, 7]),
+                              rows[[100, 7]])
+
+    @pytest.mark.parametrize("index", [-1, 120, [0, 120]])
+    def test_neighbor_index_out_of_range(self, index):
+        with pytest.raises(ParameterError, match="out of range"):
+            torus_neighbors(TorusSpec([4, 5, 6], 1), index)
 
     def test_large_4d_torus_degrees(self):
         # 126720-node case: spot-check degrees via neighbor enumeration
@@ -187,6 +200,54 @@ class TestTorus:
         rng = np.random.default_rng(3)
         for idx in rng.integers(0, spec.n, size=25):
             assert torus_neighbors(spec, int(idx)).size == 2 * 4 * 4
+
+
+def reference_cycle(k, r):
+    """Dense circular-distance adjacency of the r-nearest-neighbor cycle."""
+    idx = np.arange(k)
+    dist = np.abs(idx[:, None] - idx[None, :])
+    dist = np.minimum(dist, k - dist)
+    return Graph(((dist >= 1) & (dist <= r)).astype(float))
+
+
+@pytest.mark.parametrize("dims", [
+    (3,), (4,), (5,), (7,), (9,), (3, 4), (5, 5), (6, 7), (7, 5),
+    (3, 4, 5), (5, 5, 5), (7, 3, 7),
+])
+def test_builders_match_product_of_reference_cycles(dims):
+    # every radius up to the boundary case 2r+1 == min(dims)
+    for r in range(1, (min(dims) - 1) // 2 + 1):
+        ref = reference_cycle(dims[0], r)
+        for k in dims[1:]:
+            ref = cartesian_product(ref, reference_cycle(k, r))
+        assert np.array_equal(build_torus(TorusSpec(dims, r)).weights,
+                              ref.weights)
+        if len(dims) == 1:
+            assert np.array_equal(build_cycle(dims[0], r).weights,
+                                  ref.weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(min_value=1, max_value=9),
+                      min_size=1, max_size=3),
+       isolated=st.integers(min_value=0, max_value=3),
+       density=st.floats(min_value=0.0, max_value=1.0),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_is_connected_matches_scipy(sizes, isolated, density, seed):
+    # disjoint union of random blocks plus isolated nodes, relabeled
+    rng = np.random.default_rng(seed)
+    n = sum(sizes) + isolated
+    w = np.zeros((n, n))
+    start = 0
+    for k in sizes:
+        block = np.triu(rng.random((k, k)) < density, 1)
+        w[start:start + k, start:start + k] = block + block.T
+        start += k
+    perm = rng.permutation(n)
+    w = w[np.ix_(perm, perm)]
+    assert 1 <= n <= 30
+    expected = connected_components(w, directed=False)[0] == 1
+    assert Graph(w).is_connected() == expected
 
 
 class TestConnectivity:
@@ -198,6 +259,9 @@ class TestConnectivity:
         w[0, 1] = w[1, 0] = 1.0
         w[2, 3] = w[3, 2] = 1.0
         assert not Graph(w).is_connected()
+
+    def test_single_node(self):
+        assert Graph(np.zeros((1, 1))).is_connected()
 
 
 class TestEdgeListFormat:
