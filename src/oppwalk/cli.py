@@ -447,7 +447,7 @@ def _run_spectrum_export(args) -> None:
     else:
         if not args.dims:
             raise ParameterError("--dims is required for family=torus")
-        dims = [int(k) for k in args.dims.split("x")]
+        dims = [_parse_value(k, int, args.dims) for k in args.dims.split("x")]
         vals = spectral.torus_laplacian_spectrum(
             graphs.TorusSpec(dims, args.r)).values
     text = "".join(f"{v:.17g}\n" for v in vals)

@@ -10,17 +10,24 @@ connected graph L+ = (L + J/n)^{-1} - J/n with J the all-ones matrix, so
 
 from one dense inverse (Ghosh, Boyd & Saberi 2008).
 
-Per-pair hitting times come from the normalized-Laplacian eigendecomposition
+Expected packet delay (EPD) is the average hitting time over all ordered
+pairs.  By the commute-time identity H_st + H_ts = vol * R_st (Chandra et
+al. 1989; Tetali 1991), with vol = sum of degrees and the resistances
+summing to n * Tr(L+) over unordered pairs,
+
+    EPD = vol * Tr(L+) / (n-1) = (vol/2) * T,
+
+so EPD needs only the Laplacian eigenvalues.  Per-pair hitting times, the
+public per-pair API, come from the normalized-Laplacian eigendecomposition
 
     H_st = 2m * sum_{lam_k > 0} (1/lam_k) * (v_kt^2 / d_t - v_ks v_kt / sqrt(d_s d_t))
 
-and, as the second route, from the fundamental matrix of the walk
-(Kemeny & Snell 1960, section 4.4)
+and, as the independent oracle for them and for EPD, from the fundamental
+matrix of the walk (Kemeny & Snell 1960, section 4.4)
 
     Z = (I - P + 1 pi^T)^{-1},   H_st = (Z_tt - Z_st) / pi_t,
 
-with P = D^{-1} W and stationary distribution pi = d / vol.  Expected
-packet delay (EPD) is the average hitting time over all ordered pairs.
+with P = D^{-1} W and stationary distribution pi = d / vol.
 """
 from __future__ import annotations
 
@@ -122,18 +129,10 @@ def _bounds_from_lam1(n: int, lam1: float) -> tuple[float, float]:
 
 
 def cycle_latency_bounds(n: int, r: int) -> tuple[float, float]:
-    """Closed-form sandwich bounds for the cycle:
-    2 sin(pi/n) / ((n-1) * ((2r+1) sin(pi/n) - sin((2r+1) pi/n)))  <=  T
-    <=  2 sin(pi/n) / ((2r+1) sin(pi/n) - sin((2r+1) pi/n)).
-    """
-    n, r = int(n), int(r)
-    if n < 3 or r < 1 or 2 * r + 1 > n:
-        raise ParameterError(
-            f"cycle bounds need n >= 3, r >= 1, 2r+1 <= n (got n={n}, r={r})"
-        )
-    s = np.sin(np.pi / n)
-    denom = (2 * r + 1) * s - np.sin((2 * r + 1) * np.pi / n)
-    return 2.0 * s / ((n - 1) * denom), 2.0 * s / denom
+    """Closed-form sandwich bounds for the cycle from its smallest nonzero
+    eigenvalue lam_1 = 4 * sum_{i=1..r} sin^2(pi i / n)."""
+    lam1 = float(cycle_laplacian_eigenvalues(n, r, [1])[0])
+    return _bounds_from_lam1(int(n), lam1)
 
 
 def torus_latency_bounds(spec: TorusSpec) -> tuple[float, float]:
@@ -193,12 +192,19 @@ def hitting_times_linear_system(g: Graph) -> HittingMatrix:
 
 
 def expected_packet_delay(g: Graph, method: str = "spectral") -> float:
-    """Average hitting time over all ordered pairs i != j (hops)."""
-    if method == "spectral":
-        hm = hitting_times(g)
-    elif method == "linear-system":
-        hm = hitting_times_linear_system(g)
-    else:
-        raise ParameterError(f"unknown hitting-time method {method!r}")
+    """Average hitting time over all ordered pairs i != j (hops).
+
+    "spectral": vol * Tr(L+) / (n-1) from the Laplacian eigenvalues (the
+    commute-time identity; weighted graphs too).  "linear-system": the mean
+    off-diagonal entry of the fundamental-matrix hitting times, the oracle.
+    """
     n = g.n
-    return float(hm.h.sum()) / (n * (n - 1))
+    if n < 2:
+        raise ParameterError("expected packet delay needs n >= 2")
+    if method == "linear-system":
+        return float(hitting_times_linear_system(g).h.sum()) / (n * (n - 1))
+    if method != "spectral":
+        raise ParameterError(f"unknown hitting-time method {method!r}")
+    _require_connected(g)
+    vol = float(g.degrees.sum())
+    return vol * pinv_trace(spectral.laplacian_spectrum(g)) / (n - 1)

@@ -3,15 +3,14 @@ symmetric eigensolver used as the cross-check oracle for arbitrary graphs.
 
 The closed form for the r-nearest-neighbor cycle Laplacian is
 
-    lam_j = 2r + 1 - sin((2r+1) pi j / n) / sin(pi j / n),   j = 0..n-1,
+    lam_j = 2r - 2 * sum_{i=1..r} cos(2 pi i j / n)
+          = 4 * sum_{i=1..r} sin^2(pi i j / n),   j = 0..n-1,
 
-with the equivalent cosine-sum form
-
-    lam_j = 2r - 2 * sum_{i=1..r} cos(2 pi j i / n)
-
-used at j = 0 (where the sine ratio is 0/0) and wherever sin(pi j / n) is
-too small for the ratio to be numerically trustworthy.  Torus spectra are
-the sumsets of the component cycle spectra over all index tuples.
+evaluated in the sin^2 form (2 - 2 cos 2x = 4 sin^2 x), which has no small
+denominator and no cancellation: every term is nonnegative.  The argument
+i j mod n is reduced in integers and folded into [0, n/2], so sin is only
+ever evaluated on [0, pi/2].  Torus spectra are the sumsets of the
+component cycle spectra over all index tuples.
 """
 from __future__ import annotations
 
@@ -43,10 +42,6 @@ __all__ = [
 
 # Relative threshold below which an eigenvalue counts as the zero mode.
 ZERO_EIGENVALUE_RTOL = 1e-9
-
-# |sin(pi j / n)| below this switches the cycle closed form to the
-# cosine-sum evaluation, which has no small denominator.
-_SINE_RATIO_CUTOFF = 1e-6
 
 
 @dataclass(frozen=True)
@@ -97,19 +92,12 @@ def cycle_laplacian_eigenvalues(n: int, r: int, j=None) -> np.ndarray:
         raise ParameterError(
             f"cycle spectrum needs n >= 3, r >= 1, 2r+1 <= n (got n={n}, r={r})"
         )
-    j = np.arange(n) if j is None else np.asarray(j, dtype=float)
-    x = np.pi * j / n
-    s = np.sin(x)
-    out = np.empty_like(x, dtype=float)
-    safe = np.abs(s) >= _SINE_RATIO_CUTOFF
-    out[safe] = (2 * r + 1) - np.sin((2 * r + 1) * x[safe]) / s[safe]
-    if np.any(~safe):
-        xb = x[~safe]
-        acc = np.full_like(xb, 2.0 * r)
-        for i in range(1, r + 1):
-            acc -= 2.0 * np.cos(2.0 * i * xb)
-        out[~safe] = acc
-    return out
+    j = np.arange(n) if j is None else np.asarray(j)
+    out = np.zeros(j.shape)
+    for i in range(1, r + 1):
+        k = (i * j) % n
+        out += np.sin(np.pi * np.minimum(k, n - k) / n) ** 2
+    return 4.0 * out
 
 
 def cycle_laplacian_spectrum(n: int, r: int) -> Spectrum:

@@ -129,8 +129,17 @@ class Placement:
         return self.positions.shape[0]
 
     def distances(self) -> np.ndarray:
-        diff = self.positions[:, None, :] - self.positions[None, :, :]
-        return np.sqrt((diff ** 2).sum(axis=-1))
+        """Pairwise Euclidean distances, computed on the first call and
+        shared read-only by every topology built on this placement."""
+        r = self.__dict__.get("_distances")
+        if r is None:
+            x, y = self.positions.T
+            dx = x[:, None] - x[None, :]
+            dy = y[:, None] - y[None, :]
+            r = np.sqrt(dx * dx + dy * dy)
+            r.setflags(write=False)
+            object.__setattr__(self, "_distances", r)
+        return r
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,10 @@
 import csv
 import dataclasses
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -132,6 +136,7 @@ class TestUsageErrors:
         ["cycle-sweep", "--n", "10:abc", "--r", "1"],
         ["epd-eta-sweep", "--etas", "2,nan", "--seeds", "2"],
         ["walk-validate", "--graphs", "cycle:abc:1"],
+        ["spectrum-export", "--family", "torus", "--dims", "3xabc", "--r", "1"],
     ])
     def test_bad_number_exit_2(self, capsys, argv):
         code, _, err = run_cli(argv, capsys)
@@ -444,3 +449,31 @@ class TestExports:
 
 def test_parser_builds():
     assert build_parser().prog == "oppwalk"
+
+
+class TestModuleEntryPoint:
+    """`python -m oppwalk` is the same CLI as the `oppwalk` script."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ,
+               "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        return subprocess.run([sys.executable, "-m", "oppwalk", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+
+    def test_writes_csv(self):
+        proc = self.run_module("cycle-sweep", "--n", "10", "--r", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == CSV_HEADER
+
+    @pytest.mark.parametrize("argv", [
+        ("--no-such-flag",),
+        ("spectrum-export", "--family", "torus", "--dims", "3xabc", "--r", "1"),
+    ])
+    def test_bad_argument_exit_2(self, argv):
+        proc = self.run_module(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""

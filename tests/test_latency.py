@@ -1,8 +1,15 @@
+import mpmath
 import numpy as np
 import pytest
 
 from oppwalk.errors import DisconnectedGraphError, ParameterError
-from oppwalk.graphs import Graph, TorusSpec, build_cycle, build_torus
+from oppwalk.graphs import (
+    Graph,
+    TorusSpec,
+    build_cycle,
+    build_torus,
+    complete_graph,
+)
 from oppwalk.latency import (
     cycle_latency_bounds,
     expected_packet_delay,
@@ -15,7 +22,10 @@ from oppwalk.latency import (
     mean_latency_torus,
     torus_latency_bounds,
 )
-from oppwalk.spectral import cycle_laplacian_spectrum
+from oppwalk.spectral import (
+    cycle_laplacian_eigenvalues,
+    cycle_laplacian_spectrum,
+)
 from oppwalk.wireless import WirelessConfig, generate_topology
 
 
@@ -203,7 +213,8 @@ class TestExpectedPacketDelay:
         lambda: build_torus(TorusSpec([4, 4], 1)),
     ])
     def test_regular_graph_relation_to_pinv_trace(self, builder):
-        # empirical: for d-regular graphs EPD == 2m * Tr(L+) / (n-1)
+        # the commute-time identity EPD = vol * Tr(L+) / (n-1), here against
+        # the mean-latency route T = 2 * Tr(L+) / (n-1)
         g = builder()
         two_m = g.degrees.sum()
         expected = two_m * mean_latency_spectral(g) / 2
@@ -275,3 +286,134 @@ class TestDenseOracles:
     def test_disconnected_rejected(self, oracle):
         with pytest.raises(DisconnectedGraphError):
             oracle(two_component_graph())
+
+
+def irregular_weighted_graph():
+    """Nine nodes, random weights in [0, 1), uneven degrees."""
+    rng = np.random.default_rng(0)
+    w = np.triu(rng.random((9, 9)) * (rng.random((9, 9)) < 0.6), 1)
+    w = w + w.T
+    w[w.sum(axis=1) == 0, 0] = 1.0  # keep every node attached
+    w[0, w.sum(axis=1) == 0] = 1.0
+    return Graph(0.5 * (w + w.T))
+
+
+EPD_GRAPHS = ORACLE_GRAPHS + [
+    lambda: build_cycle(64, 10),
+    lambda: build_torus(TorusSpec([8, 8], 2)),
+    lambda: complete_graph(10),
+    irregular_weighted_graph,
+    lambda: weighted_random_graph(n=40, seed=11),
+] + [
+    lambda seed=seed: generate_topology(WirelessConfig(n=30), seed=seed,
+                                        resample_until_connected=100).graph
+    for seed in range(5)
+]
+
+
+class TestCommuteTimeIdentity:
+    """EPD = vol * Tr(L+) / (n-1): the sum of H_st over ordered pairs is
+    vol * n * Tr(L+) (Chandra et al. 1989; Tetali 1991)."""
+
+    @pytest.mark.parametrize("builder", EPD_GRAPHS)
+    def test_spectral_epd_equals_mean_hitting_time(self, builder):
+        g = builder()
+        n = g.n
+        epd = expected_packet_delay(g)
+        per_pair = hitting_times(g).h.sum() / (n * (n - 1))
+        assert epd == pytest.approx(per_pair, rel=1e-10)
+        assert epd == pytest.approx(expected_packet_delay(g, "linear-system"),
+                                    rel=1e-10)
+
+    @pytest.mark.parametrize("n,r", [(3, 1), (10, 2), (64, 1), (101, 7),
+                                     (300, 5)])
+    def test_cycle_epd_is_edge_count_times_t(self, n, r):
+        assert expected_packet_delay(build_cycle(n, r)) == pytest.approx(
+            n * r * mean_latency_cycle(n, r), rel=1e-11)
+
+    @pytest.mark.parametrize("dims,r", [((4, 4), 1), ((5, 7), 2),
+                                        ((3, 4, 5), 1), ((16, 18), 1)])
+    def test_torus_epd_is_edge_count_times_t(self, dims, r):
+        spec = TorusSpec(dims, r)
+        expected = spec.n * len(dims) * r * mean_latency_torus(spec)
+        assert expected_packet_delay(build_torus(spec)) == pytest.approx(
+            expected, rel=1e-11)
+
+    @pytest.mark.parametrize("method", ["spectral", "linear-system"])
+    def test_disconnected_rejected(self, method):
+        with pytest.raises(DisconnectedGraphError):
+            expected_packet_delay(two_component_graph(), method)
+
+    def test_single_node_rejected(self):
+        with pytest.raises(ParameterError):
+            expected_packet_delay(Graph(np.zeros((1, 1))))
+
+
+def mp_cycle_eigenvalues(n, r):
+    """Cycle Laplacian eigenvalues j = 0..n-1 at 40 significant digits."""
+    with mpmath.workdps(40):
+        return [2 * r - 2 * mpmath.fsum(mpmath.cos(2 * mpmath.pi * i * j / n)
+                                        for i in range(1, r + 1))
+                for j in range(n)]
+
+
+def mp_mean_latency(eigenvalues):
+    """2/(n-1) * sum of 1/lam over the nonzero eigenvalues, at 40 digits."""
+    with mpmath.workdps(40):
+        return 2 * mpmath.fsum(1 / lam for lam in eigenvalues[1:]) / (
+            len(eigenvalues) - 1)
+
+
+class TestCycleClosedFormExact:
+    """The sin^2 form of the cycle spectrum against exact references."""
+
+    # T = (n+1)/6 at r = 1, from the cycle's Kirchhoff index n(n^2-1)/12
+    # (Klein & Randic 1993).  Each bound is twice the gap measured with the
+    # sin^2 form summed in numpy: 7.7e-14, 4.4e-13, 9.5e-12 and 2.8e-11.
+    @pytest.mark.parametrize("n,bound", [(10**3, 1.5e-13), (10**4, 9e-13),
+                                         (10**5, 1.9e-11), (10**6, 5.6e-11)])
+    def test_r1_is_n_plus_1_over_6(self, n, bound):
+        assert abs(mean_latency_cycle(n, 1) - (n + 1) / 6) <= bound
+
+    @pytest.mark.parametrize("n,r", [(7, 1), (30, 4), (257, 3), (1000, 7),
+                                     (4096, 1)])
+    def test_matches_mpmath(self, n, r):
+        exact = mp_cycle_eigenvalues(n, r)
+        vals = cycle_laplacian_eigenvalues(n, r)
+        assert vals[0] == 0.0
+        np.testing.assert_allclose(vals[1:], [float(v) for v in exact[1:]],
+                                   rtol=1e-14, atol=0.0)
+        t = float(mp_mean_latency(exact))
+        assert mean_latency_cycle(n, r) == pytest.approx(t, rel=1e-14)
+        lam1 = float(min(exact[1:]))
+        lower, upper = cycle_latency_bounds(n, r)
+        assert lower == pytest.approx(2 / ((n - 1) * lam1), rel=1e-14)
+        assert upper == pytest.approx(2 / lam1, rel=1e-14)
+
+    @pytest.mark.parametrize("dims,r", [((3, 4, 5), 1), ((16, 18), 2),
+                                        ((1000,), 1)])
+    def test_torus_matches_mpmath(self, dims, r):
+        exact = [mpmath.mpf(0)]
+        for k in dims:
+            axis = mp_cycle_eigenvalues(k, r)
+            exact = [a + b for a in exact for b in axis]
+        spec = TorusSpec(dims, r)
+        t = float(mp_mean_latency(exact))
+        assert mean_latency_torus(spec) == pytest.approx(t, rel=1e-14)
+        lam1 = float(min(exact[1:]))
+        assert torus_latency_bounds(spec)[1] == pytest.approx(2 / lam1,
+                                                              rel=1e-14)
+
+    @pytest.mark.parametrize("n,r", [(8, 1), (40, 5), (200, 1), (301, 10),
+                                     (500, 1), (500, 3)])
+    def test_cycle_dense_oracle(self, n, r):
+        assert mean_latency_pinv(build_cycle(n, r)) == pytest.approx(
+            mean_latency_cycle(n, r), rel=1e-11)
+
+    @pytest.mark.parametrize("dims,r", [((4, 4), 1), ((5, 7), 2),
+                                        ((10, 8), 1), ((20, 30), 2),
+                                        ((3, 4, 5), 1)])
+    def test_torus_dense_oracle(self, dims, r):
+        spec = TorusSpec(dims, r)
+        assert mean_latency_pinv(build_torus(spec)) == pytest.approx(
+            mean_latency_torus(spec), rel=1e-11)

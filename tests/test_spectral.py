@@ -71,7 +71,7 @@ class TestCycleSpectrum:
                                         abs=1e-12)
 
     def test_sine_ratio_matches_cosine_sum(self):
-        # the two closed forms agree away from the 0/0 point
+        # the sin^2 evaluation agrees with the cosine-sum form
         for n, r in [(30, 4), (64, 7), (301, 10)]:
             j = np.arange(1, n)
             x = np.pi * j / n

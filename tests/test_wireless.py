@@ -94,6 +94,23 @@ class TestPlaceNodes:
         assert p > 0.001
 
 
+class TestPlacementDistances:
+    def test_cached_and_read_only(self):
+        pl = place_nodes(WirelessConfig(n=20), 4)
+        r = pl.distances()
+        assert pl.distances() is r
+        assert not r.flags.writeable
+        with pytest.raises(ValueError):
+            r[0, 1] = 1.0
+
+    @pytest.mark.parametrize("n,seed", [(2, 0), (30, 1), (100, 2), (257, 3)])
+    def test_bit_equal_to_summed_squares(self, n, seed):
+        pl = place_nodes(WirelessConfig(n=n), seed)
+        diff = pl.positions[:, None, :] - pl.positions[None, :, :]
+        reference = np.sqrt((diff ** 2).sum(axis=-1))
+        assert pl.distances().tobytes() == reference.tobytes()
+
+
 class TestReferenceDistance:
     def test_algebraic_inversion_to_one(self):
         n = 40
