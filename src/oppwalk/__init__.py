@@ -2,7 +2,6 @@
 opportunistic) routing on cycle/torus families and wireless topologies."""
 
 from .errors import (
-    BelowMinimumPowerError,
     DegenerateInputError,
     DisconnectedGraphError,
     EstimationError,
@@ -55,14 +54,10 @@ from .wireless import (
     WirelessConfig,
     WirelessTopology,
     build_wireless_graph,
-    coverage_radius,
     generate_topology,
     generate_topologies,
     place_nodes,
-    received_power,
     reference_distance,
-    topology_coefficient,
-    topology_coefficient_from_powers,
 )
 
 __version__ = "0.1.0"

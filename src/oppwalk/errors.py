@@ -10,15 +10,11 @@ class ValidationError(ValueError):
 
 
 class DegenerateInputError(ValueError):
-    """Mathematically undefined case (zero-degree node, 0/0 coefficient)."""
+    """Mathematically undefined case (e.g. a zero-degree node)."""
 
 
 class DisconnectedGraphError(ValueError):
     """Random-walk quantity requested on a graph that is not connected."""
-
-
-class BelowMinimumPowerError(ValueError):
-    """Transmit power below the minimum required power: no link possible."""
 
 
 class EstimationError(RuntimeError):

@@ -118,14 +118,20 @@ class Graph:
         return np.diag(self.degrees) - self.weights
 
     def is_connected(self) -> bool:
-        """Breadth-first sweep from node 0, one whole frontier per step."""
-        seen = np.zeros(self.n, dtype=bool)
-        frontier = seen.copy()
-        frontier[0] = True
-        while frontier.any():
-            seen |= frontier
-            frontier = self.weights[frontier].any(axis=0) & ~seen
-        return bool(seen.all())
+        """Breadth-first sweep from node 0, one whole frontier per step,
+        run on the first call; the graph is immutable, so later calls
+        return the stored answer."""
+        connected = self.__dict__.get("_connected")
+        if connected is None:
+            seen = np.zeros(self.n, dtype=bool)
+            frontier = seen.copy()
+            frontier[0] = True
+            while frontier.any():
+                seen |= frontier
+                frontier = self.weights[frontier].any(axis=0) & ~seen
+            connected = bool(seen.all())
+            object.__setattr__(self, "_connected", connected)
+        return connected
 
 
 @dataclass(frozen=True)

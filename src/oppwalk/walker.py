@@ -194,17 +194,23 @@ def estimate_hitting(g: Graph, s: int, t: int, config: WalkConfig) -> WalkEstima
     return _estimate(steps, truncated)
 
 
-def _ordered_pairs(g: Graph, config: WalkConfig) -> np.ndarray:
-    n = g.n
+def _pair_schedule(n: int, config: WalkConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Start and target of each of config.trials walks.
+
+    all-pairs: walk i takes the k-th ordered pair with s != t in row-major
+    order, k = i mod n(n-1), found as s, j = divmod(k, n - 1) and
+    t = j + (j >= s) without listing the pairs.  sampled: walk i takes
+    sampled pair i mod sample_pairs.
+    """
     if config.pair_mode == "all-pairs":
-        s, t = np.divmod(np.arange(n * n), n)
-        keep = s != t
-        return np.column_stack([s[keep], t[keep]])
+        s, j = np.divmod(np.arange(config.trials) % (n * (n - 1)), n - 1)
+        return s, j + (j >= s)
     rng = _pair_rng(config.seed, n * n)  # off-pair substream for sampling
     s = rng.integers(0, n, size=config.sample_pairs)
     shift = rng.integers(1, n, size=config.sample_pairs)
     t = (s + shift) % n  # uniform over ordered pairs with s != t
-    return np.column_stack([s, t])
+    reps = np.arange(config.trials) % config.sample_pairs
+    return s[reps], t[reps]
 
 
 def estimate_mean_latency(g: Graph, config: WalkConfig) -> WalkEstimate:
@@ -213,10 +219,7 @@ def estimate_mean_latency(g: Graph, config: WalkConfig) -> WalkEstimate:
     Comparable to the analytic expected packet delay (hop units)."""
     if g.n < 2:
         raise ParameterError("mean latency needs n >= 2")
-    pairs = _ordered_pairs(g, config)
-    reps = np.arange(config.trials) % pairs.shape[0]
-    starts = pairs[reps, 0]
-    targets = pairs[reps, 1]
+    starts, targets = _pair_schedule(g.n, config)
     cap = config.resolved_max_steps(g.n)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
     steps, truncated = _run_walks(g, starts, targets, cap, rng)

@@ -10,7 +10,10 @@ gets a topology coefficient in [0, 1],
 and the binary network graph keeps an edge wherever the coefficient clears
 the connectivity threshold.  Only symmetric transmit powers (p_ij = p_ji)
 are supported, so coefficients and the graph are symmetric by construction.
-Pairs with transmit power below p_min get coefficient 0 (no link possible).
+Pairs with transmit power at or below p_min get coefficient 0 (no link
+possible).  build_wireless_graph is the one implementation of these
+formulas: it evaluates r_c and a_ij for scalar or per-pair power in one
+broadcast expression.
 """
 from __future__ import annotations
 
@@ -19,12 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BelowMinimumPowerError,
-    DegenerateInputError,
-    ParameterError,
-    ValidationError,
-)
+from .errors import ParameterError, ValidationError
 from .graphs import Graph
 
 __all__ = [
@@ -33,10 +31,6 @@ __all__ = [
     "WirelessTopology",
     "place_nodes",
     "reference_distance",
-    "received_power",
-    "coverage_radius",
-    "topology_coefficient",
-    "topology_coefficient_from_powers",
     "build_wireless_graph",
     "generate_topology",
     "generate_topologies",
@@ -99,14 +93,6 @@ class WirelessConfig:
         elif self.power <= 0:
             raise ParameterError("transmit power must be positive")
 
-    def power_matrix(self) -> np.ndarray:
-        if isinstance(self.power, np.ndarray):
-            return self.power
-        return np.full((self.n, self.n), float(self.power))
-
-    def reference_distance(self) -> float:
-        return reference_distance(self.n, self.c_n)
-
 
 @dataclass(frozen=True)
 class Placement:
@@ -119,6 +105,11 @@ class Placement:
         pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 2:
             raise ValidationError("positions must be an (n, 2) array")
+        if not (math.isfinite(self.area_side) and self.area_side > 0):
+            raise ValidationError(
+                f"area_side must be finite and positive, got {self.area_side}")
+        if not np.isfinite(pos).all():
+            raise ValidationError("positions must be finite (no NaN or inf)")
         if np.any(pos < 0) or np.any(pos > self.area_side):
             raise ValidationError("positions must lie within the area")
         pos.setflags(write=False)
@@ -173,72 +164,28 @@ def reference_distance(n: int, c_n: float) -> float:
     return math.sqrt(radicand / (math.pi * n))
 
 
-def received_power(p_ij: float, r_ij: float, r_0: float, eta: float) -> float:
-    """Power received at distance r_ij: p_ij / (1 + (r_ij/r_0)^eta)."""
-    if p_ij <= 0 or r_0 <= 0 or r_ij < 0:
-        raise ParameterError("need p_ij > 0, r_0 > 0, r_ij >= 0")
-    return p_ij / (1.0 + (r_ij / r_0) ** eta)
-
-
-def coverage_radius(p_ij: float, p_min: float, r_0: float, eta: float) -> float:
-    """Distance at which received power falls to p_min:
-    r_c = r_0 * (p_ij/p_min - 1)^(1/eta)."""
-    if p_ij < p_min:
-        raise BelowMinimumPowerError(
-            f"transmit power {p_ij:.6g} below minimum {p_min:.6g}: no link"
-        )
-    return r_0 * (p_ij / p_min - 1.0) ** (1.0 / eta)
-
-
-def topology_coefficient(r_ij: float, r_c: float, alpha: float) -> float:
-    """Soft link quality a = 1 / (1 + (r_ij/r_c)^alpha) in [0, 1]."""
-    if r_ij < 0 or r_c < 0 or alpha <= 0:
-        raise ParameterError("need r_ij >= 0, r_c >= 0, alpha > 0")
-    if r_c == 0.0:
-        if r_ij == 0.0:
-            raise DegenerateInputError(
-                "coefficient undefined at r_ij = r_c = 0"
-            )
-        return 0.0
-    return 1.0 / (1.0 + (r_ij / r_c) ** alpha)
-
-
-def topology_coefficient_from_powers(p_ij: float, p_min: float, r_0: float,
-                                     r_ij: float, alpha: float,
-                                     eta: float) -> float:
-    """Equivalent power-coefficient form:
-    a = r0^a (p - pmin)^(a/eta) / (r0^a (p - pmin)^(a/eta) + r^a pmin^(a/eta)).
-    Pairs below minimum power get coefficient 0."""
-    if p_ij < p_min:
-        return 0.0
-    num = r_0 ** alpha * (p_ij - p_min) ** (alpha / eta)
-    den = num + r_ij ** alpha * p_min ** (alpha / eta)
-    if den == 0.0:
-        raise DegenerateInputError("coefficient undefined at r_ij = 0, p = p_min")
-    return num / den
-
-
 def build_wireless_graph(config: WirelessConfig,
                          placement: Placement) -> WirelessTopology:
     """Coefficient matrix plus thresholded binary graph.
 
-    coefficients[i][j] follows the coefficient formula at the pairwise
-    Euclidean distance (diagonal is 1 by the r_ij = 0 limit); the graph has
-    an edge for i != j iff coefficient >= threshold.  A disconnected result
-    is returned with connected=False, not raised.
+    One broadcast expression serves scalar and per-pair power: the coverage
+    radius r_c = r0 * max(p/p_min - 1, 0)^(1/eta) is a scalar or an n x n
+    matrix, and coefficients[i][j] = 1 / (1 + (r_ij/r_c)^alpha) where
+    r_c > 0, else 0 (power at or below p_min).  The diagonal is 1 by the
+    r_ij = 0 limit.  The graph has an edge for i != j iff coefficient >=
+    threshold.  A disconnected result is returned with connected=False, not
+    raised.
     """
     if placement.n != config.n:
         raise ValidationError("placement size does not match config.n")
     r = placement.distances()
-    p = config.power_matrix()
-    r0 = config.reference_distance()
-    coeff = np.zeros((config.n, config.n))
-    feasible = p >= config.p_min
-    base = np.zeros_like(p)
-    base[feasible] = (p[feasible] / config.p_min - 1.0) ** (1.0 / config.eta)
-    rc = r0 * base
-    pos_rc = feasible & (rc > 0)
-    coeff[pos_rc] = 1.0 / (1.0 + (r[pos_rc] / rc[pos_rc]) ** config.alpha)
+    # np.power, not **: ** on a float64 scalar calls the C library pow,
+    # while the ufunc runs the same (SIMD) loop as a power matrix does, so
+    # scalar and per-pair power give bit-equal radii.
+    rc = reference_distance(config.n, config.c_n) * np.power(
+        np.maximum(config.power / config.p_min - 1.0, 0.0), 1.0 / config.eta)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        coeff = np.where(rc > 0, 1.0 / (1.0 + (r / rc) ** config.alpha), 0.0)
     np.fill_diagonal(coeff, 1.0)
     adjacency = (coeff >= config.threshold).astype(float)
     np.fill_diagonal(adjacency, 0.0)

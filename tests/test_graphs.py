@@ -247,7 +247,9 @@ def test_is_connected_matches_scipy(sizes, isolated, density, seed):
     w = w[np.ix_(perm, perm)]
     assert 1 <= n <= 30
     expected = connected_components(w, directed=False)[0] == 1
-    assert Graph(w).is_connected() == expected
+    g = Graph(w)
+    assert g.is_connected() == expected
+    assert g.is_connected() == expected  # the stored answer
 
 
 class TestConnectivity:

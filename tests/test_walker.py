@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from oppwalk.graphs import Graph, TorusSpec, build_cycle, build_torus
 from oppwalk.latency import hitting_times, hitting_times_linear_system
 from oppwalk.walker import (
     WalkConfig,
+    _pair_rng,
+    _pair_schedule,
     _walk_tables,
     estimate_hitting,
     estimate_mean_latency,
@@ -143,6 +147,58 @@ class TestEstimateMeanLatency:
         est = estimate_mean_latency(g, cfg)
         assert est.trials_used == 20000
         assert est.mean > 0
+
+
+def enumerated_schedule(n, config):
+    """Reference schedule: list every ordered pair (row-major, s != t), or
+    the sampled pairs, then take pair i mod len(pairs) for walk i."""
+    if config.pair_mode == "all-pairs":
+        s, t = np.divmod(np.arange(n * n), n)
+        keep = s != t
+        pairs = np.column_stack([s[keep], t[keep]])
+    else:
+        rng = _pair_rng(config.seed, n * n)
+        s = rng.integers(0, n, size=config.sample_pairs)
+        shift = rng.integers(1, n, size=config.sample_pairs)
+        pairs = np.column_stack([s, (s + shift) % n])
+    reps = np.arange(config.trials) % pairs.shape[0]
+    return pairs[reps, 0], pairs[reps, 1]
+
+
+class TestPairSchedule:
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 64])
+    def test_all_pairs_matches_enumeration(self, n):
+        pairs = n * (n - 1)
+        for trials in (1, pairs - 1 or 1, pairs, 3 * pairs + 5):
+            cfg = WalkConfig(trials=trials)
+            got = _pair_schedule(n, cfg)
+            want = enumerated_schedule(n, cfg)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("n,trials,sample_pairs",
+                             [(2, 5, 1), (10, 200, 30), (64, 1000, 2000)])
+    def test_sampled_matches_enumeration(self, n, trials, sample_pairs):
+        cfg = WalkConfig(trials=trials, seed=5, pair_mode="sampled",
+                         sample_pairs=sample_pairs)
+        got = _pair_schedule(n, cfg)
+        want = enumerated_schedule(n, cfg)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert np.all(got[0] != got[1])
+
+    def test_all_pairs_memory_does_not_grow_with_n(self):
+        # at the 4096-node cap a list of all ordered pairs takes ~0.8 GB
+        n, trials = 4096, 10_000
+        tracemalloc.start()
+        try:
+            starts, targets = _pair_schedule(n, WalkConfig(trials=trials))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        # walk 9999 is pair 2 * 4095 + 1809: s = 2, t = 1809 + 1 (skips s)
+        assert (starts[-1], targets[-1]) == (2, 1810)
 
 
 def weighted4():

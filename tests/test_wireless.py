@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,27 +8,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from oppwalk.errors import (
-    BelowMinimumPowerError,
-    DegenerateInputError,
-    ParameterError,
-    ValidationError,
-)
+from oppwalk.errors import ParameterError, ValidationError
 from oppwalk.wireless import (
     Placement,
     WirelessConfig,
     build_wireless_graph,
-    coverage_radius,
     generate_topologies,
     generate_topology,
     load_config,
     place_nodes,
-    received_power,
     reference_distance,
     save_positions,
-    topology_coefficient,
-    topology_coefficient_from_powers,
 )
+
+
+# Scalar reference forms of the link model.  build_wireless_graph is the
+# package's one implementation; these plain formulas check it pair by pair.
+
+def received_power(p_ij, r_ij, r_0, eta):
+    """Power received at distance r_ij: p_ij / (1 + (r_ij/r_0)^eta)."""
+    return p_ij / (1.0 + (r_ij / r_0) ** eta)
+
+
+def coverage_radius(p_ij, p_min, r_0, eta):
+    """Distance at which received power falls to p_min (needs p_ij >= p_min):
+    r_c = r_0 * (p_ij/p_min - 1)^(1/eta)."""
+    return r_0 * (p_ij / p_min - 1.0) ** (1.0 / eta)
+
+
+def topology_coefficient(r_ij, r_c, alpha):
+    """Soft link quality a = 1 / (1 + (r_ij/r_c)^alpha); 0 when r_c = 0."""
+    if r_c == 0.0:
+        return 0.0
+    return 1.0 / (1.0 + (r_ij / r_c) ** alpha)
+
+
+def topology_coefficient_from_powers(p_ij, p_min, r_0, r_ij, alpha, eta):
+    """Power form: a = r0^a (p - pmin)^(a/eta) /
+    (r0^a (p - pmin)^(a/eta) + r^a pmin^(a/eta)); 0 below minimum power."""
+    if p_ij < p_min:
+        return 0.0
+    num = r_0 ** alpha * (p_ij - p_min) ** (alpha / eta)
+    return num / (num + r_ij ** alpha * p_min ** (alpha / eta))
 
 
 class TestWirelessConfig:
@@ -68,7 +90,7 @@ class TestWirelessConfig:
         p = np.full((3, 3), 2.0)
         p[0, 1] = p[1, 0] = 4.0
         cfg = WirelessConfig(n=3, power=p)
-        assert cfg.power_matrix()[1, 0] == 4.0
+        assert cfg.power[1, 0] == 4.0
 
 
 class TestPlaceNodes:
@@ -92,6 +114,24 @@ class TestPlaceNodes:
         counts = np.bincount(qx * 2 + qy, minlength=4)
         _, p = stats.chisquare(counts)
         assert p > 0.001
+
+
+class TestPlacementValidation:
+    @settings(max_examples=40, deadline=None)
+    @given(row=st.integers(min_value=0, max_value=2),
+           col=st.integers(min_value=0, max_value=1),
+           bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_rejects_non_finite(self, row, col, bad):
+        pos = np.array([[0.1, 0.5], [0.2, 0.3], [0.4, 0.4]])
+        pos[row, col] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            Placement(pos)
+
+    @pytest.mark.parametrize("side", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_area_side(self, side):
+        pos = np.array([[0.1, 0.5], [0.2, 0.3]])
+        with pytest.raises(ValidationError, match="area_side"):
+            Placement(pos, area_side=side)
 
 
 class TestPlacementDistances:
@@ -152,10 +192,6 @@ class TestCoverageRadius:
     def test_double_minimum_gives_r0(self):
         assert coverage_radius(0.2, 0.1, 0.37, 4.0) == pytest.approx(0.37)
 
-    def test_below_minimum_rejected(self):
-        with pytest.raises(BelowMinimumPowerError):
-            coverage_radius(0.05, 0.1, 0.2, 2.0)
-
     @pytest.mark.parametrize("p,pmin,r0,eta", [
         (1.0, 0.1, 0.19, 2.0), (2.0, 0.5, 0.3, 4.0), (0.7, 0.2, 0.1, 3.3)])
     def test_round_trip_identity(self, p, pmin, r0, eta):
@@ -169,10 +205,6 @@ class TestTopologyCoefficient:
 
     def test_zero_coverage_radius(self):
         assert topology_coefficient(0.2, 0.0, 2.0) == 0.0
-
-    def test_degenerate_both_zero(self):
-        with pytest.raises(DegenerateInputError):
-            topology_coefficient(0.0, 0.0, 2.0)
 
     def test_monotone_decreasing_in_distance(self):
         vals = [topology_coefficient(r, 0.4, 3.0)
@@ -222,7 +254,8 @@ class TestBuildWirelessGraph:
         cfg = WirelessConfig(n=15, threshold=0.5)
         pl = place_nodes(cfg, 21)
         topo = build_wireless_graph(cfg, pl)
-        rc = coverage_radius(2.0, cfg.p_min, cfg.reference_distance(), cfg.eta)
+        rc = coverage_radius(2.0, cfg.p_min,
+                             reference_distance(cfg.n, cfg.c_n), cfg.eta)
         dist = pl.distances()
         expect = (dist <= rc).astype(float)
         np.fill_diagonal(expect, 0.0)
@@ -277,6 +310,74 @@ class TestBuildWirelessGraph:
         ss = np.random.SeedSequence(entropy=1, spawn_key=(4, 2))
         last = place_nodes(cfg, np.random.Generator(np.random.PCG64(ss)))
         assert np.array_equal(topo.placement.positions, last.positions)
+
+
+def reference_coefficients(cfg, placement):
+    """Both scalar reference forms at every pair i != j, diagonal 1."""
+    n, r = cfg.n, placement.distances()
+    p = np.broadcast_to(cfg.power, (n, n))
+    r0 = reference_distance(n, cfg.c_n)
+    via_radius = np.ones((n, n))
+    via_power = np.ones((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            if p[i, j] >= cfg.p_min:
+                rc = coverage_radius(p[i, j], cfg.p_min, r0, cfg.eta)
+                via_radius[i, j] = topology_coefficient(r[i, j], rc, cfg.alpha)
+            else:
+                via_radius[i, j] = 0.0
+            via_power[i, j] = topology_coefficient_from_powers(
+                p[i, j], cfg.p_min, r0, r[i, j], cfg.alpha, cfg.eta)
+    return via_radius, via_power
+
+
+def mixed_power_matrix(n, p_min, seed):
+    """Symmetric per-pair powers with feasible pairs, pairs exactly at
+    p_min and pairs just below it."""
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.5 * p_min, 20 * p_min, (n, n))
+    p[rng.random((n, n)) < 0.1] = p_min
+    p[rng.random((n, n)) < 0.05] = np.nextafter(p_min, 0.0)
+    p = np.triu(p, 1)
+    return p + p.T + np.diag(np.full(n, 2 * p_min))
+
+
+class TestCoefficientsMatchReferences:
+    """The vectorized coefficients against the scalar reference forms."""
+
+    @pytest.mark.parametrize("alpha", [0.7, 2.0, 3.3, 5.0])
+    @pytest.mark.parametrize("eta", [1.0, 2.0, 3.5, 6.0])
+    def test_scalar_and_matrix_power(self, alpha, eta):
+        n = 20
+        # p_min = 0.1: scalar power above, at and below it, then per-pair
+        for seed, power in ((1, 2.0), (2, 0.35), (3, 0.1), (4, 0.05),
+                            (5, mixed_power_matrix(n, 0.1, 5))):
+            cfg = WirelessConfig(n=n, eta=eta, alpha=alpha, power=power)
+            pl = place_nodes(cfg, seed)
+            coeff = build_wireless_graph(cfg, pl).coefficients
+            via_radius, via_power = reference_coefficients(cfg, pl)
+            np.testing.assert_allclose(coeff, via_radius, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(coeff, via_power, rtol=1e-14, atol=0)
+
+    def test_coincident_nodes(self):
+        pos = np.array([[0.3, 0.3], [0.3, 0.3], [0.6, 0.7], [0.9, 0.1]])
+        pl = Placement(pos)
+        p = np.full((4, 4), 2.0)
+        p[0, 1] = p[1, 0] = 0.1  # exactly p_min: r_c = 0 on the r = 0 pair
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            linked = build_wireless_graph(WirelessConfig(n=4), pl)
+            at_min = build_wireless_graph(WirelessConfig(n=4, power=0.1), pl)
+            mixed = build_wireless_graph(WirelessConfig(n=4, power=p), pl)
+        assert linked.coefficients[0, 1] == 1.0
+        assert linked.graph.weights[0, 1] == 1.0
+        assert np.array_equal(at_min.coefficients, np.eye(4))
+        assert mixed.coefficients[0, 1] == mixed.coefficients[1, 0] == 0.0
+        assert mixed.coefficients[2, 3] == linked.coefficients[2, 3]
+        for topo in (linked, at_min, mixed):
+            assert np.isfinite(topo.coefficients).all()
 
 
 class TestConfigFile:
