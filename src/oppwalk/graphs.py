@@ -44,6 +44,9 @@ class Graph:
         scale = np.abs(w).max()
         if not np.isfinite(scale):
             raise ValidationError("weights must be finite (no NaN or inf)")
+        if scale > np.finfo(float).max / w.shape[0]:
+            # keeps w + w.T and every degree (n - 1 terms) finite
+            raise ValidationError("weights too large: degrees would overflow")
         if scale > 0 and np.abs(w - w.T).max() > _SYM_TOL * scale:
             raise ValidationError("weight matrix must be symmetric")
         w = 0.5 * (w + w.T)

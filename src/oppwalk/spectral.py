@@ -46,14 +46,10 @@ ZERO_EIGENVALUE_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Real eigenvalues sorted ascending, optionally with eigenvectors.
-
-    source is "closed-form" for family formulas, "numeric" for the solver.
-    """
+    """Real eigenvalues sorted ascending, optionally with eigenvectors."""
 
     values: np.ndarray
     vectors: np.ndarray | None = None
-    source: str = "numeric"
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -102,7 +98,7 @@ def cycle_laplacian_eigenvalues(n: int, r: int, j=None) -> np.ndarray:
 
 def cycle_laplacian_spectrum(n: int, r: int) -> Spectrum:
     vals = np.sort(cycle_laplacian_eigenvalues(n, r))
-    return Spectrum(values=vals, source="closed-form")
+    return Spectrum(values=vals)
 
 
 def torus_laplacian_eigenvalues(spec: TorusSpec) -> np.ndarray:
@@ -116,15 +112,15 @@ def torus_laplacian_eigenvalues(spec: TorusSpec) -> np.ndarray:
 
 
 def torus_laplacian_spectrum(spec: TorusSpec) -> Spectrum:
-    return Spectrum(values=np.sort(torus_laplacian_eigenvalues(spec)),
-                    source="closed-form")
+    return Spectrum(values=np.sort(torus_laplacian_eigenvalues(spec)))
 
 
 def symmetric_eigendecomposition(M, want_vectors: bool = False) -> Spectrum:
     """Full spectrum of a real symmetric matrix, ascending.
 
     If want_vectors, the orthonormal eigenvector columns are attached and
-    satisfy M v_k = lam_k v_k within solver tolerance.
+    satisfy M v_k = lam_k v_k within solver tolerance.  The solver reads one
+    triangle of M, so M is only checked for symmetry, not re-symmetrized.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -132,12 +128,10 @@ def symmetric_eigendecomposition(M, want_vectors: bool = False) -> Spectrum:
     scale = np.abs(M).max() if M.size else 0.0
     if scale > 0 and np.abs(M - M.T).max() > 1e-12 * scale:
         raise ValidationError("matrix is not symmetric within tolerance")
-    M = 0.5 * (M + M.T)
     if want_vectors:
         vals, vecs = np.linalg.eigh(M)
-        return Spectrum(values=vals, vectors=vecs, source="numeric")
-    vals = np.linalg.eigvalsh(M)
-    return Spectrum(values=vals, source="numeric")
+        return Spectrum(values=vals, vectors=vecs)
+    return Spectrum(values=np.linalg.eigvalsh(M))
 
 
 def normalized_laplacian(g: Graph) -> np.ndarray:
@@ -170,9 +164,9 @@ def pinv_trace(spectrum) -> float:
     return float(np.sum(1.0 / vals[~zero]))
 
 
-def laplacian_spectrum(g: Graph, want_vectors: bool = False) -> Spectrum:
+def laplacian_spectrum(g: Graph) -> Spectrum:
     """Numeric spectrum of the combinatorial Laplacian of g."""
-    return symmetric_eigendecomposition(g.laplacian(), want_vectors)
+    return symmetric_eigendecomposition(g.laplacian())
 
 
 def algebraic_connectivity(g: Graph) -> float:

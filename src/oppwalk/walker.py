@@ -19,6 +19,13 @@ derives one substream per ordered pair via spawn keys, making per-pair
 results independent of evaluation order.  Binary graphs keep the digits of
 the earlier cumulative-table pick; weighted graphs changed theirs once, when
 the alias tables replaced it.
+
+estimate_mean_latency spreads its walks over the P = n(n-1) ordered pairs
+s != t by one rule: with trials >= P, walk i takes pair i mod P in row-major
+order, so every pair gets floor(trials/P) or ceil(trials/P) walks; with
+trials < P, the walks take distinct pairs drawn uniformly without
+replacement from the off-pair substream (spawn key n*n), so a short run
+starts at nodes spread over the whole graph, not only the first few.
 """
 from __future__ import annotations
 
@@ -45,28 +52,20 @@ class WalkConfig:
     """Simulation parameters.
 
     max_steps None means the default cap 100 * n^2, far above the worst
-    expected hitting time for the families in scope.  pair_mode is
-    "all-pairs" or "sampled"; sample_pairs gives the number of ordered
-    pairs drawn when sampled.
+    expected hitting time for the families in scope.  For a mean latency,
+    trials walks cover every ordered pair in turn when trials >= n(n-1),
+    and otherwise go to trials distinct pairs drawn from seed.
     """
 
     trials: int
     seed: int = 0
     max_steps: int | None = None
-    pair_mode: str = "all-pairs"
-    sample_pairs: int | None = None
 
     def __post_init__(self):
         if self.trials < 1:
             raise ParameterError("trials must be >= 1")
         if self.max_steps is not None and self.max_steps < 1:
             raise ParameterError("max_steps must be >= 1 when given")
-        if self.pair_mode not in ("all-pairs", "sampled"):
-            raise ParameterError("pair_mode must be 'all-pairs' or 'sampled'")
-        if self.pair_mode == "sampled" and (
-            self.sample_pairs is None or self.sample_pairs < 1
-        ):
-            raise ParameterError("sampled pair_mode needs sample_pairs >= 1")
 
     def resolved_max_steps(self, n: int) -> int:
         return 100 * n * n if self.max_steps is None else self.max_steps
@@ -136,7 +135,7 @@ def simulate_walk(g: Graph, s: int, t: int, rng: np.random.Generator,
     truncation flag compare against the cap.
     """
     _validate_nodes(g, s, t)
-    cap = 100 * g.n * g.n if max_steps is None else max_steps
+    cap = WalkConfig(trials=1, max_steps=max_steps).resolved_max_steps(g.n)
     steps, _ = _run_walks(g, [s], [t], cap, rng)
     return int(steps[0])
 
@@ -194,32 +193,32 @@ def estimate_hitting(g: Graph, s: int, t: int, config: WalkConfig) -> WalkEstima
     return _estimate(steps, truncated)
 
 
-def _pair_schedule(n: int, config: WalkConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Start and target of each of config.trials walks.
+def _pair_schedule(n: int, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start and target of each of trials walks.
 
-    all-pairs: walk i takes the k-th ordered pair with s != t in row-major
-    order, k = i mod n(n-1), found as s, j = divmod(k, n - 1) and
-    t = j + (j >= s) without listing the pairs.  sampled: walk i takes
-    sampled pair i mod sample_pairs.
+    Ordered pairs with s != t are numbered k = 0..P-1 in row-major order,
+    P = n(n-1).  With trials >= P, walk i takes k = i mod P; with trials < P,
+    the walks take trials distinct k drawn uniformly from the off-pair
+    substream of seed.  Pair k is s, j = divmod(k, n - 1), t = j + (j >= s),
+    found without listing the pairs.
     """
-    if config.pair_mode == "all-pairs":
-        s, j = np.divmod(np.arange(config.trials) % (n * (n - 1)), n - 1)
-        return s, j + (j >= s)
-    rng = _pair_rng(config.seed, n * n)  # off-pair substream for sampling
-    s = rng.integers(0, n, size=config.sample_pairs)
-    shift = rng.integers(1, n, size=config.sample_pairs)
-    t = (s + shift) % n  # uniform over ordered pairs with s != t
-    reps = np.arange(config.trials) % config.sample_pairs
-    return s[reps], t[reps]
+    pairs = n * (n - 1)
+    if trials >= pairs:
+        k = np.arange(trials) % pairs
+    else:
+        k = _pair_rng(seed, n * n).choice(pairs, trials, replace=False)
+    s, j = np.divmod(k, n - 1)
+    return s, j + (j >= s)
 
 
 def estimate_mean_latency(g: Graph, config: WalkConfig) -> WalkEstimate:
-    """Monte-Carlo mean latency: config.trials walks spread as evenly as
-    possible over the ordered pairs, all simulated in one vectorized batch.
-    Comparable to the analytic expected packet delay (hop units)."""
+    """Monte-Carlo mean latency: config.trials walks spread over the ordered
+    pairs (each pair in turn when trials >= n(n-1), else distinct pairs drawn
+    uniformly), all simulated in one vectorized batch.  Comparable to the
+    analytic expected packet delay (hop units)."""
     if g.n < 2:
         raise ParameterError("mean latency needs n >= 2")
-    starts, targets = _pair_schedule(g.n, config)
+    starts, targets = _pair_schedule(g.n, config.trials, config.seed)
     cap = config.resolved_max_steps(g.n)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
     steps, truncated = _run_walks(g, starts, targets, cap, rng)

@@ -6,6 +6,7 @@ that called a layer through a reference taken at import time would hide
 that layer from the tracer.  Each workload runs one tiny traced pass in a
 subprocess, so the tracer's patches never reach the other tests.
 """
+import importlib.util
 import json
 import subprocess
 import sys
@@ -13,6 +14,8 @@ import time
 from pathlib import Path
 
 import pytest
+
+import oppwalk
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,3 +39,17 @@ def test_tiny_traced_pass(tmp_path, workload):
     assert all(step["rc"] == 0 for step in result["steps"]), result["steps"]
     for metric in LAYERS[workload]:
         assert result["layers"][metric] > 0, metric
+
+
+def test_traced_names_exist():
+    # every point the tracer patches must be a name its owner defines; a
+    # removed or renamed function fails here by name, not as a KeyError
+    # inside the traced subprocess
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, _, _ in tracer._points(oppwalk)
+               if attr not in owner.__dict__]
+    assert missing == []

@@ -64,6 +64,33 @@ def test_rejects_non_finite_weights(n, seed, bad, data):
         Graph(w)
 
 
+def complete_weights(n, weight):
+    return weight * (np.ones((n, n)) - np.eye(n))
+
+
+FLOAT_MAX = np.finfo(float).max
+
+
+@pytest.mark.parametrize("n,weight", [
+    (2, 1e308),  # w + w.T overflows
+    (4, 0.8e308),  # pair sums stay finite; degrees 2.4e308 overflow
+    (4, np.nextafter(FLOAT_MAX / 4, np.inf)),  # just above the bound
+])
+def test_rejects_finite_weights_whose_sums_overflow(n, weight):
+    # finite input that would store inf weights or degrees; warnings are
+    # errors in this suite, so an overflow warning fails the test too
+    with pytest.raises(ValidationError, match="overflow"):
+        Graph(complete_weights(n, weight))
+
+
+@pytest.mark.parametrize("n", [2, 3, 64])
+def test_accepts_largest_weights_with_finite_degrees(n):
+    g = Graph(complete_weights(n, FLOAT_MAX / n))
+    assert np.isfinite(g.weights).all()
+    assert np.isfinite(g.degrees).all()
+    assert np.isfinite(g.laplacian()).all()
+
+
 class TestCsr:
     def test_rows_match_dense_neighbors(self):
         g = build_torus(TorusSpec([3, 4], 1))

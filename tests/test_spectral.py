@@ -85,9 +85,6 @@ class TestCycleSpectrum:
         numeric = laplacian_spectrum(build_cycle(n, r)).values
         assert np.abs(closed - numeric).max() < 1e-9
 
-    def test_source_tag(self):
-        assert cycle_laplacian_spectrum(5, 1).source == "closed-form"
-
 
 class TestTorusSpectrum:
     def test_3x3_multiset(self):
@@ -148,6 +145,20 @@ class TestSymmetricEigendecomposition:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValidationError):
             symmetric_eigendecomposition([[0.0, 1.0], [0.0, 0.0]])
+
+    def test_package_matrices_are_exactly_symmetric(self):
+        # the solver reads one triangle, so every matrix the package hands
+        # it must be symmetric bit for bit, not only within tolerance
+        w = np.triu(np.random.default_rng(6).random((9, 9)), 1)
+        w = w + w.T * (1 + 1e-14)  # asymmetric within Graph's tolerance
+        wireless = generate_topology(WirelessConfig(n=30, eta=4), seed=1,
+                                     resample_until_connected=100).graph
+        for g in (Graph(w), build_cycle(10, 2),
+                  build_torus(TorusSpec([4, 5], 1)), wireless):
+            for M in (g.laplacian(), normalized_laplacian(g)):
+                assert np.array_equal(M, M.T)
+                assert np.array_equal(symmetric_eigendecomposition(M).values,
+                                      np.linalg.eigvalsh(M))
 
 
 class TestNormalizedLaplacian:

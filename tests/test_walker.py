@@ -5,7 +5,11 @@ import pytest
 
 from oppwalk.errors import EstimationError, ParameterError
 from oppwalk.graphs import Graph, TorusSpec, build_cycle, build_torus
-from oppwalk.latency import hitting_times, hitting_times_linear_system
+from oppwalk.latency import (
+    expected_packet_delay,
+    hitting_times,
+    hitting_times_linear_system,
+)
 from oppwalk.walker import (
     WalkConfig,
     _pair_rng,
@@ -15,6 +19,7 @@ from oppwalk.walker import (
     estimate_mean_latency,
     simulate_walk,
 )
+from oppwalk.wireless import WirelessConfig, generate_topology
 
 
 def path2():
@@ -25,14 +30,6 @@ class TestWalkConfig:
     def test_rejects_bad_trials(self):
         with pytest.raises(ParameterError):
             WalkConfig(trials=0)
-
-    def test_rejects_bad_pair_mode(self):
-        with pytest.raises(ParameterError):
-            WalkConfig(trials=1, pair_mode="some-pairs")
-
-    def test_sampled_needs_count(self):
-        with pytest.raises(ParameterError):
-            WalkConfig(trials=1, pair_mode="sampled")
 
     def test_default_cap(self):
         assert WalkConfig(trials=1).resolved_max_steps(30) == 100 * 30 * 30
@@ -61,6 +58,12 @@ class TestSimulateWalk:
         g = Graph(w)
         rng = np.random.default_rng(1)
         assert simulate_walk(g, 0, 2, rng, max_steps=50) == 50
+
+    @pytest.mark.parametrize("max_steps", [0, -5])
+    def test_rejects_bad_cap(self, max_steps):
+        rng = np.random.default_rng(11)
+        with pytest.raises(ParameterError):
+            simulate_walk(build_cycle(9, 1), 0, 4, rng, max_steps=max_steps)
 
 
 class TestEstimateHitting:
@@ -141,28 +144,33 @@ class TestEstimateMeanLatency:
             assert est.truncated == 0
 
     def test_sampled_pair_mode(self):
-        g = build_cycle(10, 1)
-        cfg = WalkConfig(trials=20000, seed=5, pair_mode="sampled",
-                         sample_pairs=30)
-        est = estimate_mean_latency(g, cfg)
-        assert est.trials_used == 20000
-        assert est.mean > 0
+        # fewer trials than the 4032 ordered pairs: the walks go to distinct
+        # sampled pairs, and the mean still lands on EPD
+        g = build_torus(TorusSpec([8, 8], 1))
+        est = estimate_mean_latency(g, WalkConfig(trials=2000, seed=5))
+        assert est.trials_used == 2000
+        epd = expected_packet_delay(g)
+        assert abs(est.mean - epd) <= 4 * est.ci_halfwidth / 1.96
 
 
-def enumerated_schedule(n, config):
-    """Reference schedule: list every ordered pair (row-major, s != t), or
-    the sampled pairs, then take pair i mod len(pairs) for walk i."""
-    if config.pair_mode == "all-pairs":
-        s, t = np.divmod(np.arange(n * n), n)
-        keep = s != t
-        pairs = np.column_stack([s[keep], t[keep]])
+def enumerated_schedule(n, trials, seed):
+    """Reference schedule: list every ordered pair (row-major, s != t), then
+    take pair i mod n(n-1) for walk i, or, for fewer trials than pairs, the
+    pairs at the indices drawn without replacement from the off-pair
+    substream."""
+    s, t = np.divmod(np.arange(n * n), n)
+    keep = s != t
+    pairs = np.column_stack([s[keep], t[keep]])
+    if trials >= len(pairs):
+        k = np.arange(trials) % len(pairs)
     else:
-        rng = _pair_rng(config.seed, n * n)
-        s = rng.integers(0, n, size=config.sample_pairs)
-        shift = rng.integers(1, n, size=config.sample_pairs)
-        pairs = np.column_stack([s, (s + shift) % n])
-    reps = np.arange(config.trials) % pairs.shape[0]
-    return pairs[reps, 0], pairs[reps, 1]
+        k = _pair_rng(seed, n * n).choice(len(pairs), trials, replace=False)
+    return pairs[k, 0], pairs[k, 1]
+
+
+def wireless_n30(seed):
+    return generate_topology(WirelessConfig(n=30, eta=4), seed=seed,
+                             resample_until_connected=100).graph
 
 
 class TestPairSchedule:
@@ -170,35 +178,55 @@ class TestPairSchedule:
     def test_all_pairs_matches_enumeration(self, n):
         pairs = n * (n - 1)
         for trials in (1, pairs - 1 or 1, pairs, 3 * pairs + 5):
-            cfg = WalkConfig(trials=trials)
-            got = _pair_schedule(n, cfg)
-            want = enumerated_schedule(n, cfg)
-            assert np.array_equal(got[0], want[0])
-            assert np.array_equal(got[1], want[1])
+            for seed in (0, 9):
+                got = _pair_schedule(n, trials, seed)
+                want = enumerated_schedule(n, trials, seed)
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
 
-    @pytest.mark.parametrize("n,trials,sample_pairs",
-                             [(2, 5, 1), (10, 200, 30), (64, 1000, 2000)])
-    def test_sampled_matches_enumeration(self, n, trials, sample_pairs):
-        cfg = WalkConfig(trials=trials, seed=5, pair_mode="sampled",
-                         sample_pairs=sample_pairs)
-        got = _pair_schedule(n, cfg)
-        want = enumerated_schedule(n, cfg)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
-        assert np.all(got[0] != got[1])
+    @pytest.mark.parametrize("n,trials", [(3, 5), (5, 1), (17, 100),
+                                          (30, 100), (64, 4031)])
+    @pytest.mark.parametrize("seed", [0, 1, 2024])
+    def test_short_run_pairs_distinct(self, n, trials, seed):
+        starts, targets = _pair_schedule(n, trials, seed)
+        assert starts.size == targets.size == trials
+        assert np.all((0 <= starts) & (starts < n))
+        assert np.all((0 <= targets) & (targets < n))
+        assert np.all(starts != targets)
+        assert np.unique(starts * n + targets).size == trials
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_short_run_starts_spread(self, seed):
+        # 100 walks on 30 nodes: row-major order would start them all at
+        # nodes 0-3
+        starts, _ = _pair_schedule(30, 100, seed)
+        assert np.unique(starts).size >= 20
+
+    @pytest.mark.parametrize("placement_seed", [1, 4, 5])
+    def test_short_run_mean_of_exact_hitting_times_is_epd(self,
+                                                          placement_seed):
+        # exact H averaged over the scheduled pairs of 200 seeds at 100 of
+        # 870 pairs; the first 100 pairs in row-major order miss EPD by
+        # about 3% on these graphs
+        g = wireless_n30(placement_seed)
+        h = hitting_times_linear_system(g).h
+        means = [h[_pair_schedule(g.n, 100, seed)].mean()
+                 for seed in range(200)]
+        assert np.mean(means) == pytest.approx(expected_packet_delay(g),
+                                               rel=0.015)
 
     def test_all_pairs_memory_does_not_grow_with_n(self):
         # at the 4096-node cap a list of all ordered pairs takes ~0.8 GB
         n, trials = 4096, 10_000
         tracemalloc.start()
         try:
-            starts, targets = _pair_schedule(n, WalkConfig(trials=trials))
+            starts, targets = _pair_schedule(n, trials, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
-        # walk 9999 is pair 2 * 4095 + 1809: s = 2, t = 1809 + 1 (skips s)
-        assert (starts[-1], targets[-1]) == (2, 1810)
+        assert np.all(starts != targets)
+        assert np.unique(starts * n + targets).size == trials
 
 
 def weighted4():
