@@ -25,6 +25,7 @@ from .latency import (
     hitting_times,
     hitting_times_linear_system,
     latency_bounds,
+    mean_latency_circulant,
     mean_latency_cycle,
     mean_latency_pinv,
     mean_latency_spectral,

@@ -13,15 +13,18 @@ wireless ensemble row is the 95% CI halfwidth of the ensemble mean.
 
 Each sweep subcommand's parser sets `rows`, the function that turns the
 parsed arguments into CSV rows; `run` writes the header and those rows.
-The numeric-oracle and Monte-Carlo columns of cycle, torus and dimension
-sweeps are skipped (marker "skipped") for graphs above the node cap, so
-large closed-form sweeps stay honest about what was cross-checked.
+The oracle column of cycle, torus and dimension sweeps is the mean latency
+from the FFT of the built graph (latency.mean_latency_circulant), not from
+the closed forms.  It and the Monte-Carlo columns are skipped (marker
+"skipped") for graphs above the node cap, so large closed-form sweeps stay
+honest about what was cross-checked.
 Reruns with identical arguments and seed produce byte-identical files.
 """
 from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import os
 import sys
 from dataclasses import replace
@@ -121,18 +124,19 @@ def _mc_estimate(g, trials: int, seed: int, label: str) -> walker.WalkEstimate:
 # cycle and torus sweeps
 
 
-def _lattice_row(args, family, params, n, build, analytic, bounds) -> str:
-    """One row in the units of T.  build() makes the n-node graph for the
-    dense oracle and, with --trials, the Monte-Carlo columns; above the node
-    cap it is never called and those columns read "skipped"."""
+def _lattice_row(args, family, params, dims, build, analytic, bounds) -> str:
+    """One row in the units of T.  build() makes the graph over the axis
+    sizes dims for the FFT oracle and, with --trials, the Monte-Carlo
+    columns; above the node cap it is never called and those columns read
+    "skipped"."""
     oracle = mc_mean = mc_ci = trials = None
-    if n > args.node_cap:
+    if math.prod(dims) > args.node_cap:
         oracle = "skipped"
         if args.trials:
             mc_mean = mc_ci = "skipped"
     else:
         g = build()
-        oracle = latency.mean_latency_pinv(g)
+        oracle = latency.mean_latency_circulant(g, dims)
         if args.trials:
             est = _mc_estimate(g, args.trials, args.seed, f"{family} {params}")
             # Walks count hops; the commute-time identity EPD = (vol/2) * T
@@ -149,7 +153,7 @@ def _lattice_row(args, family, params, n, build, analytic, bounds) -> str:
 def _cycle_rows(args):
     for n, r in itertools.product(parse_range(args.n, int),
                                   parse_range(args.r, int)):
-        yield _lattice_row(args, "cycle", f"n={n};r={r}", n,
+        yield _lattice_row(args, "cycle", f"n={n};r={r}", (n,),
                            lambda: graphs.build_cycle(n, r),
                            latency.mean_latency_cycle(n, r),
                            latency.cycle_latency_bounds(n, r))
@@ -158,7 +162,7 @@ def _cycle_rows(args):
 def _torus_row(args, dims, r) -> str:
     tspec = graphs.TorusSpec(dims, r)
     params = f"dims={'x'.join(str(k) for k in dims)};r={r}"
-    return _lattice_row(args, "torus", params, tspec.n,
+    return _lattice_row(args, "torus", params, tspec.dims,
                         lambda: graphs.build_torus(tspec),
                         latency.mean_latency_torus(tspec),
                         latency.torus_latency_bounds(tspec))
@@ -296,10 +300,10 @@ def _node_cap(flag) -> int:
     if text is None:
         return DEFAULT_NODE_CAP
     try:
-        return int(text)
-    except ValueError:
+        return _count(0)(text)
+    except (ValueError, argparse.ArgumentTypeError):
         raise ParameterError(
-            f"{NODE_CAP_ENV} must be an integer, got {text!r}") from None
+            f"{NODE_CAP_ENV} must be an integer >= 0, got {text!r}") from None
 
 
 def run(args) -> str:
@@ -347,8 +351,8 @@ def _add_trials(p, default=None) -> None:
 
 
 def _add_mc(p) -> None:
-    p.add_argument("--node-cap", type=int, default=None,
-                   help="skip numeric-oracle/MC columns above this size "
+    p.add_argument("--node-cap", type=_count(0), default=None,
+                   help="skip the FFT-oracle and MC columns above this size "
                         f"(default ${NODE_CAP_ENV}, else {DEFAULT_NODE_CAP})")
     _add_trials(p)
 
@@ -376,9 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", required=True, help="neighbor radius or range")
     _add_mc(p)
 
-    p = _sweep(sub, "torus-sweep", _torus_rows, "mean latency over 2-D tori")
+    p = _sweep(sub, "torus-sweep", _torus_rows, "mean latency over m-D tori")
     p.add_argument("--dims", required=True,
-                   help="axis sizes K1xK2[x..]; one axis may be a range a:b[:c]")
+                   help="axis sizes K1xK2[x..]; each axis may be a range a:b[:c]")
     p.add_argument("--r", required=True, help="neighbor radius or range")
     _add_mc(p)
 

@@ -249,25 +249,40 @@ def save_edge_list(g: Graph, path_or_buf) -> None:
         buf.write(f"{i} {j} {w:.17g}\n")
 
 
+def _fields(no: int, line: str, kinds) -> list:
+    """The whitespace-separated fields of one edge-list line, one per type
+    in kinds; a wrong count or an unparsable field names the line."""
+    parts = line.split()
+    try:
+        if len(parts) != len(kinds):
+            raise ValueError
+        return [kind(p) for kind, p in zip(kinds, parts)]
+    except ValueError:
+        raise ValidationError(f"malformed line {no}: {line!r}") from None
+
+
 def load_edge_list(path_or_buf) -> Graph:
     """Read a graph from the edge-list format written by save_edge_list."""
     if isinstance(path_or_buf, (str, bytes)):
         with open(path_or_buf) as f:
             return load_edge_list(f)
-    lines = [ln.strip() for ln in path_or_buf if ln.strip()]
-    if not lines or not lines[0].startswith("n "):
+    lines = [(no, ln.strip()) for no, ln in enumerate(path_or_buf, 1)
+             if ln.strip()]
+    if not lines or lines[0][1].split()[0] != "n":
         raise ValidationError("edge list must start with a 'n <count>' header")
-    n = int(lines[0].split()[1])
+    _, n = _fields(*lines[0], (str, int))
     if n < 1:
         raise ValidationError("node count must be positive")
     weights = np.zeros((n, n))
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ValidationError(f"malformed edge row: {ln!r}")
-        i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
+    seen = set()
+    for no, ln in lines[1:]:
+        i, j, w = _fields(no, ln, (int, int, float))
         if not (0 <= i < n and 0 <= j < n):
-            raise ValidationError(f"node index out of range in row: {ln!r}")
+            raise ValidationError(f"node index out of range on line {no}: {ln!r}")
+        pair = (min(i, j), max(i, j))
+        if pair in seen:
+            raise ValidationError(f"pair listed twice on line {no}: {ln!r}")
+        seen.add(pair)
         weights[i, j] = w
         weights[j, i] = w
     return Graph(weights)

@@ -8,7 +8,11 @@ connected graph L+ = (L + J/n)^{-1} - J/n with J the all-ones matrix, so
 
     Tr(L+) = Tr((L + J/n)^{-1}) - 1
 
-from one dense inverse (Ghosh, Boyd & Saberi 2008).
+from one dense inverse (Ghosh, Boyd & Saberi 2008).  Cycles and tori are
+multi-level circulants, so their oracle diagonalizes the built graph
+instead: once every row is checked to be row 0 shifted, the n Laplacian
+eigenvalues are one m-dimensional FFT of row 0, in O(n log n) and
+independent of the closed-form sin^2 spectra.
 
 Expected packet delay (EPD) is the average hitting time over all ordered
 pairs.  By the commute-time identity H_st + H_ts = vol * R_st (Chandra et
@@ -31,15 +35,17 @@ with P = D^{-1} W and stationary distribution pi = d / vol.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral
-from .errors import DisconnectedGraphError, ParameterError
+from .errors import DisconnectedGraphError, ParameterError, ValidationError
 from .graphs import Graph, TorusSpec
 from .spectral import (
     ZERO_EIGENVALUE_RTOL,
+    circulant_eigenvalues,
     cycle_laplacian_eigenvalues,
     normalized_laplacian,
     pinv_trace,
@@ -51,6 +57,7 @@ __all__ = [
     "HittingMatrix",
     "mean_latency_spectral",
     "mean_latency_pinv",
+    "mean_latency_circulant",
     "mean_latency_cycle",
     "mean_latency_torus",
     "latency_bounds",
@@ -106,6 +113,45 @@ def mean_latency_pinv(g: Graph) -> float:
     shifted = g.laplacian()
     shifted += 1.0 / g.n
     return 2.0 / (g.n - 1) * (float(np.trace(np.linalg.inv(shifted))) - 1.0)
+
+
+def mean_latency_circulant(g: Graph, dims) -> float:
+    """Oracle route for lattices, independent of eigh and of the closed
+    forms: T = 2/(n-1) * Tr(L+) from the FFT of the built graph.
+
+    g must be the m-level circulant over the axis sizes dims (row-major
+    node order): the neighbors of every node u are row 0's neighbor
+    coordinates shifted by the coordinates of u, modulo dims, with row 0's
+    weights.  This is checked in O(n * degree) and a graph that fails it
+    raises ValidationError; a disconnected one raises
+    DisconnectedGraphError from its extra zero modes.
+    """
+    dims = tuple(int(k) for k in dims)
+    n = g.n
+    if math.prod(dims) != n:
+        raise ValidationError(f"axis sizes {dims} do not multiply to n={n}")
+    if n < 2:
+        raise ParameterError("mean latency needs n >= 2")
+    indptr, indices = g.csr
+    width = int(indptr[1])
+    if np.any(np.diff(indptr) != width):
+        raise ValidationError("not circulant: row lengths differ")
+    rows = np.arange(n)
+    coords = np.unravel_index(rows, dims)
+    offsets = np.unravel_index(indices[:width], dims)
+    shifted = np.ravel_multi_index(
+        [(c[:, None] + o) % k for c, o, k in zip(coords, offsets, dims)], dims)
+    w0 = g.weights[0, indices[:width]]
+    if not (np.array_equal(np.sort(shifted, axis=1),
+                           indices.reshape(n, width))
+            and (g.weights[rows[:, None], shifted] == w0).all()):
+        raise ValidationError(
+            f"graph is not circulant over axis sizes {dims}")
+    row = np.zeros(n)
+    row[indices[:width]] = -w0
+    row[0] = w0.sum()
+    vals = circulant_eigenvalues(row.reshape(dims)).real.ravel()
+    return 2.0 / (n - 1) * pinv_trace(vals)
 
 
 def mean_latency_cycle(n: int, r: int) -> float:

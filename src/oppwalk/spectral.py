@@ -66,16 +66,20 @@ class Spectrum:
 
 
 def circulant_eigenvalues(first_row) -> np.ndarray:
-    """Eigenvalues of the circulant matrix with the given first row.
+    """Eigenvalues of the (multi-level) circulant matrix with the given
+    first row.
 
     lam_j = sum_k row[k] * w^(k j) with w = exp(2 pi i / n), j = 0..n-1;
-    this is exactly n * ifft(row).  Complex in general; for symmetric rows
-    the imaginary parts vanish up to roundoff.
+    this is exactly n * ifft(row).  An m-dimensional first_row is row 0 of
+    an m-level circulant reshaped to its axis sizes (row-major node order);
+    its eigenvalue at frequency tuple j is n * ifftn(row)[j], from one
+    transform over all axes.  Complex in general; for symmetric rows the
+    imaginary parts vanish up to roundoff.
     """
     row = np.asarray(first_row, dtype=complex)
-    if row.ndim != 1 or row.size < 1:
-        raise ParameterError("first_row must be a nonempty 1-D sequence")
-    return np.fft.ifft(row) * row.size
+    if row.ndim < 1 or row.size < 1:
+        raise ParameterError("first_row must be a nonempty array")
+    return np.fft.ifftn(row) * row.size
 
 
 def cycle_laplacian_eigenvalues(n: int, r: int, j=None) -> np.ndarray:

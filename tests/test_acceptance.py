@@ -48,25 +48,36 @@ def test_criterion_1_spectrum_equivalence():
             worst <= 1e-9)
 
 
+# The lattices of criterion 2: (n, r) cycles and (dims, r) tori.
+ORACLE_CYCLE_CASES = [(n, r) for n in range(5, 45, 5)
+                      for r in range(1, (n - 1) // 2 + 1, 2)]
+ORACLE_TORUS_CASES = [
+    ((4, 4), 1), ((5, 5), 1), ((6, 8), 1), ((7, 7), 2), ((9, 12), 3),
+    ((3, 3, 3), 1), ((4, 5, 6), 1), ((7, 7, 7), 2),
+]
+
+
 def test_criterion_2_latency_oracle_equivalence():
+    # two oracles on the built graph: the dense inverse and its FFT
     combos = 0
     worst = 0.0
-    for n in range(5, 45, 5):
-        for r in range(1, (n - 1) // 2 + 1, 2):
-            analytic = latency.mean_latency_cycle(n, r)
-            oracle = latency.mean_latency_pinv(graphs.build_cycle(n, r))
+    for n, r in ORACLE_CYCLE_CASES:
+        analytic = latency.mean_latency_cycle(n, r)
+        g = graphs.build_cycle(n, r)
+        for oracle in (latency.mean_latency_pinv(g),
+                       latency.mean_latency_circulant(g, (n,))):
             worst = max(worst, abs(analytic - oracle))
-            combos += 1
-    for dims, r in [((4, 4), 1), ((5, 5), 1), ((6, 8), 1), ((7, 7), 2),
-                    ((9, 12), 3), ((3, 3, 3), 1), ((4, 5, 6), 1),
-                    ((7, 7, 7), 2)]:
+        combos += 1
+    for dims, r in ORACLE_TORUS_CASES:
         spec = graphs.TorusSpec(dims, r)
         analytic = latency.mean_latency_torus(spec)
-        oracle = latency.mean_latency_pinv(graphs.build_torus(spec))
-        worst = max(worst, abs(analytic - oracle))
+        g = graphs.build_torus(spec)
+        for oracle in (latency.mean_latency_pinv(g),
+                       latency.mean_latency_circulant(g, dims)):
+            worst = max(worst, abs(analytic - oracle))
         combos += 1
-    _report(2, f"closed-form latency vs dense pseudoinverse over "
-               f"{combos} combinations, max |diff| = {worst:.2e}",
+    _report(2, f"closed-form latency vs dense pseudoinverse and FFT oracles "
+               f"over {combos} combinations, max |diff| = {worst:.2e}",
             combos >= 50 and worst <= 1e-9)
 
 

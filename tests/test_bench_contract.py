@@ -21,7 +21,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Counts that must be nonzero in each workload's traced pass.
 LAYERS = {
-    "lattice-oracle": ("latency.pinv_calls", "graphs.build_calls"),
+    "lattice-oracle": ("spectral.closed_form_values", "graphs.build_calls"),
     "wireless-ensemble": ("wireless.placements", "wireless.build_calls"),
     "walk-mc": ("walker.batches",),
 }

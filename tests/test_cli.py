@@ -126,6 +126,19 @@ class TestUsageErrors:
         assert code == 2
         assert err.startswith("usage error:") and "OPPWALK_NODE_CAP" in err
 
+    def test_negative_node_cap_env_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("OPPWALK_NODE_CAP", "-5")
+        code, _, err = run_cli(["cycle-sweep", "--n", "10", "--r", "1"], capsys)
+        assert code == 2
+        assert err.startswith("usage error:") and "OPPWALK_NODE_CAP" in err
+
+    def test_negative_node_cap_flag_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["torus-sweep", "--dims", "10x8", "--r", "1",
+                     "--node-cap", "-5"], capsys)
+        assert exc.value.code == 2
+        assert "--node-cap" in capsys.readouterr().err
+
     def test_node_cap_env_honored(self, capsys, monkeypatch):
         monkeypatch.setenv("OPPWALK_NODE_CAP", "5")
         code, out, _ = run_cli(["cycle-sweep", "--n", "10", "--r", "1"], capsys)

@@ -312,6 +312,19 @@ class TestEdgeListFormat:
         with pytest.raises(ValidationError):
             load_edge_list(io.StringIO("0 1 1.0\n"))
 
+    @pytest.mark.parametrize("text,line", [
+        ("n x\n", "line 1: 'n x'"),
+        ("n 3\n0 x 1\n", "line 2: '0 x 1'"),
+        ("n 3\n0 1 a\n", "line 2: '0 1 a'"),
+        ("n 3\n\n0 1\n", "line 3: '0 1'"),
+        ("n 2\n0 1 1\n0 1 2\n", "line 3: '0 1 2'"),
+        ("n 3\n0 1 1\n1 2 1\n1 0 1\n", "line 4: '1 0 1'"),
+    ], ids=["bad-count", "bad-index", "bad-weight", "short-row",
+            "duplicate", "duplicate-reversed"])
+    def test_bad_line_names_the_line(self, text, line):
+        with pytest.raises(ValidationError, match=line):
+            load_edge_list(io.StringIO(text))
+
 
 def test_complete_graph():
     g = complete_graph(5)

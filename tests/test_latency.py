@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from oppwalk.errors import DisconnectedGraphError, ParameterError
+from oppwalk.errors import DisconnectedGraphError, ParameterError, ValidationError
 from oppwalk.graphs import (
     Graph,
     TorusSpec,
@@ -16,6 +16,7 @@ from oppwalk.latency import (
     hitting_times,
     hitting_times_linear_system,
     latency_bounds,
+    mean_latency_circulant,
     mean_latency_cycle,
     mean_latency_pinv,
     mean_latency_spectral,
@@ -27,6 +28,7 @@ from oppwalk.spectral import (
     cycle_laplacian_spectrum,
 )
 from oppwalk.wireless import WirelessConfig, generate_topology
+from test_acceptance import ORACLE_CYCLE_CASES, ORACLE_TORUS_CASES
 
 
 def two_component_graph():
@@ -286,6 +288,66 @@ class TestDenseOracles:
     def test_disconnected_rejected(self, oracle):
         with pytest.raises(DisconnectedGraphError):
             oracle(two_component_graph())
+
+
+def circulant_graph(n, weights):
+    """Cycle with weight weights[d-1] between nodes at circular distance d."""
+    w = np.zeros((n, n))
+    nodes = np.arange(n)
+    for d, weight in enumerate(weights, 1):
+        w[nodes, (nodes + d) % n] = w[(nodes + d) % n, nodes] = weight
+    return Graph(w)
+
+
+def cycle_reweighted(n, u, weight):
+    """The n-cycle with weight `weight` on the edge (u, u+1); 0 removes it."""
+    w = build_cycle(n, 1).weights.copy()
+    w[u, u + 1] = w[u + 1, u] = weight
+    return Graph(w)
+
+
+class TestCirculantOracle:
+    """The FFT of the built graph against the closed forms and the dense
+    inverse."""
+
+    @pytest.mark.parametrize("n,r", ORACLE_CYCLE_CASES)
+    def test_cycle(self, n, r):
+        g = build_cycle(n, r)
+        t = mean_latency_circulant(g, (n,))
+        assert t == pytest.approx(mean_latency_cycle(n, r), rel=1e-12)
+        assert t == pytest.approx(mean_latency_pinv(g), rel=1e-12)
+
+    @pytest.mark.parametrize("dims,r", ORACLE_TORUS_CASES)
+    def test_torus(self, dims, r):
+        spec = TorusSpec(dims, r)
+        g = build_torus(spec)
+        t = mean_latency_circulant(g, dims)
+        assert t == pytest.approx(mean_latency_torus(spec), rel=1e-12)
+        assert t == pytest.approx(mean_latency_pinv(g), rel=1e-12)
+
+    def test_weighted_circulant(self):
+        g = circulant_graph(11, [1.0, 2.0])
+        assert mean_latency_circulant(g, (11,)) == pytest.approx(
+            mean_latency_spectral(g), rel=1e-12)
+
+    @pytest.mark.parametrize("make", [
+        lambda: (cycle_reweighted(10, 3, 0.0), (10,)),
+        lambda: (cycle_reweighted(10, 3, 2.0), (10,)),
+        lambda: (generate_topology(WirelessConfig(n=20), seed=9,
+                                   resample_until_connected=50).graph, (20,)),
+        lambda: (build_torus(TorusSpec((10, 8), 1)), (8, 10)),
+        lambda: (build_cycle(10, 1), (5, 3)),
+    ], ids=["edge-removed", "edge-reweighted", "wireless", "swapped-axes",
+            "size-mismatch"])
+    def test_not_circulant_rejected(self, make):
+        g, dims = make()
+        with pytest.raises(ValidationError):
+            mean_latency_circulant(g, dims)
+
+    def test_disconnected_rejected(self):
+        # offsets +-2 on 8 nodes: the even and the odd nodes
+        with pytest.raises(DisconnectedGraphError):
+            mean_latency_circulant(circulant_graph(8, [0.0, 1.0]), (8,))
 
 
 def irregular_weighted_graph():

@@ -21,9 +21,11 @@ from oppwalk.spectral import (
     normalized_laplacian,
     pinv_trace,
     symmetric_eigendecomposition,
+    torus_laplacian_eigenvalues,
     torus_laplacian_spectrum,
 )
 from oppwalk.wireless import WirelessConfig, generate_topology
+from test_acceptance import TORUS_CASES_2D3D
 
 
 class TestCirculantEigenvalues:
@@ -51,6 +53,15 @@ class TestCirculantEigenvalues:
     def test_rejects_empty(self):
         with pytest.raises(ParameterError):
             circulant_eigenvalues([])
+
+    @pytest.mark.parametrize("dims,r", TORUS_CASES_2D3D)
+    def test_multilevel_matches_torus_closed_form(self, dims, r):
+        # row 0 of the built torus Laplacian, reshaped to the axis sizes
+        spec = TorusSpec(dims, r)
+        row = build_torus(spec).laplacian()[0].reshape(dims)
+        vals = np.sort(np.real(circulant_eigenvalues(row)).ravel())
+        closed = np.sort(torus_laplacian_eigenvalues(spec))
+        assert np.abs(vals - closed).max() < 1e-12 * closed.max()
 
 
 class TestCycleSpectrum:
