@@ -312,12 +312,17 @@ def run(args) -> str:
     if "node_cap" in vars(args):
         args.node_cap = _node_cap(args.node_cap)
     text = "\n".join([CSV_HEADER, *args.rows(args)]) + "\n"
-    if args.out == "-":
+    _write(args.out, text)
+    return text
+
+
+def _write(out: str, text: str) -> None:
+    """Write text to the path out, or to stdout when out is '-'."""
+    if out == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", newline="") as f:
+        with open(out, "w", newline="") as f:
             f.write(text)
-    return text
 
 
 # ---------------------------------------------------------------------------
@@ -447,19 +452,14 @@ def _run_spectrum_export(args) -> None:
     if args.family == "cycle":
         if args.n is None:
             raise ParameterError("--n is required for family=cycle")
-        vals = spectral.cycle_laplacian_spectrum(args.n, args.r).values
+        vals = spectral.cycle_laplacian_eigenvalues(args.n, args.r)
     else:
         if not args.dims:
             raise ParameterError("--dims is required for family=torus")
         dims = [_parse_value(k, int, args.dims) for k in args.dims.split("x")]
-        vals = spectral.torus_laplacian_spectrum(
-            graphs.TorusSpec(dims, args.r)).values
-    text = "".join(f"{v:.17g}\n" for v in vals)
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", newline="") as f:
-            f.write(text)
+        vals = spectral.torus_laplacian_eigenvalues(
+            graphs.TorusSpec(dims, args.r))
+    _write(args.out, "".join(f"{v:.17g}\n" for v in np.sort(vals)))
 
 
 def _run_wireless_export(args) -> None:

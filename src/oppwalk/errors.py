@@ -1,5 +1,12 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ParameterError",
+    "ValidationError",
+    "DisconnectedGraphError",
+    "EstimationError",
+]
+
 
 class ParameterError(ValueError):
     """A constructor or operation argument violates its stated constraint."""
@@ -7,10 +14,6 @@ class ParameterError(ValueError):
 
 class ValidationError(ValueError):
     """Input data fails a structural check (asymmetry, bad matrix, ...)."""
-
-
-class DegenerateInputError(ValueError):
-    """Mathematically undefined case (e.g. a zero-degree node)."""
 
 
 class DisconnectedGraphError(ValueError):

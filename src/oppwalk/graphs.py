@@ -8,7 +8,6 @@ use the same convention.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,7 +22,6 @@ __all__ = [
     "cartesian_product",
     "build_torus",
     "torus_neighbors",
-    "complete_graph",
     "save_edge_list",
     "load_edge_list",
 ]
@@ -70,11 +68,6 @@ class Graph:
     @cached_property
     def is_binary(self) -> bool:
         return bool(np.all((self.weights == 0.0) | (self.weights == 1.0)))
-
-    @cached_property
-    def edge_count(self) -> int:
-        """Number of undirected edges (nonzero weight pairs)."""
-        return int(np.count_nonzero(self.weights)) // 2
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -229,12 +222,6 @@ def torus_neighbors(spec: TorusSpec, index) -> np.ndarray:
     return np.sort(np.stack(out, axis=-1), axis=-1)
 
 
-def complete_graph(n: int) -> Graph:
-    if n < 2:
-        raise ParameterError(f"complete graph needs n >= 2, got n={n}")
-    return Graph(np.ones((n, n)) - np.eye(n))
-
-
 def save_edge_list(g: Graph, path_or_buf) -> None:
     """Write the plain-text edge list: `n <count>` header then `i j w` rows."""
     if isinstance(path_or_buf, (str, bytes)):
@@ -279,6 +266,11 @@ def load_edge_list(path_or_buf) -> Graph:
         i, j, w = _fields(no, ln, (int, int, float))
         if not (0 <= i < n and 0 <= j < n):
             raise ValidationError(f"node index out of range on line {no}: {ln!r}")
+        if i == j:
+            raise ValidationError(f"self-loop on line {no}: {ln!r}")
+        if not 0.0 <= w < np.inf:
+            raise ValidationError(
+                f"weight must be finite and nonnegative on line {no}: {ln!r}")
         pair = (min(i, j), max(i, j))
         if pair in seen:
             raise ValidationError(f"pair listed twice on line {no}: {ln!r}")
@@ -286,9 +278,3 @@ def load_edge_list(path_or_buf) -> Graph:
         weights[i, j] = w
         weights[j, i] = w
     return Graph(weights)
-
-
-def edge_list_str(g: Graph) -> str:
-    buf = io.StringIO()
-    save_edge_list(g, buf)
-    return buf.getvalue()

@@ -2,9 +2,9 @@
 
 Mean latency of a connected graph is T = 2/(n-1) * Tr(L+), the trace of the
 Laplacian pseudoinverse scaled over node pairs.  For cycle and torus
-families T evaluates through the closed-form spectra; for arbitrary graphs
-through the numeric spectrum.  The oracle route uses no eigensolver: on a
-connected graph L+ = (L + J/n)^{-1} - J/n with J the all-ones matrix, so
+families T evaluates through the closed-form spectra.  The oracle route
+uses no eigensolver: on a connected graph L+ = (L + J/n)^{-1} - J/n with J
+the all-ones matrix, so
 
     Tr(L+) = Tr((L + J/n)^{-1}) - 1
 
@@ -21,8 +21,8 @@ summing to n * Tr(L+) over unordered pairs,
 
     EPD = vol * Tr(L+) / (n-1) = (vol/2) * T,
 
-so EPD needs only the Laplacian eigenvalues.  Per-pair hitting times, the
-public per-pair API, come from the normalized-Laplacian eigendecomposition
+so EPD needs only the Laplacian eigenvalues.  All-pairs hitting times come
+from the eigendecomposition of the normalized Laplacian D^{-1/2} L D^{-1/2}
 
     H_st = 2m * sum_{lam_k > 0} (1/lam_k) * (v_kt^2 / d_t - v_ks v_kt / sqrt(d_s d_t))
 
@@ -36,31 +36,25 @@ with P = D^{-1} W and stationary distribution pi = d / vol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral
 from .errors import DisconnectedGraphError, ParameterError, ValidationError
 from .graphs import Graph, TorusSpec
 from .spectral import (
     ZERO_EIGENVALUE_RTOL,
     circulant_eigenvalues,
     cycle_laplacian_eigenvalues,
-    normalized_laplacian,
     pinv_trace,
     symmetric_eigendecomposition,
     torus_laplacian_eigenvalues,
 )
 
 __all__ = [
-    "HittingMatrix",
-    "mean_latency_spectral",
     "mean_latency_pinv",
     "mean_latency_circulant",
     "mean_latency_cycle",
     "mean_latency_torus",
-    "latency_bounds",
     "cycle_latency_bounds",
     "torus_latency_bounds",
     "hitting_times",
@@ -69,36 +63,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HittingMatrix:
-    """h[s, t] = expected hops from s to t; zero diagonal, asymmetric."""
-
-    h: np.ndarray
-
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
-        h.setflags(write=False)
-        object.__setattr__(self, "h", h)
-
-    @property
-    def n(self) -> int:
-        return self.h.shape[0]
-
-
-def _require_connected(g: Graph) -> None:
+def _require_connected(g: Graph, quantity: str) -> None:
+    """Raise unless g has n >= 2 nodes and is connected."""
+    if g.n < 2:
+        raise ParameterError(f"{quantity} needs n >= 2")
     if not g.is_connected():
         raise DisconnectedGraphError(
             "latency quantities are undefined on disconnected graphs"
         )
-
-
-def mean_latency_spectral(g: Graph) -> float:
-    """T = 2/(n-1) * Tr(L+), via the numeric Laplacian spectrum."""
-    if g.n < 2:
-        raise ParameterError("mean latency needs n >= 2")
-    _require_connected(g)
-    spec = spectral.laplacian_spectrum(g)
-    return 2.0 / (g.n - 1) * pinv_trace(spec)
 
 
 def mean_latency_pinv(g: Graph) -> float:
@@ -107,9 +79,7 @@ def mean_latency_pinv(g: Graph) -> float:
     Exact only on a connected graph, where J/n shifts the single zero
     eigenvalue of L to 1 and leaves the rest of the spectrum alone.
     """
-    if g.n < 2:
-        raise ParameterError("mean latency needs n >= 2")
-    _require_connected(g)
+    _require_connected(g, "mean latency")
     shifted = g.laplacian()
     shifted += 1.0 / g.n
     return 2.0 / (g.n - 1) * (float(np.trace(np.linalg.inv(shifted))) - 1.0)
@@ -190,51 +160,42 @@ def torus_latency_bounds(spec: TorusSpec) -> tuple[float, float]:
     return _bounds_from_lam1(spec.n, lam1)
 
 
-def latency_bounds(g_or_spec) -> tuple[float, float]:
-    """(lower, upper) = (2/((n-1) lam_1), 2/lam_1) with lam_1 the algebraic
-    connectivity; closed-form lam_1 for TorusSpec, numeric for Graph."""
-    if isinstance(g_or_spec, TorusSpec):
-        return torus_latency_bounds(g_or_spec)
-    g = g_or_spec
-    lam1 = spectral.algebraic_connectivity(g)
-    return _bounds_from_lam1(g.n, lam1)
-
-
-def hitting_times(g: Graph) -> HittingMatrix:
-    """All-pairs expected hitting times via the normalized-Laplacian
-    eigendecomposition."""
-    _require_connected(g)
+def hitting_times(g: Graph) -> np.ndarray:
+    """All-pairs expected hitting times h[s, t] (read-only, zero diagonal)
+    from the eigendecomposition of the normalized Laplacian."""
+    _require_connected(g, "hitting-time matrix")
     d = g.degrees
-    two_m = float(d.sum())
-    spec = symmetric_eigendecomposition(normalized_laplacian(g), want_vectors=True)
-    vals, vecs = spec.values, spec.vectors
-    tol = ZERO_EIGENVALUE_RTOL * np.abs(vals).max()
-    keep = vals > tol
+    inv_sqrt = 1.0 / np.sqrt(d)
+    vals, vecs = np.linalg.eigh(
+        np.eye(g.n) - inv_sqrt[:, None] * g.weights * inv_sqrt[None, :])
+    keep = vals > ZERO_EIGENVALUE_RTOL * np.abs(vals).max()
     w = 1.0 / vals[keep]
     # U[i, k] = v_k(i) / sqrt(d_i); H[s, t] = 2m * (q_t - (U W U^T)[s, t])
-    U = vecs[:, keep] / np.sqrt(d)[:, None]
+    U = vecs[:, keep] * inv_sqrt[:, None]
     M = (U * w) @ U.T
     q = np.einsum("ik,k,ik->i", U, w, U)
-    h = two_m * (q[None, :] - M)
+    h = float(d.sum()) * (q[None, :] - M)
     np.fill_diagonal(h, 0.0)
-    return HittingMatrix(h=h)
+    h.setflags(write=False)
+    return h
 
 
-def hitting_times_linear_system(g: Graph) -> HittingMatrix:
+def hitting_times_linear_system(g: Graph) -> np.ndarray:
     """Fundamental-matrix oracle, independent of eigh: one dense inverse
     Z = (I - P + 1 pi^T)^{-1} gives H_st = (Z_tt - Z_st) / pi_t, with
-    P = D^{-1} W and pi = d / vol.
+    P = D^{-1} W and pi = d / vol.  Returns h[s, t] like hitting_times.
 
     It solves the first-step equations h_st = 1 + sum_u P_su h_ut for every
     target at once; Z exists only on a connected graph.
     """
-    _require_connected(g)
+    _require_connected(g, "hitting-time matrix")
     d = g.degrees
     pi = d / d.sum()
     z = np.linalg.inv(np.eye(g.n) - g.weights / d[:, None] + pi[None, :])
     h = (np.diag(z)[None, :] - z) / pi[None, :]
     np.fill_diagonal(h, 0.0)
-    return HittingMatrix(h=h)
+    h.setflags(write=False)
+    return h
 
 
 def expected_packet_delay(g: Graph, method: str = "spectral") -> float:
@@ -245,12 +206,10 @@ def expected_packet_delay(g: Graph, method: str = "spectral") -> float:
     off-diagonal entry of the fundamental-matrix hitting times, the oracle.
     """
     n = g.n
-    if n < 2:
-        raise ParameterError("expected packet delay needs n >= 2")
     if method == "linear-system":
-        return float(hitting_times_linear_system(g).h.sum()) / (n * (n - 1))
+        return float(hitting_times_linear_system(g).sum()) / (n * (n - 1))
     if method != "spectral":
         raise ParameterError(f"unknown hitting-time method {method!r}")
-    _require_connected(g)
+    _require_connected(g, "expected packet delay")
     vol = float(g.degrees.sum())
-    return vol * pinv_trace(spectral.laplacian_spectrum(g)) / (n - 1)
+    return vol * pinv_trace(symmetric_eigendecomposition(g.laplacian())) / (n - 1)

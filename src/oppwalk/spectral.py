@@ -1,5 +1,6 @@
-"""Laplacian spectra: closed forms for cycle/torus families plus a numeric
-symmetric eigensolver used as the cross-check oracle for arbitrary graphs.
+"""Laplacian spectra: closed forms for cycle/torus families, the eigenvalues
+of a multi-level circulant from its first row, and the numeric eigenvalues
+of a symmetric matrix, from which pinv_trace gives Tr(L+) on any graph.
 
 The closed form for the r-nearest-neighbor cycle Laplacian is
 
@@ -14,55 +15,21 @@ component cycle spectra over all index tuples.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import (
-    DegenerateInputError,
-    DisconnectedGraphError,
-    ParameterError,
-    ValidationError,
-)
-from .graphs import Graph, TorusSpec
+from .errors import DisconnectedGraphError, ParameterError, ValidationError
+from .graphs import TorusSpec
 
 __all__ = [
-    "Spectrum",
     "circulant_eigenvalues",
     "cycle_laplacian_eigenvalues",
-    "cycle_laplacian_spectrum",
     "torus_laplacian_eigenvalues",
-    "torus_laplacian_spectrum",
     "symmetric_eigendecomposition",
-    "normalized_laplacian",
     "pinv_trace",
-    "laplacian_spectrum",
-    "algebraic_connectivity",
 ]
 
 # Relative threshold below which an eigenvalue counts as the zero mode.
 ZERO_EIGENVALUE_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Real eigenvalues sorted ascending, optionally with eigenvectors."""
-
-    values: np.ndarray
-    vectors: np.ndarray | None = None
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        if self.vectors is not None:
-            vecs = np.asarray(self.vectors, dtype=float)
-            vecs.setflags(write=False)
-            object.__setattr__(self, "vectors", vecs)
-
-    @property
-    def n(self) -> int:
-        return self.values.size
 
 
 def circulant_eigenvalues(first_row) -> np.ndarray:
@@ -100,11 +67,6 @@ def cycle_laplacian_eigenvalues(n: int, r: int, j=None) -> np.ndarray:
     return 4.0 * out
 
 
-def cycle_laplacian_spectrum(n: int, r: int) -> Spectrum:
-    vals = np.sort(cycle_laplacian_eigenvalues(n, r))
-    return Spectrum(values=vals)
-
-
 def torus_laplacian_eigenvalues(spec: TorusSpec) -> np.ndarray:
     """All torus Laplacian eigenvalues as sums over index tuples, returned
     raveled in row-major tuple order (the all-zero tuple is element 0)."""
@@ -115,16 +77,11 @@ def torus_laplacian_eigenvalues(spec: TorusSpec) -> np.ndarray:
     return vals
 
 
-def torus_laplacian_spectrum(spec: TorusSpec) -> Spectrum:
-    return Spectrum(values=np.sort(torus_laplacian_eigenvalues(spec)))
+def symmetric_eigendecomposition(M) -> np.ndarray:
+    """Eigenvalues of a real symmetric matrix, ascending and read-only.
 
-
-def symmetric_eigendecomposition(M, want_vectors: bool = False) -> Spectrum:
-    """Full spectrum of a real symmetric matrix, ascending.
-
-    If want_vectors, the orthonormal eigenvector columns are attached and
-    satisfy M v_k = lam_k v_k within solver tolerance.  The solver reads one
-    triangle of M, so M is only checked for symmetry, not re-symmetrized.
+    The solver reads one triangle of M, so M is only checked for symmetry,
+    not re-symmetrized.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -132,30 +89,16 @@ def symmetric_eigendecomposition(M, want_vectors: bool = False) -> Spectrum:
     scale = np.abs(M).max() if M.size else 0.0
     if scale > 0 and np.abs(M - M.T).max() > 1e-12 * scale:
         raise ValidationError("matrix is not symmetric within tolerance")
-    if want_vectors:
-        vals, vecs = np.linalg.eigh(M)
-        return Spectrum(values=vals, vectors=vecs)
-    return Spectrum(values=np.linalg.eigvalsh(M))
+    vals = np.linalg.eigvalsh(M)
+    vals.setflags(write=False)
+    return vals
 
 
-def normalized_laplacian(g: Graph) -> np.ndarray:
-    """N = D^{-1/2} (D - A) D^{-1/2}; requires every degree positive."""
-    d = g.degrees
-    if np.any(d <= 0):
-        raise DegenerateInputError(
-            "normalized Laplacian undefined for zero-degree nodes"
-        )
-    inv_sqrt = 1.0 / np.sqrt(d)
-    N = -(inv_sqrt[:, None] * g.weights * inv_sqrt[None, :])
-    np.fill_diagonal(N, 1.0)
-    return 0.5 * (N + N.T)
-
-
-def pinv_trace(spectrum) -> float:
-    """Trace of the Laplacian pseudoinverse: sum of reciprocal nonzero
-    eigenvalues.  Requires exactly one zero mode (connected graph)."""
-    vals = spectrum.values if isinstance(spectrum, Spectrum) else np.asarray(
-        spectrum, dtype=float)
+def pinv_trace(vals) -> float:
+    """Trace of the Laplacian pseudoinverse from its eigenvalues: the sum
+    of reciprocal nonzero eigenvalues.  Requires exactly one zero mode
+    (connected graph)."""
+    vals = np.asarray(vals, dtype=float)
     tol = ZERO_EIGENVALUE_RTOL * np.abs(vals).max()
     zero = np.abs(vals) <= tol
     nzero = int(zero.sum())
@@ -166,18 +109,3 @@ def pinv_trace(spectrum) -> float:
     if nzero == 0:
         raise ValidationError("no zero eigenvalue: not a Laplacian spectrum")
     return float(np.sum(1.0 / vals[~zero]))
-
-
-def laplacian_spectrum(g: Graph) -> Spectrum:
-    """Numeric spectrum of the combinatorial Laplacian of g."""
-    return symmetric_eigendecomposition(g.laplacian())
-
-
-def algebraic_connectivity(g: Graph) -> float:
-    """Second-smallest Laplacian eigenvalue; raises if the graph is
-    disconnected (eigenvalue indistinguishable from zero)."""
-    vals = laplacian_spectrum(g).values
-    lam1 = float(vals[1])
-    if lam1 <= ZERO_EIGENVALUE_RTOL * np.abs(vals).max():
-        raise DisconnectedGraphError("algebraic connectivity is zero")
-    return lam1

@@ -14,11 +14,9 @@ alias (Graph.alias_table), so each hop costs O(1) whatever the degree.
 Randomness comes from numpy's PCG64 seeded through SeedSequence, so results
 are platform-independent for a fixed seed.  The draw schedule is fixed: each
 step draws one uniform per still-active walk, in ascending walk order, and
-simulate_walk is a one-walk batch (one uniform per hop).  estimate_hitting
-derives one substream per ordered pair via spawn keys, making per-pair
-results independent of evaluation order.  Binary graphs keep the digits of
-the earlier cumulative-table pick; weighted graphs changed theirs once, when
-the alias tables replaced it.
+simulate_walk is a one-walk batch (one uniform per hop).  Binary graphs keep
+the digits of the earlier cumulative-table pick; weighted graphs changed
+theirs once, when the alias tables replaced it.
 
 estimate_mean_latency spreads its walks over the P = n(n-1) ordered pairs
 s != t by one rule: with trials >= P, walk i takes pair i mod P in row-major
@@ -40,7 +38,6 @@ __all__ = [
     "WalkConfig",
     "WalkEstimate",
     "simulate_walk",
-    "estimate_hitting",
     "estimate_mean_latency",
 ]
 
@@ -180,17 +177,6 @@ def _estimate(steps: np.ndarray, truncated: int) -> WalkEstimate:
 def _pair_rng(seed: int, pair_index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(pair_index,))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-def estimate_hitting(g: Graph, s: int, t: int, config: WalkConfig) -> WalkEstimate:
-    """Monte-Carlo hitting-time estimate for one ordered pair."""
-    _validate_nodes(g, s, t)
-    cap = config.resolved_max_steps(g.n)
-    rng = _pair_rng(config.seed, s * g.n + t)
-    starts = np.full(config.trials, s)
-    targets = np.full(config.trials, t)
-    steps, truncated = _run_walks(g, starts, targets, cap, rng)
-    return _estimate(steps, truncated)
 
 
 def _pair_schedule(n: int, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -237,7 +237,9 @@ def load_config(path) -> WirelessConfig:
     """Read a WirelessConfig from a flat key=value text file.
 
     Lines starting with '#' and blank lines are ignored; keys mirror the
-    WirelessConfig field names (scalar power only in file form).
+    WirelessConfig field names (scalar power only in file form).  A
+    malformed line, an unknown or repeated key and an unparsable or
+    non-finite value raise ValidationError naming path:line.
     """
     values = {}
     with open(path) as f:
@@ -250,10 +252,19 @@ def load_config(path) -> WirelessConfig:
                     f"{path}:{lineno}: expected key=value, got {line!r}"
                 )
             key, _, raw = line.partition("=")
-            key = key.strip()
+            key, raw = key.strip(), raw.strip()
             if key not in _CONFIG_FIELDS:
                 raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _CONFIG_FIELDS[key](raw.strip())
+            if key in values:
+                raise ValidationError(f"{path}:{lineno}: repeated key {key!r}")
+            try:
+                values[key] = _CONFIG_FIELDS[key](raw)
+                if not math.isfinite(values[key]):
+                    raise ValueError
+            except ValueError:
+                raise ValidationError(
+                    f"{path}:{lineno}: bad value for {key}: {raw!r}"
+                ) from None
     if "n" not in values:
         raise ValidationError(f"{path}: missing required key 'n'")
     return WirelessConfig(**values)

@@ -180,7 +180,9 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("text", [
         None, "n=20\neta=nan\n", "n=abc\n", "n=20\nradius=3\n", "eta=2\n",
-    ], ids=["missing-file", "nan", "bad-int", "unknown-key", "no-n"])
+        "n=20\nn=10\n",
+    ], ids=["missing-file", "nan", "bad-int", "unknown-key", "no-n",
+            "repeated-key"])
     @pytest.mark.parametrize("argv", [
         ["epd-eta-sweep", "--etas", "2", "--seeds", "1"],
         ["wireless-export", "--out-prefix", "unused"],

@@ -3,30 +3,19 @@ import numpy as np
 import pytest
 
 from oppwalk.errors import DisconnectedGraphError, ParameterError, ValidationError
-from oppwalk.graphs import (
-    Graph,
-    TorusSpec,
-    build_cycle,
-    build_torus,
-    complete_graph,
-)
+from oppwalk.graphs import Graph, TorusSpec, build_cycle, build_torus
 from oppwalk.latency import (
     cycle_latency_bounds,
     expected_packet_delay,
     hitting_times,
     hitting_times_linear_system,
-    latency_bounds,
     mean_latency_circulant,
     mean_latency_cycle,
     mean_latency_pinv,
-    mean_latency_spectral,
     mean_latency_torus,
     torus_latency_bounds,
 )
-from oppwalk.spectral import (
-    cycle_laplacian_eigenvalues,
-    cycle_laplacian_spectrum,
-)
+from oppwalk.spectral import cycle_laplacian_eigenvalues, pinv_trace
 from oppwalk.wireless import WirelessConfig, generate_topology
 from test_acceptance import ORACLE_CYCLE_CASES, ORACLE_TORUS_CASES
 
@@ -36,6 +25,21 @@ def two_component_graph():
     w[0, 1] = w[1, 0] = 1.0
     w[2, 3] = w[3, 2] = 1.0
     return Graph(w)
+
+
+def complete_graph(n):
+    return Graph(np.ones((n, n)) - np.eye(n))
+
+
+def mean_latency_spectral(g):
+    """T = 2/(n-1) * Tr(L+) from the numeric Laplacian spectrum."""
+    return 2.0 / (g.n - 1) * pinv_trace(np.linalg.eigvalsh(g.laplacian()))
+
+
+def numeric_bounds(g):
+    """(2/((n-1) lam_1), 2/lam_1) from the numeric algebraic connectivity."""
+    lam1 = np.linalg.eigvalsh(g.laplacian())[1]
+    return 2.0 / ((g.n - 1) * lam1), 2.0 / lam1
 
 
 class TestMeanLatencySpectral:
@@ -111,7 +115,9 @@ class TestMeanLatencyTorus:
 
 class TestLatencyBounds:
     def test_k3_hits_upper(self):
-        lower, upper = latency_bounds(build_cycle(3, 1))
+        lower, upper = cycle_latency_bounds(3, 1)
+        assert (lower, upper) == pytest.approx(numeric_bounds(build_cycle(3, 1)),
+                                               abs=1e-12)
         assert (lower, upper) == pytest.approx((1 / 3, 2 / 3), abs=1e-12)
         assert mean_latency_cycle(3, 1) == pytest.approx(upper, abs=1e-12)
 
@@ -122,7 +128,7 @@ class TestLatencyBounds:
 
     @pytest.mark.parametrize("n,r", [(12, 1), (30, 3), (64, 9), (300, 5)])
     def test_closed_form_equals_spectrum_route(self, n, r):
-        lam1 = cycle_laplacian_spectrum(n, r).values[1]
+        lam1 = np.sort(cycle_laplacian_eigenvalues(n, r))[1]
         lower, upper = cycle_latency_bounds(n, r)
         assert upper == pytest.approx(2 / lam1, abs=1e-9)
         assert lower == pytest.approx(2 / ((n - 1) * lam1), abs=1e-9)
@@ -132,35 +138,33 @@ class TestLatencyBounds:
         lower, upper = torus_latency_bounds(spec)
         t = mean_latency_torus(spec)
         assert lower <= t <= upper
-        assert latency_bounds(spec) == (lower, upper)
+        assert (lower, upper) == pytest.approx(
+            numeric_bounds(build_torus(spec)), rel=1e-12)
 
     def test_wireless_graph_sandwich(self):
         topo = generate_topology(WirelessConfig(n=20), seed=9,
                                  resample_until_connected=50)
-        lower, upper = latency_bounds(topo.graph)
-        assert lower <= mean_latency_spectral(topo.graph) <= upper
-
-    def test_disconnected_rejected(self):
-        with pytest.raises(DisconnectedGraphError):
-            latency_bounds(two_component_graph())
+        lower, upper = numeric_bounds(topo.graph)
+        assert lower <= mean_latency_pinv(topo.graph) <= upper
 
 
 class TestHittingTimes:
     def test_k3_all_two(self):
-        h = hitting_times(build_cycle(3, 1)).h
+        h = hitting_times(build_cycle(3, 1))
         off = h[~np.eye(3, dtype=bool)]
         assert np.allclose(off, 2.0, atol=1e-10)
         assert np.allclose(np.diag(h), 0.0)
+        assert not h.flags.writeable
 
     def test_c4_adjacent_and_antipodal(self):
-        h = hitting_times(build_cycle(4, 1)).h
+        h = hitting_times(build_cycle(4, 1))
         assert h[0, 1] == pytest.approx(3.0, abs=1e-10)
         assert h[0, 2] == pytest.approx(4.0, abs=1e-10)
 
     def test_weighted_two_node_graph(self):
         for w in (0.1, 1.0, 7.3):
             g = Graph(np.array([[0.0, w], [w, 0.0]]))
-            h = hitting_times(g).h
+            h = hitting_times(g)
             assert h[0, 1] == pytest.approx(1.0, abs=1e-10)
             assert h[1, 0] == pytest.approx(1.0, abs=1e-10)
 
@@ -173,18 +177,18 @@ class TestHittingTimes:
     ])
     def test_spectral_matches_linear_system(self, builder):
         g = builder()
-        a = hitting_times(g).h
-        b = hitting_times_linear_system(g).h
+        a = hitting_times(g)
+        b = hitting_times_linear_system(g)
         assert np.abs(a - b).max() <= 1e-8 * b.max()
 
     def test_nonnegative_and_asymmetric_ok(self):
         g = build_cycle(9, 2)
-        h = hitting_times(g).h
+        h = hitting_times(g)
         assert h.min() >= -1e-10
 
     def test_commute_symmetry_under_rotation(self):
         g = build_cycle(8, 2)
-        h = hitting_times(g).h
+        h = hitting_times(g)
         commute = h + h.T
         perm = (np.arange(8) + 1) % 8
         assert np.abs(commute - commute[np.ix_(perm, perm)]).max() < 1e-8
@@ -192,6 +196,12 @@ class TestHittingTimes:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             hitting_times(two_component_graph())
+
+    @pytest.mark.parametrize("route", [hitting_times,
+                                       hitting_times_linear_system])
+    def test_single_node_rejected(self, route):
+        with pytest.raises(ParameterError, match="n >= 2"):
+            route(Graph(np.zeros((1, 1))))
 
 
 class TestExpectedPacketDelay:
@@ -278,10 +288,11 @@ class TestDenseOracles:
     @pytest.mark.parametrize("builder", ORACLE_GRAPHS)
     def test_hitting_times_match_first_step_solves(self, builder):
         g = builder()
-        h = hitting_times_linear_system(g).h
+        h = hitting_times_linear_system(g)
         np.testing.assert_allclose(h, first_step_reference(g),
                                    rtol=1e-12, atol=0.0)
         assert not np.diag(h).any()
+        assert not h.flags.writeable
 
     @pytest.mark.parametrize("oracle", [mean_latency_pinv,
                                         hitting_times_linear_system])
@@ -382,7 +393,7 @@ class TestCommuteTimeIdentity:
         g = builder()
         n = g.n
         epd = expected_packet_delay(g)
-        per_pair = hitting_times(g).h.sum() / (n * (n - 1))
+        per_pair = hitting_times(g).sum() / (n * (n - 1))
         assert epd == pytest.approx(per_pair, rel=1e-10)
         assert epd == pytest.approx(expected_packet_delay(g, "linear-system"),
                                     rel=1e-10)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -248,7 +249,7 @@ class TestBuildWirelessGraph:
     def test_tiny_threshold_gives_complete_graph(self):
         cfg = WirelessConfig(n=10, threshold=1e-12, power=5.0)
         topo = build_wireless_graph(cfg, place_nodes(cfg, 7))
-        assert topo.graph.edge_count == 10 * 9 // 2
+        assert np.count_nonzero(topo.graph.weights) == 10 * 9
 
     def test_half_threshold_is_coverage_radius_cut(self):
         cfg = WirelessConfig(n=15, threshold=0.5)
@@ -409,6 +410,18 @@ class TestConfigFile:
         path = tmp_path / "w.cfg"
         path.write_text("eta=2\n")
         with pytest.raises(ValidationError):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("text,error", [
+        ("n=10\nn=20\n", "w.cfg:2: repeated key 'n'"),
+        ("# sweep\nn = 3.5\n", "w.cfg:2: bad value for n: '3.5'"),
+        ("n=10\n\neta=fast\n", "w.cfg:3: bad value for eta: 'fast'"),
+        ("n=10\npower = inf\n", "w.cfg:2: bad value for power: 'inf'"),
+    ], ids=["repeated-key", "float-n", "text-eta", "inf-power"])
+    def test_bad_line_names_path_and_line(self, tmp_path, text, error):
+        path = tmp_path / "w.cfg"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=re.escape(error)):
             load_config(str(path))
 
 
