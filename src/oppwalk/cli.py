@@ -112,8 +112,7 @@ def _mc_estimate(g, trials: int, seed: int, label: str) -> walker.WalkEstimate:
     """Seeded Monte-Carlo mean latency of g in hops.  Walks cut at the step
     cap enter the mean at the cap; a row with any gets a stderr warning,
     never a CSV change."""
-    est = walker.estimate_mean_latency(
-        g, walker.WalkConfig(trials=trials, seed=seed))
+    est = walker.estimate_mean_latency(g, trials, seed)
     if est.truncated:
         print(f"warning: {label}: {est.truncated} of {est.trials_used} "
               "walks hit the step cap", file=sys.stderr)
@@ -346,7 +345,7 @@ def _sweep(sub, kind: str, rows, help: str):
     p = sub.add_parser(kind, help=help)
     p.set_defaults(command=run, rows=rows)
     p.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count(0), default=0)
     return p
 
 
@@ -441,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--n", type=int, default=None,
                    help="node count (default: the --config file, else 30)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count(0), default=0)
     _add_resample(p, 0)
     p.add_argument("--out-prefix", required=True)
 

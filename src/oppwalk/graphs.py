@@ -80,36 +80,6 @@ class Graph:
         indices.setflags(write=False)
         return indptr, indices
 
-    @cached_property
-    def alias_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Vose alias table of the transition rows P[u] = w[u] / deg(u),
-        aligned with the CSR slots.
-
-        For a uniform column c of row u and slot k = indptr[u] + c, the next
-        hop is indices[k] with probability prob[k], else alias[k] (a node
-        index).  Exact up to rounding: each column contributes
-        prob / d to its own neighbor and the remainder to its alias.
-        """
-        indptr, indices = self.csr
-        prob = np.ones(indices.size)
-        alias = indices.copy()
-        for u in range(self.n):
-            lo, hi = indptr[u], indptr[u + 1]
-            w = self.weights[u, indices[lo:hi]]
-            p = list(w * (hi - lo) / w.sum())
-            small = [c for c, x in enumerate(p) if x < 1.0]
-            large = [c for c, x in enumerate(p) if x >= 1.0]
-            while small and large:
-                c, big = small.pop(), large.pop()
-                prob[lo + c] = p[c]
-                alias[lo + c] = indices[lo + big]
-                p[big] -= 1.0 - p[c]
-                (small if p[big] < 1.0 else large).append(big)
-            # leftovers are 1 up to rounding and keep prob 1, alias self
-        prob.setflags(write=False)
-        alias.setflags(write=False)
-        return prob, alias
-
     def laplacian(self) -> np.ndarray:
         return np.diag(self.degrees) - self.weights
 

@@ -1,22 +1,18 @@
 """Monte-Carlo simulator of stateless opportunistic routing.
 
-A packet at node u hops to neighbor v with probability w(u,v)/deg(u)
-(uniform over neighbors for binary graphs) until it first reaches its
-destination.  Walk length counts hops, matching the hitting-time convention
+A packet at node u hops to one of u's neighbors uniformly at random until
+it first reaches its destination: a simple random walk on a connected 0/1
+graph.  Walk length counts hops, matching the hitting-time convention
 h[s][s] = 0.
 
 Every walk runs on one kernel over the graph's CSR rows (Graph.csr, built
 once per graph and cached).  A walk at u with uniform draw x moves to the
-neighbor in column floor(x * deg(u)) of row u; on weighted graphs the
-fractional part of x * deg(u) then picks between that neighbor and its Vose
-alias (Graph.alias_table), so each hop costs O(1) whatever the degree.
+neighbor in column floor(x * deg(u)) of row u, so each hop costs O(1)
+whatever the degree.
 
 Randomness comes from numpy's PCG64 seeded through SeedSequence, so results
 are platform-independent for a fixed seed.  The draw schedule is fixed: each
-step draws one uniform per still-active walk, in ascending walk order, and
-simulate_walk is a one-walk batch (one uniform per hop).  Binary graphs keep
-the digits of the earlier cumulative-table pick; weighted graphs changed
-theirs once, when the alias tables replaced it.
+step draws one uniform per still-active walk, in ascending walk order.
 
 estimate_mean_latency spreads its walks over the P = n(n-1) ordered pairs
 s != t by one rule: with trials >= P, walk i takes pair i mod P in row-major
@@ -31,41 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError, ParameterError
+from .errors import DisconnectedGraphError, EstimationError, ParameterError
 from .graphs import Graph
 
 __all__ = [
-    "WalkConfig",
     "WalkEstimate",
-    "simulate_walk",
     "estimate_mean_latency",
 ]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-
-
-@dataclass(frozen=True)
-class WalkConfig:
-    """Simulation parameters.
-
-    max_steps None means the default cap 100 * n^2, far above the worst
-    expected hitting time for the families in scope.  For a mean latency,
-    trials walks cover every ordered pair in turn when trials >= n(n-1),
-    and otherwise go to trials distinct pairs drawn from seed.
-    """
-
-    trials: int
-    seed: int = 0
-    max_steps: int | None = None
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ParameterError("trials must be >= 1")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ParameterError("max_steps must be >= 1 when given")
-
-    def resolved_max_steps(self, n: int) -> int:
-        return 100 * n * n if self.max_steps is None else self.max_steps
 
 
 @dataclass(frozen=True)
@@ -82,59 +52,10 @@ class WalkEstimate:
     truncated: int
 
 
-@dataclass(frozen=True)
-class _WalkTables:
-    """Next-hop tables of one graph: CSR rows plus, for weighted graphs,
-    the Vose alias table (prob and alias are None for binary graphs)."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    deg: np.ndarray  # row lengths as floats, scaled by the uniform draw
-    prob: np.ndarray | None
-    alias: np.ndarray | None
-
-    def next_hops(self, cur: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Next node of each walk at cur, given one uniform u per walk.
-
-        The column floor(u * deg) picks the CSR slot; on weighted graphs
-        the fractional part then chooses between the slot's neighbor and
-        its alias.
-        """
-        x = u * self.deg[cur]
-        col = x.astype(np.intp)
-        slot = self.indptr[cur] + col
-        nxt = self.indices[slot]
-        if self.prob is None:
-            return nxt
-        return np.where(x - col < self.prob[slot], nxt, self.alias[slot])
-
-
-def _walk_tables(g: Graph) -> _WalkTables:
-    indptr, indices = g.csr
-    deg = np.diff(indptr).astype(float)
-    if not deg.all():
-        raise ParameterError("graph has an isolated node; walks cannot leave it")
-    prob, alias = (None, None) if g.is_binary else g.alias_table
-    return _WalkTables(indptr, indices, deg, prob, alias)
-
-
-def _validate_nodes(g: Graph, s: int, t: int) -> None:
-    if not (0 <= s < g.n) or not (0 <= t < g.n):
-        raise ParameterError(f"node index out of range: s={s}, t={t}, n={g.n}")
-
-
-def simulate_walk(g: Graph, s: int, t: int, rng: np.random.Generator,
-                  max_steps: int | None = None) -> int:
-    """Single walk from s until first arrival at t; returns hops taken.
-
-    A one-walk batch of the same kernel, drawing one uniform per hop.
-    Returns max_steps if the cap is reached first; callers needing the
-    truncation flag compare against the cap.
-    """
-    _validate_nodes(g, s, t)
-    cap = WalkConfig(trials=1, max_steps=max_steps).resolved_max_steps(g.n)
-    steps, _ = _run_walks(g, [s], [t], cap, rng)
-    return int(steps[0])
+def _step_cap(n: int) -> int:
+    """Steps after which a walk on n nodes is cut: far above the worst
+    expected hitting time for the families in scope."""
+    return 100 * n * n
 
 
 def _run_walks(g: Graph, starts, targets, cap: int, rng):
@@ -144,7 +65,8 @@ def _run_walks(g: Graph, starts, targets, cap: int, rng):
     and moves every active walk one hop.  The active set (ids, cur, tgt)
     is compacted only on steps where some walk arrives.
     """
-    tables = _walk_tables(g)
+    indptr, indices = g.csr
+    deg = np.diff(indptr).astype(float)
     starts = np.asarray(starts, dtype=np.intp)
     targets = np.asarray(targets, dtype=np.intp)
     steps = np.where(starts == targets, 0, cap)
@@ -153,7 +75,8 @@ def _run_walks(g: Graph, starts, targets, cap: int, rng):
     step = 0
     while ids.size and step < cap:
         step += 1
-        cur = tables.next_hops(cur, rng.random(ids.size))
+        u = rng.random(ids.size)
+        cur = indices[indptr[cur] + (u * deg[cur]).astype(np.intp)]
         hit = cur == tgt
         if np.count_nonzero(hit):  # much cheaper than hit.any() on short arrays
             steps[ids[hit]] = step
@@ -197,15 +120,23 @@ def _pair_schedule(n: int, trials: int, seed: int) -> tuple[np.ndarray, np.ndarr
     return s, j + (j >= s)
 
 
-def estimate_mean_latency(g: Graph, config: WalkConfig) -> WalkEstimate:
-    """Monte-Carlo mean latency: config.trials walks spread over the ordered
-    pairs (each pair in turn when trials >= n(n-1), else distinct pairs drawn
-    uniformly), all simulated in one vectorized batch.  Comparable to the
-    analytic expected packet delay (hop units)."""
+def estimate_mean_latency(g: Graph, trials: int, seed: int) -> WalkEstimate:
+    """Monte-Carlo mean latency in hops: trials walks spread over the
+    ordered pairs (each pair in turn when trials >= n(n-1), else distinct
+    pairs drawn uniformly), all simulated in one vectorized batch.
+    Comparable to the analytic expected packet delay.  The graph must be
+    connected, 0/1 and have n >= 2 nodes."""
+    if trials < 1:
+        raise ParameterError("trials must be >= 1")
     if g.n < 2:
         raise ParameterError("mean latency needs n >= 2")
-    starts, targets = _pair_schedule(g.n, config.trials, config.seed)
-    cap = config.resolved_max_steps(g.n)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
-    steps, truncated = _run_walks(g, starts, targets, cap, rng)
+    if not g.is_binary:
+        raise ParameterError(
+            "the walker moves uniformly over neighbors; it needs a 0/1 graph")
+    if not g.is_connected():
+        raise DisconnectedGraphError(
+            "graph is disconnected; walks between components never arrive")
+    starts, targets = _pair_schedule(g.n, trials, seed)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    steps, truncated = _run_walks(g, starts, targets, _step_cap(g.n), rng)
     return _estimate(steps, truncated)

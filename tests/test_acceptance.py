@@ -131,8 +131,7 @@ def test_criterion_4_monte_carlo_agreement():
     details = []
     for label, g in _mc_validation_graphs():
         epd = latency.expected_packet_delay(g)
-        est = walker.estimate_mean_latency(
-            g, walker.WalkConfig(trials=MC_TRIALS, seed=MC_SEED))
+        est = walker.estimate_mean_latency(g, MC_TRIALS, MC_SEED)
         covered = abs(est.mean - epd) <= est.ci_halfwidth
         tight = est.ci_halfwidth <= 0.02 * est.mean
         ok = ok and covered and tight and est.truncated == 0

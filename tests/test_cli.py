@@ -171,6 +171,14 @@ class TestUsageErrors:
         (["epd-eta-sweep", "--etas", "2", "--node-cap", "5"], "--node-cap"),
         (["walk-validate", "--graphs", "cycle:4:1", "--node-cap", "5"],
          "--node-cap"),
+        (["walk-validate", "--graphs", "cycle:5:1", "--trials", "10",
+          "--seed", "-1"], "--seed"),
+        (["epd-eta-sweep", "--etas", "2", "--seeds", "1", "--seed", "-1"],
+         "--seed"),
+        (["cycle-sweep", "--n", "10", "--r", "1", "--trials", "10",
+          "--seed", "-3"], "--seed"),
+        (["wireless-export", "--n", "10", "--seed", "-2",
+          "--out-prefix", "unused"], "--seed"),
     ])
     def test_bad_count_or_flag_exit_2(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
@@ -296,17 +304,16 @@ class TestEnsembleCI:
         graphs_seen = []
         estimate = walker.estimate_mean_latency
 
-        def spy(g, cfg):
+        def spy(g, trials, seed):
             graphs_seen.append(g)
-            return estimate(g, cfg)
+            return estimate(g, trials, seed)
 
         monkeypatch.setattr(walker, "estimate_mean_latency", spy)
         code, out, _ = run_cli(
             ["epd-eta-sweep", "--etas", "2", "--n", "12", "--seeds", "4",
              "--trials", "500", "--seed", "5"], capsys)
         assert code == 0 and len(graphs_seen) == 4
-        ests = [estimate(g, walker.WalkConfig(trials=500, seed=5 + i))
-                for i, g in enumerate(graphs_seen)]
+        ests = [estimate(g, 500, 5 + i) for i, g in enumerate(graphs_seen)]
         row = csv_rows(out)[0]
         assert float(row["mc_mean"]) == pytest.approx(
             np.mean([e.mean for e in ests]), rel=1e-11)
@@ -329,8 +336,7 @@ class TestTruncationWarning:
     def test_warns_on_stderr_only(self, capsys, monkeypatch, argv, prefix):
         _, plain, err = run_cli(argv, capsys)
         assert err == ""
-        monkeypatch.setattr(walker.WalkConfig, "resolved_max_steps",
-                            lambda self, n: 3)
+        monkeypatch.setattr(walker, "_step_cap", lambda n: 3)
         code, out, err = run_cli(argv, capsys)
         assert code == 0
         assert err.startswith(prefix) and "walks hit the step cap" in err

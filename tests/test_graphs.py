@@ -105,7 +105,6 @@ class TestCsr:
     def test_cached(self):
         g = build_cycle(6, 1)
         assert g.csr is g.csr
-        assert g.alias_table is g.alias_table
 
 
 class TestBuildCycle:

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oppwalk.errors import EstimationError, ParameterError
+from oppwalk.errors import DisconnectedGraphError, EstimationError, ParameterError
 from oppwalk.graphs import Graph, TorusSpec, build_cycle, build_torus
 from oppwalk.latency import (
     expected_packet_delay,
@@ -11,14 +11,12 @@ from oppwalk.latency import (
     hitting_times_linear_system,
 )
 from oppwalk.walker import (
-    WalkConfig,
     _estimate,
     _pair_rng,
     _pair_schedule,
     _run_walks,
-    _walk_tables,
+    _step_cap,
     estimate_mean_latency,
-    simulate_walk,
 )
 from oppwalk.wireless import WirelessConfig, generate_topology
 
@@ -27,84 +25,124 @@ def path2():
     return Graph(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
-def estimate_hitting(g, s, t, config):
-    """Monte-Carlo hitting time of one ordered pair: config.trials walks
-    from s to t in one batch of the walker's kernel, drawn from the pair's
-    own substream (spawn key s * n + t)."""
+def weighted4():
+    w = np.zeros((4, 4))
+    w[0, 1] = w[1, 0] = 1.0
+    w[0, 2] = w[2, 0] = 2.0
+    w[0, 3] = w[3, 0] = 3.0
+    w[1, 2] = w[2, 1] = 1.0
+    return Graph(w)
+
+
+def two_edges():
+    """0-1 and 2-3: two components, so 0 never reaches 2."""
+    w = np.zeros((4, 4))
+    w[0, 1] = w[1, 0] = 1.0
+    w[2, 3] = w[3, 2] = 1.0
+    return Graph(w)
+
+
+def estimate_hitting(g, s, t, trials, seed):
+    """Monte-Carlo hitting time of one ordered pair: trials walks from s to
+    t in one batch of the walker's kernel, drawn from the pair's own
+    substream (spawn key s * n + t)."""
     steps, truncated = _run_walks(
-        g, np.full(config.trials, s), np.full(config.trials, t),
-        config.resolved_max_steps(g.n), _pair_rng(config.seed, s * g.n + t))
+        g, np.full(trials, s), np.full(trials, t), _step_cap(g.n),
+        _pair_rng(seed, s * g.n + t))
     return _estimate(steps, truncated)
 
 
 class TestWalkConfig:
+    """The walk's settings: trials and seed, and the step cap."""
+
     def test_rejects_bad_trials(self):
         with pytest.raises(ParameterError):
-            WalkConfig(trials=0)
+            estimate_mean_latency(build_cycle(5, 1), 0, 0)
 
     def test_default_cap(self):
-        assert WalkConfig(trials=1).resolved_max_steps(30) == 100 * 30 * 30
+        assert _step_cap(30) == 90_000
+
+
+class TestGraphChecks:
+    """estimate_mean_latency takes connected 0/1 graphs only."""
+
+    def test_rejects_weighted_graph(self):
+        with pytest.raises(ParameterError, match="uniformly"):
+            estimate_mean_latency(weighted4(), 1000, 0)
+
+    def test_rejects_disconnected_graph(self):
+        # two disjoint triangles: walks across components would run to the
+        # 100 n^2 step cap; the estimate is refused before any walk
+        w = np.zeros((6, 6))
+        for a, b in ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)):
+            w[a, b] = w[b, a] = 1.0
+        with pytest.raises(DisconnectedGraphError):
+            estimate_mean_latency(Graph(w), 200, 0)
 
 
 class TestSimulateWalk:
+    """Single simulated walks through _run_walks, the one kernel behind
+    every estimate."""
+
     def test_two_node_path_always_one_step(self):
-        g = path2()
-        rng = np.random.default_rng(0)
-        assert all(simulate_walk(g, 0, 1, rng) == 1 for _ in range(20))
+        steps, truncated = _run_walks(path2(), np.zeros(20), np.ones(20),
+                                      _step_cap(2), np.random.default_rng(0))
+        assert steps.tolist() == [1] * 20 and truncated == 0
 
     def test_same_node_returns_zero(self):
-        rng = np.random.default_rng(0)
-        assert simulate_walk(build_cycle(5, 1), 2, 2, rng) == 0
-
-    def test_invalid_node_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ParameterError):
-            simulate_walk(build_cycle(5, 1), 0, 9, rng)
+        steps, _ = _run_walks(build_cycle(5, 1), [2], [2], _step_cap(5),
+                              np.random.default_rng(0))
+        assert steps.tolist() == [0]
 
     def test_cap_respected(self):
-        # s can never reach t across components; walk stops at the cap
-        w = np.zeros((4, 4))
-        w[0, 1] = w[1, 0] = 1.0
-        w[2, 3] = w[3, 2] = 1.0
-        g = Graph(w)
-        rng = np.random.default_rng(1)
-        assert simulate_walk(g, 0, 2, rng, max_steps=50) == 50
+        # s can never reach t across components; the walk stops at the cap
+        # and counts as truncated
+        steps, truncated = _run_walks(two_edges(), [0], [2], 50,
+                                      np.random.default_rng(1))
+        assert steps.tolist() == [50] and truncated == 1
 
-    @pytest.mark.parametrize("max_steps", [0, -5])
-    def test_rejects_bad_cap(self, max_steps):
-        rng = np.random.default_rng(11)
-        with pytest.raises(ParameterError):
-            simulate_walk(build_cycle(9, 1), 0, 4, rng, max_steps=max_steps)
+
+def test_uniform_next_hop_frequencies():
+    # cap 1 from node 0 towards t: a walk arrives iff its first hop is t,
+    # which happens with probability 1/deg(0) for a neighbor (within
+    # 3-sigma binomial bounds over 1e5 draws) and never otherwise
+    g = build_torus(TorusSpec([5, 6], 2))
+    indptr, indices = g.csr
+    neighbors = indices[indptr[0]:indptr[1]].tolist()
+    p = 1.0 / len(neighbors)
+    draws = 100000
+    for t in [*neighbors, 7]:
+        _, truncated = _run_walks(g, np.zeros(draws), np.full(draws, t),
+                                  1, np.random.default_rng(123 + t))
+        count = draws - truncated
+        if t in neighbors:
+            sigma = np.sqrt(draws * p * (1 - p))
+            assert abs(count - draws * p) <= 3 * sigma
+        else:
+            assert count == 0
 
 
 class TestEstimateHitting:
     """Per-pair walks of the kernel against exact hitting times."""
 
     def test_k3_sample_mean(self):
-        est = estimate_hitting(build_cycle(3, 1), 0, 1,
-                               WalkConfig(trials=100000, seed=42))
+        est = estimate_hitting(build_cycle(3, 1), 0, 1, 100000, 42)
         assert 1.96 <= est.mean <= 2.04
         assert est.truncated == 0
 
     def test_c4_antipodal(self):
-        est = estimate_hitting(build_cycle(4, 1), 0, 2,
-                               WalkConfig(trials=100000, seed=42))
+        est = estimate_hitting(build_cycle(4, 1), 0, 2, 100000, 42)
         assert est.mean == pytest.approx(4.0, rel=0.02)
 
     def test_seeded_determinism(self):
-        cfg = WalkConfig(trials=5000, seed=42)
         g = build_cycle(3, 1)
-        a = estimate_hitting(g, 0, 1, cfg)
-        b = estimate_hitting(g, 0, 1, cfg)
+        a = estimate_hitting(g, 0, 1, 5000, 42)
+        b = estimate_hitting(g, 0, 1, 5000, 42)
         assert a == b
 
     def test_all_truncated_raises(self):
-        w = np.zeros((4, 4))
-        w[0, 1] = w[1, 0] = 1.0
-        w[2, 3] = w[3, 2] = 1.0
         with pytest.raises(EstimationError):
-            estimate_hitting(Graph(w), 0, 2,
-                             WalkConfig(trials=10, seed=1, max_steps=20))
+            estimate_hitting(two_edges(), 0, 2, 10, 1)
 
     def test_ci_calibration_c8_2(self):
         # 95% CI should cover the analytic value in >= 90 of 100 seeds
@@ -112,7 +150,7 @@ class TestEstimateHitting:
         target = hitting_times(g)[0, 5]
         hits = 0
         for seed in range(100):
-            est = estimate_hitting(g, 0, 5, WalkConfig(trials=2000, seed=seed))
+            est = estimate_hitting(g, 0, 5, 2000, seed)
             if abs(est.mean - target) <= est.ci_halfwidth:
                 hits += 1
         assert hits >= 90
@@ -122,7 +160,7 @@ class TestEstimateHitting:
         target = hitting_times_linear_system(g)[0, 3]
         errors, cis = [], []
         for trials in (1000, 10000, 100000):
-            est = estimate_hitting(g, 0, 3, WalkConfig(trials=trials, seed=3))
+            est = estimate_hitting(g, 0, 3, trials, 3)
             errors.append(abs(est.mean - target))
             cis.append(est.ci_halfwidth)
         assert cis[0] > cis[1] > cis[2]
@@ -131,31 +169,29 @@ class TestEstimateHitting:
 
 class TestEstimateMeanLatency:
     def test_k3_close_to_epd(self):
-        est = estimate_mean_latency(build_cycle(3, 1),
-                                    WalkConfig(trials=100000, seed=42))
+        est = estimate_mean_latency(build_cycle(3, 1), 100000, 42)
         assert est.mean == pytest.approx(2.0, rel=0.02)
 
     def test_c4_close_to_epd(self):
-        est = estimate_mean_latency(build_cycle(4, 1),
-                                    WalkConfig(trials=100000, seed=42))
+        est = estimate_mean_latency(build_cycle(4, 1), 100000, 42)
         assert est.mean == pytest.approx(10 / 3, rel=0.02)
 
     def test_seeded_determinism(self):
         g = build_torus(TorusSpec([4, 4], 1))
-        cfg = WalkConfig(trials=20000, seed=7)
-        assert estimate_mean_latency(g, cfg) == estimate_mean_latency(g, cfg)
+        assert (estimate_mean_latency(g, 20000, 7)
+                == estimate_mean_latency(g, 20000, 7))
 
     def test_no_truncation_on_connected_graphs(self):
         for g in (build_cycle(5, 1), build_cycle(12, 2),
                   build_torus(TorusSpec([3, 3], 1))):
-            est = estimate_mean_latency(g, WalkConfig(trials=5000, seed=11))
+            est = estimate_mean_latency(g, 5000, 11)
             assert est.truncated == 0
 
     def test_sampled_pair_mode(self):
         # fewer trials than the 4032 ordered pairs: the walks go to distinct
         # sampled pairs, and the mean still lands on EPD
         g = build_torus(TorusSpec([8, 8], 1))
-        est = estimate_mean_latency(g, WalkConfig(trials=2000, seed=5))
+        est = estimate_mean_latency(g, 2000, 5)
         assert est.trials_used == 2000
         epd = expected_packet_delay(g)
         assert abs(est.mean - epd) <= 4 * est.ci_halfwidth / 1.96
@@ -237,73 +273,21 @@ class TestPairSchedule:
         assert np.unique(starts * n + targets).size == trials
 
 
-def weighted4():
-    w = np.zeros((4, 4))
-    w[0, 1] = w[1, 0] = 1.0
-    w[0, 2] = w[2, 0] = 2.0
-    w[0, 3] = w[3, 0] = 3.0
-    w[1, 2] = w[2, 1] = 1.0
-    return Graph(w)
-
-
-def test_uniform_next_hop_frequencies():
-    # empirical next-hop distribution from a fixed node, drawn through the
-    # alias table, matches P's row within 3-sigma multinomial bounds over
-    # 1e5 draws
-    g = weighted4()
-    tables = _walk_tables(g)
-    assert tables.prob is not None
-    rng = np.random.default_rng(123)
-    draws = 100000
-    chosen = tables.next_hops(np.zeros(draws, dtype=np.intp), rng.random(draws))
-    probs = g.weights[0] / g.degrees[0]
-    for node in (1, 2, 3):
-        count = int((chosen == node).sum())
-        expected = draws * probs[node]
-        sigma = np.sqrt(draws * probs[node] * (1 - probs[node]))
-        assert abs(count - expected) <= 3 * sigma
-    assert set(np.unique(chosen)) == {1, 2, 3}
-
-
-def test_alias_table_reproduces_transition_rows():
-    # column c of row u sends prob/d to its own neighbor and the rest to
-    # its alias; summed over the row this is exactly P[u]
-    g = weighted4()
-    indptr, indices = g.csr
-    prob, alias = g.alias_table
-    for u in range(g.n):
-        d = indptr[u + 1] - indptr[u]
-        row = np.zeros(g.n)
-        for k in range(indptr[u], indptr[u + 1]):
-            row[indices[k]] += prob[k] / d
-            row[alias[k]] += (1.0 - prob[k]) / d
-        np.testing.assert_allclose(row, g.weights[u] / g.degrees[u],
-                                   atol=1e-15)
-
-
-def test_weighted_hitting_matches_linear_system():
-    g = weighted4()
-    target = hitting_times_linear_system(g)
-    for s, t in ((0, 1), (1, 3), (3, 2)):
-        est = estimate_hitting(g, s, t, WalkConfig(trials=40000, seed=9))
-        assert abs(est.mean - target[s, t]) <= 4 * est.ci_halfwidth / 1.96
-
-
 class TestGoldenStream:
     """Seeded MC values on binary graphs, pinned across kernel rewrites:
     one uniform per active walk per step, in ascending walk order."""
 
     def test_mean_latency_torus(self):
         est = estimate_mean_latency(build_torus(TorusSpec([4, 4], 1)),
-                                    WalkConfig(trials=20000, seed=7))
+                                    20000, 7)
         assert est.mean == 18.29895
         assert est.ci_halfwidth == 0.25444183905803996
 
     def test_hitting_cycle(self):
-        est = estimate_hitting(build_cycle(12, 2), 0, 5,
-                               WalkConfig(trials=5000, seed=3))
+        est = estimate_hitting(build_cycle(12, 2), 0, 5, 5000, 3)
         assert est.mean == 18.1266
 
     def test_simulate_walk(self):
-        assert simulate_walk(build_cycle(9, 1), 0, 4,
-                             np.random.default_rng(11)) == 18
+        steps, _ = _run_walks(build_cycle(9, 1), [0], [4], _step_cap(9),
+                              np.random.default_rng(11))
+        assert steps.tolist() == [18]
