@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import math
-import os
 import sys
 from dataclasses import replace
 
@@ -33,9 +31,6 @@ import numpy as np
 
 from . import graphs, latency, spectral, walker, wireless
 from .errors import ParameterError
-
-DEFAULT_NODE_CAP = 4096
-NODE_CAP_ENV = "OPPWALK_NODE_CAP"
 
 CSV_HEADER = "family,params,analytic,lower,upper,oracle,mc_mean,mc_ci,trials"
 
@@ -123,48 +118,46 @@ def _mc_estimate(g, trials: int, seed: int, label: str) -> walker.WalkEstimate:
 # cycle and torus sweeps
 
 
-def _lattice_row(args, family, params, dims, build, analytic, bounds) -> str:
-    """One row in the units of T.  build() makes the graph over the axis
-    sizes dims for the FFT oracle and, with --trials, the Monte-Carlo
-    columns; above the node cap it is never called and those columns read
-    "skipped"."""
-    oracle = mc_mean = mc_ci = trials = None
-    if math.prod(dims) > args.node_cap:
-        oracle = "skipped"
+def _lattice_row(args, family, params, spec) -> str:
+    """One row of the lattice spec (a cycle is the one-axis torus) in the
+    units of T: the closed-form mean latency and bounds, then the FFT
+    oracle of the built graph and, with --trials, the Monte-Carlo columns.
+    Above the node cap the graph is never built and those columns read
+    "skipped"; bounds-check takes no node cap and writes only the closed
+    forms."""
+    cells = {"analytic": latency.mean_latency_torus(spec)}
+    cells["lower"], cells["upper"] = latency.torus_latency_bounds(spec)
+    if "node_cap" not in vars(args):
+        pass  # bounds-check: the closed forms only
+    elif spec.n > args.node_cap:
+        cells["oracle"] = "skipped"
         if args.trials:
-            mc_mean = mc_ci = "skipped"
+            cells["mc_mean"] = cells["mc_ci"] = "skipped"
     else:
-        g = build()
-        oracle = latency.mean_latency_circulant(g, dims)
+        g = graphs.build_torus(spec)
+        cells["oracle"] = latency.mean_latency_circulant(g, spec.dims)
         if args.trials:
             est = _mc_estimate(g, args.trials, args.seed, f"{family} {params}")
             # Walks count hops; the commute-time identity EPD = (vol/2) * T
             # turns them into the resistance units of the analytic column.
             edge_weight = g.degrees.sum() / 2
-            mc_mean = est.mean / edge_weight
-            mc_ci = est.ci_halfwidth / edge_weight
-            trials = est.trials_used
-    lower, upper = bounds
-    return _row(family, params, analytic=analytic, lower=lower, upper=upper,
-                oracle=oracle, mc_mean=mc_mean, mc_ci=mc_ci, trials=trials)
+            cells.update(mc_mean=est.mean / edge_weight,
+                         mc_ci=est.ci_halfwidth / edge_weight,
+                         trials=est.trials_used)
+    return _row(family, params, **cells)
 
 
 def _cycle_rows(args):
     for n, r in itertools.product(parse_range(args.n, int),
                                   parse_range(args.r, int)):
-        yield _lattice_row(args, "cycle", f"n={n};r={r}", (n,),
-                           lambda: graphs.build_cycle(n, r),
-                           latency.mean_latency_cycle(n, r),
-                           latency.cycle_latency_bounds(n, r))
+        yield _lattice_row(args, "cycle", f"n={n};r={r}",
+                           graphs.TorusSpec((n,), r))
 
 
 def _torus_row(args, dims, r) -> str:
-    tspec = graphs.TorusSpec(dims, r)
+    spec = graphs.TorusSpec(dims, r)
     params = f"dims={'x'.join(str(k) for k in dims)};r={r}"
-    return _lattice_row(args, "torus", params, tspec.dims,
-                        lambda: graphs.build_torus(tspec),
-                        latency.mean_latency_torus(tspec),
-                        latency.torus_latency_bounds(tspec))
+    return _lattice_row(args, "torus", params, spec)
 
 
 def _torus_rows(args):
@@ -178,15 +171,6 @@ def _dimension_rows(args):
     for r in parse_range(args.r, int):
         for m in range(1, len(dims) + 1):
             yield _torus_row(args, dims[:m], r)
-
-
-def _bounds_rows(args):
-    for n, r in itertools.product(parse_range(args.n, int),
-                                  parse_range(args.r, int)):
-        lower, upper = latency.cycle_latency_bounds(n, r)
-        yield _row("cycle", f"n={n};r={r}",
-                   analytic=latency.mean_latency_cycle(n, r),
-                   lower=lower, upper=upper)
 
 
 # ---------------------------------------------------------------------------
@@ -292,24 +276,9 @@ def _walk_validate_rows(args):
                    trials=est.trials_used)
 
 
-def _node_cap(flag) -> int:
-    if flag is not None:
-        return flag
-    text = os.environ.get(NODE_CAP_ENV)
-    if text is None:
-        return DEFAULT_NODE_CAP
-    try:
-        return _count(0)(text)
-    except (ValueError, argparse.ArgumentTypeError):
-        raise ParameterError(
-            f"{NODE_CAP_ENV} must be an integer >= 0, got {text!r}") from None
-
-
 def run(args) -> str:
     """Write CSV_HEADER and the rows of one parsed sweep command to
     args.out ('-' is stdout) and return the CSV text."""
-    if "node_cap" in vars(args):
-        args.node_cap = _node_cap(args.node_cap)
     text = "\n".join([CSV_HEADER, *args.rows(args)]) + "\n"
     _write(args.out, text)
     return text
@@ -355,9 +324,9 @@ def _add_trials(p, default=None) -> None:
 
 
 def _add_mc(p) -> None:
-    p.add_argument("--node-cap", type=_count(0), default=None,
+    p.add_argument("--node-cap", type=_count(0), default=4096,
                    help="skip the FFT-oracle and MC columns above this size "
-                        f"(default ${NODE_CAP_ENV}, else {DEFAULT_NODE_CAP})")
+                        "(default 4096)")
     _add_trials(p)
 
 
@@ -397,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", default="1:4", help="neighbor radius or range")
     _add_mc(p)
 
-    p = _sweep(sub, "bounds-check", _bounds_rows,
+    p = _sweep(sub, "bounds-check", _cycle_rows,
                "closed-form bounds vs latency")
     p.add_argument("--n", required=True)
     p.add_argument("--r", required=True)
@@ -451,13 +420,12 @@ def _run_spectrum_export(args) -> None:
     if args.family == "cycle":
         if args.n is None:
             raise ParameterError("--n is required for family=cycle")
-        vals = spectral.cycle_laplacian_eigenvalues(args.n, args.r)
+        dims = [args.n]
     else:
         if not args.dims:
             raise ParameterError("--dims is required for family=torus")
         dims = [_parse_value(k, int, args.dims) for k in args.dims.split("x")]
-        vals = spectral.torus_laplacian_eigenvalues(
-            graphs.TorusSpec(dims, args.r))
+    vals = spectral.torus_laplacian_eigenvalues(graphs.TorusSpec(dims, args.r))
     _write(args.out, "".join(f"{v:.17g}\n" for v in np.sort(vals)))
 
 

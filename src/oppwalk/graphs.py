@@ -8,6 +8,9 @@ use the same convention.
 """
 from __future__ import annotations
 
+import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -112,15 +115,15 @@ class TorusSpec:
         object.__setattr__(self, "r", int(r))
         if len(self.dims) < 1:
             raise ParameterError("dims must contain at least one axis size")
-        if any(k < 3 for k in self.dims):
-            raise ParameterError("every axis size k_i must be >= 3")
+        k = min(self.dims)
+        got = f"(got r={self.r}, min k={k})"
+        if k < 3:
+            raise ParameterError(f"every axis size k_i must be >= 3 {got}")
         if self.r < 1:
-            raise ParameterError("neighbor radius r must be >= 1")
-        if 2 * self.r + 1 > min(self.dims):
+            raise ParameterError(f"neighbor radius r must be >= 1 {got}")
+        if 2 * self.r + 1 > k:
             raise ParameterError(
-                "2r+1 must not exceed the smallest axis size "
-                f"(got r={self.r}, min k={min(self.dims)})"
-            )
+                f"2r+1 must not exceed the smallest axis size {got}")
 
     @property
     def m(self) -> int:
@@ -128,10 +131,7 @@ class TorusSpec:
 
     @property
     def n(self) -> int:
-        out = 1
-        for k in self.dims:
-            out *= k
-        return out
+        return math.prod(self.dims)
 
 
 def build_cycle(n: int, r: int) -> Graph:
@@ -139,16 +139,6 @@ def build_cycle(n: int, r: int) -> Graph:
 
     Adjacency is circulant and 2r-regular: the one-axis torus.
     """
-    n, r = int(n), int(r)
-    if n < 3:
-        raise ParameterError(f"cycle needs n >= 3 nodes, got n={n}")
-    if r < 1:
-        raise ParameterError(f"neighbor radius must be >= 1, got r={r}")
-    if 2 * r + 1 > n:
-        raise ParameterError(
-            f"2r+1 <= n required to avoid duplicate wrap-around edges "
-            f"(got n={n}, r={r})"
-        )
     return build_torus(TorusSpec((n,), r))
 
 
@@ -192,18 +182,24 @@ def torus_neighbors(spec: TorusSpec, index) -> np.ndarray:
     return np.sort(np.stack(out, axis=-1), axis=-1)
 
 
+@contextmanager
+def _text_file(path_or_buf, mode: str):
+    """A path (str, bytes or os.PathLike) opened in mode for the body of
+    the with block, or an open text buffer as it is."""
+    if isinstance(path_or_buf, (str, bytes, os.PathLike)):
+        with open(path_or_buf, mode) as f:
+            yield f
+    else:
+        yield path_or_buf
+
+
 def save_edge_list(g: Graph, path_or_buf) -> None:
     """Write the plain-text edge list: `n <count>` header then `i j w` rows."""
-    if isinstance(path_or_buf, (str, bytes)):
-        with open(path_or_buf, "w") as f:
-            save_edge_list(g, f)
-        return
-    buf = path_or_buf
-    buf.write(f"n {g.n}\n")
     rows, cols = np.nonzero(np.triu(g.weights))
-    for i, j in zip(rows, cols):
-        w = g.weights[i, j]
-        buf.write(f"{i} {j} {w:.17g}\n")
+    with _text_file(path_or_buf, "w") as buf:
+        buf.write(f"n {g.n}\n")
+        for i, j in zip(rows, cols):
+            buf.write(f"{i} {j} {g.weights[i, j]:.17g}\n")
 
 
 def _fields(no: int, line: str, kinds) -> list:
@@ -220,11 +216,8 @@ def _fields(no: int, line: str, kinds) -> list:
 
 def load_edge_list(path_or_buf) -> Graph:
     """Read a graph from the edge-list format written by save_edge_list."""
-    if isinstance(path_or_buf, (str, bytes)):
-        with open(path_or_buf) as f:
-            return load_edge_list(f)
-    lines = [(no, ln.strip()) for no, ln in enumerate(path_or_buf, 1)
-             if ln.strip()]
+    with _text_file(path_or_buf, "r") as f:
+        lines = [(no, ln.strip()) for no, ln in enumerate(f, 1) if ln.strip()]
     if not lines or lines[0][1].split()[0] != "n":
         raise ValidationError("edge list must start with a 'n <count>' header")
     _, n = _fields(*lines[0], (str, int))

@@ -125,9 +125,9 @@ def mean_latency_circulant(g: Graph, dims) -> float:
 
 
 def mean_latency_cycle(n: int, r: int) -> float:
-    """Closed-form mean latency of the r-nearest-neighbor cycle."""
-    vals = cycle_laplacian_eigenvalues(n, r)
-    return 2.0 / (n - 1) * float(np.sum(1.0 / vals[1:]))
+    """Closed-form mean latency of the r-nearest-neighbor cycle, the
+    one-axis torus."""
+    return mean_latency_torus(TorusSpec((n,), r))
 
 
 def mean_latency_torus(spec: TorusSpec) -> float:
@@ -140,24 +140,19 @@ def mean_latency_torus(spec: TorusSpec) -> float:
     return 2.0 / (spec.n - 1) * float(np.sum(1.0 / vals[1:]))
 
 
-def _bounds_from_lam1(n: int, lam1: float) -> tuple[float, float]:
-    return 2.0 / ((n - 1) * lam1), 2.0 / lam1
-
-
 def cycle_latency_bounds(n: int, r: int) -> tuple[float, float]:
-    """Closed-form sandwich bounds for the cycle from its smallest nonzero
-    eigenvalue lam_1 = 4 * sum_{i=1..r} sin^2(pi i / n)."""
-    lam1 = float(cycle_laplacian_eigenvalues(n, r, [1])[0])
-    return _bounds_from_lam1(int(n), lam1)
+    """Sandwich bounds of the r-nearest-neighbor cycle, the one-axis torus."""
+    return torus_latency_bounds(TorusSpec((n,), r))
 
 
 def torus_latency_bounds(spec: TorusSpec) -> tuple[float, float]:
-    """Sandwich bounds from the smallest nonzero closed-form eigenvalue."""
-    lam1 = min(
-        float(cycle_laplacian_eigenvalues(k, spec.r)[1:].min())
-        for k in spec.dims
-    )
-    return _bounds_from_lam1(spec.n, lam1)
+    """Sandwich bounds 2/((n-1) lam_1) <= T <= 2/lam_1 from the smallest
+    nonzero closed-form eigenvalue lam_1.  Along an axis of size k that is
+    the j = 1 value 4 * sum_{i=1..r} sin^2(pi i / k), and the torus takes
+    the smallest over its axes."""
+    lam1 = min(float(cycle_laplacian_eigenvalues(k, spec.r, [1])[0])
+               for k in spec.dims)
+    return 2.0 / ((spec.n - 1) * lam1), 2.0 / lam1
 
 
 def hitting_times(g: Graph) -> np.ndarray:

@@ -53,12 +53,10 @@ def cycle_laplacian_eigenvalues(n: int, r: int, j=None) -> np.ndarray:
     """Closed-form Laplacian eigenvalues of the r-nearest-neighbor cycle.
 
     j may be an index array; default is 0..n-1 (unsorted, natural order).
+    n and r are checked as the one-axis torus TorusSpec((n,), r).
     """
-    n, r = int(n), int(r)
-    if n < 3 or r < 1 or 2 * r + 1 > n:
-        raise ParameterError(
-            f"cycle spectrum needs n >= 3, r >= 1, 2r+1 <= n (got n={n}, r={r})"
-        )
+    spec = TorusSpec((n,), r)
+    n, r = spec.n, spec.r
     j = np.arange(n) if j is None else np.asarray(j)
     out = np.zeros(j.shape)
     for i in range(1, r + 1):

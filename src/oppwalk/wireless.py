@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .graphs import Graph
+from .graphs import Graph, _text_file
 
 __all__ = [
     "WirelessConfig",
@@ -272,11 +272,7 @@ def load_config(path) -> WirelessConfig:
 
 def save_positions(placement: Placement, path_or_buf) -> None:
     """Write positions as CSV rows `i,x,y`."""
-    if isinstance(path_or_buf, (str, bytes)):
-        with open(path_or_buf, "w") as f:
-            save_positions(placement, f)
-        return
-    buf = path_or_buf
-    buf.write("i,x,y\n")
-    for i, (x, y) in enumerate(placement.positions):
-        buf.write(f"{i},{x:.17g},{y:.17g}\n")
+    with _text_file(path_or_buf, "w") as buf:
+        buf.write("i,x,y\n")
+        for i, (x, y) in enumerate(placement.positions):
+            buf.write(f"{i},{x:.17g},{y:.17g}\n")

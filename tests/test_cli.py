@@ -120,30 +120,12 @@ class TestUsageErrors:
         code, _, err = run_cli(["cycle-sweep", "--n", "4", "--r", "5"], capsys)
         assert code == 2
 
-    def test_bad_node_cap_env_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("OPPWALK_NODE_CAP", "abc")
-        code, _, err = run_cli(["cycle-sweep", "--n", "10", "--r", "1"], capsys)
-        assert code == 2
-        assert err.startswith("usage error:") and "OPPWALK_NODE_CAP" in err
-
-    def test_negative_node_cap_env_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("OPPWALK_NODE_CAP", "-5")
-        code, _, err = run_cli(["cycle-sweep", "--n", "10", "--r", "1"], capsys)
-        assert code == 2
-        assert err.startswith("usage error:") and "OPPWALK_NODE_CAP" in err
-
     def test_negative_node_cap_flag_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(["torus-sweep", "--dims", "10x8", "--r", "1",
                      "--node-cap", "-5"], capsys)
         assert exc.value.code == 2
         assert "--node-cap" in capsys.readouterr().err
-
-    def test_node_cap_env_honored(self, capsys, monkeypatch):
-        monkeypatch.setenv("OPPWALK_NODE_CAP", "5")
-        code, out, _ = run_cli(["cycle-sweep", "--n", "10", "--r", "1"], capsys)
-        assert code == 0
-        assert out.splitlines()[1].split(",")[5] == "skipped"
 
     @pytest.mark.parametrize("argv", [
         ["cycle-sweep", "--n", "10:abc", "--r", "1"],

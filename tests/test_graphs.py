@@ -1,4 +1,5 @@
 import io
+import pathlib
 
 import numpy as np
 import pytest
@@ -298,10 +299,11 @@ class TestConnectivity:
 class TestEdgeListFormat:
     def test_round_trip(self, tmp_path):
         g = build_cycle(7, 2)
-        path = tmp_path / "g.edges"
-        save_edge_list(g, str(path))
-        loaded = load_edge_list(str(path))
-        assert np.array_equal(loaded.weights, g.weights)
+        for as_path in (str, pathlib.Path):
+            path = as_path(tmp_path / f"g-{as_path.__name__}.edges")
+            save_edge_list(g, path)
+            loaded = load_edge_list(path)
+            assert np.array_equal(loaded.weights, g.weights)
 
     def test_header_and_rows(self):
         g = Graph(np.array([[0.0, 0.5], [0.5, 0.0]]))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pathlib
 import re
 import warnings
 
@@ -428,11 +429,12 @@ class TestConfigFile:
 def test_save_positions_csv(tmp_path):
     cfg = WirelessConfig(n=3)
     pl = place_nodes(cfg, 1)
-    path = tmp_path / "pos.csv"
-    save_positions(pl, str(path))
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "i,x,y"
-    assert len(lines) == 4
-    i, x, y = lines[1].split(",")
-    assert i == "0"
-    assert float(x) == pl.positions[0, 0]
+    for as_path in (str, pathlib.Path):
+        path = tmp_path / f"pos-{as_path.__name__}.csv"
+        save_positions(pl, as_path(path))
+        lines = path.read_text().strip().split("\n")
+        assert lines[0] == "i,x,y"
+        assert len(lines) == 4
+        i, x, y = lines[1].split(",")
+        assert i == "0"
+        assert float(x) == pl.positions[0, 0]
