@@ -7,7 +7,7 @@ Every sweep row uses the fixed column schema
 
 and one unit per row: cycle, torus and dimension sweeps and bounds-check
 write the mean latency T (resistance units), with Monte-Carlo hops divided
-by the total edge weight vol/2 (EPD = (vol/2) * T); wireless sweeps and
+by the edge count vol/2 (EPD = (vol/2) * T); wireless sweeps and
 walk-validate write the expected packet delay in hops.  The mc_ci of a
 wireless ensemble row is the 95% CI halfwidth of the ensemble mean.
 
@@ -138,11 +138,11 @@ def _lattice_row(args, family, params, spec) -> str:
         cells["oracle"] = latency.mean_latency_circulant(g, spec.dims)
         if args.trials:
             est = _mc_estimate(g, args.trials, args.seed, f"{family} {params}")
-            # Walks count hops; the commute-time identity EPD = (vol/2) * T
-            # turns them into the resistance units of the analytic column.
-            edge_weight = g.degrees.sum() / 2
-            cells.update(mc_mean=est.mean / edge_weight,
-                         mc_ci=est.ci_halfwidth / edge_weight,
+            # Walks count hops; the commute-time identity EPD = (vol/2) * T,
+            # vol/2 the edge count, turns them into the units of T.
+            edges = g.degrees.sum() / 2
+            cells.update(mc_mean=est.mean / edges,
+                         mc_ci=est.ci_halfwidth / edges,
                          trials=est.trials_used)
     return _row(family, params, **cells)
 
@@ -420,10 +420,14 @@ def _run_spectrum_export(args) -> None:
     if args.family == "cycle":
         if args.n is None:
             raise ParameterError("--n is required for family=cycle")
+        if args.dims is not None:
+            raise ParameterError("--dims does not apply to family=cycle")
         dims = [args.n]
     else:
         if not args.dims:
             raise ParameterError("--dims is required for family=torus")
+        if args.n is not None:
+            raise ParameterError("--n does not apply to family=torus")
         dims = [_parse_value(k, int, args.dims) for k in args.dims.split("x")]
     vals = spectral.torus_laplacian_eigenvalues(graphs.TorusSpec(dims, args.r))
     _write(args.out, "".join(f"{v:.17g}\n" for v in np.sort(vals)))

@@ -9,6 +9,7 @@ use the same convention.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -29,32 +30,24 @@ __all__ = [
     "load_edge_list",
 ]
 
-_SYM_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Graph:
-    """Symmetric weighted graph with zero diagonal, immutable after creation."""
+    """Undirected simple graph: symmetric 0/1 weights with zero diagonal."""
 
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = np.array(self.weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 1:
             raise ValidationError("weights must be a square matrix")
-        scale = np.abs(w).max()
-        if not np.isfinite(scale):
-            raise ValidationError("weights must be finite (no NaN or inf)")
-        if scale > np.finfo(float).max / w.shape[0]:
-            # keeps w + w.T and every degree (n - 1 terms) finite
-            raise ValidationError("weights too large: degrees would overflow")
-        if scale > 0 and np.abs(w - w.T).max() > _SYM_TOL * scale:
+        bad = w[(w != 0.0) & (w != 1.0)]
+        if bad.size:
+            raise ValidationError(f"weights must be finite 0/1, not {bad[0]:g}")
+        if not np.array_equal(w, w.T):
             raise ValidationError("weight matrix must be symmetric")
-        w = 0.5 * (w + w.T)
-        if np.any(np.diag(w) != 0.0):
+        if w.diagonal().any():
             raise ValidationError("weight matrix must have zero diagonal")
-        if np.any(w < 0.0):
-            raise ValidationError("weights must be nonnegative")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -67,10 +60,6 @@ class Graph:
         d = self.weights.sum(axis=1)
         d.setflags(write=False)
         return d
-
-    @cached_property
-    def is_binary(self) -> bool:
-        return bool(np.all((self.weights == 0.0) | (self.weights == 1.0)))
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -103,6 +92,16 @@ class Graph:
         return connected
 
 
+def _integer(value, name: str) -> int:
+    """value as an int if it is a Python or numpy integer; anything else,
+    such as 7.9, is a ParameterError that names it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(
+            f"{name} must be an integer (got {value!r})") from None
+
+
 @dataclass(frozen=True)
 class TorusSpec:
     """An m-dimensional torus: per-axis sizes and neighbor radius r."""
@@ -111,8 +110,9 @@ class TorusSpec:
     r: int
 
     def __init__(self, dims, r: int):
-        object.__setattr__(self, "dims", tuple(int(k) for k in dims))
-        object.__setattr__(self, "r", int(r))
+        object.__setattr__(self, "dims",
+                           tuple(_integer(k, "axis size") for k in dims))
+        object.__setattr__(self, "r", _integer(r, "neighbor radius r"))
         if len(self.dims) < 1:
             raise ParameterError("dims must contain at least one axis size")
         k = min(self.dims)
@@ -194,12 +194,12 @@ def _text_file(path_or_buf, mode: str):
 
 
 def save_edge_list(g: Graph, path_or_buf) -> None:
-    """Write the plain-text edge list: `n <count>` header then `i j w` rows."""
+    """Write the plain-text edge list: `n <count>` header then `i j 1` rows."""
     rows, cols = np.nonzero(np.triu(g.weights))
     with _text_file(path_or_buf, "w") as buf:
         buf.write(f"n {g.n}\n")
         for i, j in zip(rows, cols):
-            buf.write(f"{i} {j} {g.weights[i, j]:.17g}\n")
+            buf.write(f"{i} {j} 1\n")
 
 
 def _fields(no: int, line: str, kinds) -> list:
@@ -215,7 +215,8 @@ def _fields(no: int, line: str, kinds) -> list:
 
 
 def load_edge_list(path_or_buf) -> Graph:
-    """Read a graph from the edge-list format written by save_edge_list."""
+    """Read a graph from the edge-list format written by save_edge_list.
+    Every line is checked before the n x n matrix is allocated."""
     with _text_file(path_or_buf, "r") as f:
         lines = [(no, ln.strip()) for no, ln in enumerate(f, 1) if ln.strip()]
     if not lines or lines[0][1].split()[0] != "n":
@@ -223,21 +224,20 @@ def load_edge_list(path_or_buf) -> Graph:
     _, n = _fields(*lines[0], (str, int))
     if n < 1:
         raise ValidationError("node count must be positive")
-    weights = np.zeros((n, n))
-    seen = set()
+    pairs = set()
     for no, ln in lines[1:]:
         i, j, w = _fields(no, ln, (int, int, float))
         if not (0 <= i < n and 0 <= j < n):
             raise ValidationError(f"node index out of range on line {no}: {ln!r}")
         if i == j:
             raise ValidationError(f"self-loop on line {no}: {ln!r}")
-        if not 0.0 <= w < np.inf:
-            raise ValidationError(
-                f"weight must be finite and nonnegative on line {no}: {ln!r}")
+        if w != 1.0:
+            raise ValidationError(f"weight must be 1 on line {no}: {ln!r}")
         pair = (min(i, j), max(i, j))
-        if pair in seen:
+        if pair in pairs:
             raise ValidationError(f"pair listed twice on line {no}: {ln!r}")
-        seen.add(pair)
-        weights[i, j] = w
-        weights[j, i] = w
+        pairs.add(pair)
+    weights = np.zeros((n, n))
+    for i, j in pairs:
+        weights[i, j] = weights[j, i] = 1.0
     return Graph(weights)

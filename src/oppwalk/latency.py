@@ -40,7 +40,7 @@ import math
 import numpy as np
 
 from .errors import DisconnectedGraphError, ParameterError, ValidationError
-from .graphs import Graph, TorusSpec
+from .graphs import Graph, TorusSpec, _integer
 from .spectral import (
     ZERO_EIGENVALUE_RTOL,
     circulant_eigenvalues,
@@ -91,12 +91,12 @@ def mean_latency_circulant(g: Graph, dims) -> float:
 
     g must be the m-level circulant over the axis sizes dims (row-major
     node order): the neighbors of every node u are row 0's neighbor
-    coordinates shifted by the coordinates of u, modulo dims, with row 0's
-    weights.  This is checked in O(n * degree) and a graph that fails it
-    raises ValidationError; a disconnected one raises
-    DisconnectedGraphError from its extra zero modes.
+    coordinates shifted by the coordinates of u, modulo dims.  This is
+    checked in O(n * degree) and a graph that fails it raises
+    ValidationError; a disconnected one raises DisconnectedGraphError from
+    its extra zero modes.
     """
-    dims = tuple(int(k) for k in dims)
+    dims = tuple(_integer(k, "axis size") for k in dims)
     n = g.n
     if math.prod(dims) != n:
         raise ValidationError(f"axis sizes {dims} do not multiply to n={n}")
@@ -106,20 +106,16 @@ def mean_latency_circulant(g: Graph, dims) -> float:
     width = int(indptr[1])
     if np.any(np.diff(indptr) != width):
         raise ValidationError("not circulant: row lengths differ")
-    rows = np.arange(n)
-    coords = np.unravel_index(rows, dims)
+    coords = np.unravel_index(np.arange(n), dims)
     offsets = np.unravel_index(indices[:width], dims)
     shifted = np.ravel_multi_index(
         [(c[:, None] + o) % k for c, o, k in zip(coords, offsets, dims)], dims)
-    w0 = g.weights[0, indices[:width]]
-    if not (np.array_equal(np.sort(shifted, axis=1),
-                           indices.reshape(n, width))
-            and (g.weights[rows[:, None], shifted] == w0).all()):
+    if not np.array_equal(np.sort(shifted, axis=1), indices.reshape(n, width)):
         raise ValidationError(
             f"graph is not circulant over axis sizes {dims}")
     row = np.zeros(n)
-    row[indices[:width]] = -w0
-    row[0] = w0.sum()
+    row[indices[:width]] = -1.0
+    row[0] = width
     vals = circulant_eigenvalues(row.reshape(dims)).real.ravel()
     return 2.0 / (n - 1) * pinv_trace(vals)
 
@@ -197,8 +193,8 @@ def expected_packet_delay(g: Graph, method: str = "spectral") -> float:
     """Average hitting time over all ordered pairs i != j (hops).
 
     "spectral": vol * Tr(L+) / (n-1) from the Laplacian eigenvalues (the
-    commute-time identity; weighted graphs too).  "linear-system": the mean
-    off-diagonal entry of the fundamental-matrix hitting times, the oracle.
+    commute-time identity).  "linear-system": the mean off-diagonal entry
+    of the fundamental-matrix hitting times, the oracle.
     """
     n = g.n
     if method == "linear-system":

@@ -125,14 +125,11 @@ def estimate_mean_latency(g: Graph, trials: int, seed: int) -> WalkEstimate:
     ordered pairs (each pair in turn when trials >= n(n-1), else distinct
     pairs drawn uniformly), all simulated in one vectorized batch.
     Comparable to the analytic expected packet delay.  The graph must be
-    connected, 0/1 and have n >= 2 nodes."""
+    connected and have n >= 2 nodes."""
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     if g.n < 2:
         raise ParameterError("mean latency needs n >= 2")
-    if not g.is_binary:
-        raise ParameterError(
-            "the walker moves uniformly over neighbors; it needs a 0/1 graph")
     if not g.is_connected():
         raise DisconnectedGraphError(
             "graph is disconnected; walks between components never arrive")

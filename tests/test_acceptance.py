@@ -88,11 +88,8 @@ def _hitting_test_graphs():
             [((4, 4), 1), ((5, 7), 1), ((8, 8), 2), ((3, 4, 5), 1)]]
     out.append(graphs.Graph(np.ones((10, 10)) - np.eye(10)))
     rng = np.random.default_rng(0)
-    w = np.triu(rng.random((9, 9)) * (rng.random((9, 9)) < 0.6), 1)
-    w = w + w.T
-    w[w.sum(axis=1) == 0, 0] = 1.0  # keep every node attached
-    w[0, w.sum(axis=1) == 0] = 1.0
-    out.append(graphs.Graph(0.5 * (w + w.T)))
+    w = np.triu((rng.random((9, 9)) < 0.4).astype(float), 1)
+    out.append(graphs.Graph(w + w.T))  # irregular: degrees 3 to 5
     for seed in range(20):
         topo = wireless.generate_topology(WIRELESS_BASE, seed=seed,
                                           resample_until_connected=100)

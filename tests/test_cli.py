@@ -168,6 +168,18 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["--family", "cycle", "--n", "5", "--r", "1", "--dims", "3x3"],
+         "--dims"),
+        (["--family", "torus", "--dims", "3", "--n", "99", "--r", "1"], "--n"),
+    ])
+    def test_spectrum_export_other_family_flag_exit_2(self, capsys, argv,
+                                                      flag):
+        # a flag of the other family is refused, not silently ignored
+        code, out, err = run_cli(["spectrum-export", *argv], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error:") and flag in err
+
     @pytest.mark.parametrize("text", [
         None, "n=20\neta=nan\n", "n=abc\n", "n=20\nradius=3\n", "eta=2\n",
         "n=20\nn=10\n",

