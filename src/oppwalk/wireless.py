@@ -2,28 +2,28 @@
 
 Nodes are placed uniformly at random in a square deployment area.  Received
 power follows p / (1 + (r/r0)^eta); the coverage radius is the distance at
-which received power drops to the minimum required power p_min.  Each pair
-gets a topology coefficient in [0, 1],
+which received power drops to the minimum required power p_min,
 
-    a_ij = 1 / (1 + (r_ij / r_c_ij)^alpha),
+    r_c = r0 * (p/p_min - 1)^(1/eta).
 
-and the binary network graph keeps an edge wherever the coefficient clears
-the connectivity threshold.  Only symmetric transmit powers (p_ij = p_ji)
-are supported, so coefficients and the graph are symmetric by construction.
-Pairs with transmit power at or below p_min get coefficient 0 (no link
-possible).  build_wireless_graph is the one implementation of these
-formulas: it evaluates r_c and a_ij for scalar or per-pair power in one
-broadcast expression.
+The paper links i and j when the topology coefficient
+a_ij = 1 / (1 + (r_ij / r_c)^alpha) clears the connectivity threshold tau.
+Every node transmits with one power, so r_c is one number, and
+a_ij >= tau holds exactly when r_ij <= r_c * (1/tau - 1)^(1/alpha): the
+binary network graph links every pair within that one link radius.  Power
+at or below p_min links no pair.  build_wireless_graph is the one
+implementation of this rule.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .graphs import Graph, _text_file
+from .graphs import Graph, _integer, _text_file
 
 __all__ = [
     "WirelessConfig",
@@ -41,11 +41,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WirelessConfig:
-    """Propagation and topology parameters.
-
-    power is either a scalar transmit power used for every pair or a full
-    symmetric n x n matrix of per-pair powers.
-    """
+    """Propagation and topology parameters; one transmit power for every node."""
 
     n: int
     area_side: float = 1.0
@@ -54,15 +50,16 @@ class WirelessConfig:
     p_min: float = 0.1
     c_n: float = 0.0
     threshold: float = 0.5
-    power: float | np.ndarray = 2.0
+    power: float = 2.0
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "node count n"))
         if self.n < 2:
             raise ParameterError("wireless topology needs n >= 2 nodes")
-        for name in ("area_side", "eta", "alpha", "p_min", "c_n"):
+        for name in ("area_side", "eta", "alpha", "p_min", "c_n", "power"):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValidationError(f"{name} must be finite, got {value!r}")
         if self.area_side <= 0:
             raise ParameterError("area_side must be positive")
         if self.eta < 1:
@@ -73,24 +70,7 @@ class WirelessConfig:
             raise ParameterError("p_min must be positive")
         if not (0.0 < self.threshold < 1.0):
             raise ParameterError("connectivity threshold must lie in (0, 1)")
-        if isinstance(self.power, np.ndarray):
-            p = np.asarray(self.power, dtype=float)
-            if p.shape != (self.n, self.n):
-                raise ValidationError("per-pair power matrix must be n x n")
-            if not np.isfinite(p).all():
-                raise ValidationError("transmit powers must be finite")
-            if np.abs(p - p.T).max() > 1e-12 * max(np.abs(p).max(), 1.0):
-                raise ValidationError(
-                    "per-pair power matrix must be symmetric (p_ij == p_ji)"
-                )
-            if np.any(p <= 0):
-                raise ValidationError("transmit powers must be positive")
-            p = 0.5 * (p + p.T)
-            p.setflags(write=False)
-            object.__setattr__(self, "power", p)
-        elif not math.isfinite(self.power):
-            raise ValidationError(f"transmit power must be finite, got {self.power}")
-        elif self.power <= 0:
+        if self.power <= 0:
             raise ParameterError("transmit power must be positive")
 
 
@@ -135,12 +115,11 @@ class Placement:
 
 @dataclass(frozen=True)
 class WirelessTopology:
-    """Generated topology: soft coefficients, binary graph, connectivity flag."""
+    """Generated topology: binary graph, connectivity flag, node placement."""
 
-    coefficients: np.ndarray
     graph: Graph
     connected: bool
-    placement: Placement | None = field(default=None, compare=False)
+    placement: Placement
 
 
 def place_nodes(config: WirelessConfig, rng) -> Placement:
@@ -166,32 +145,30 @@ def reference_distance(n: int, c_n: float) -> float:
 
 def build_wireless_graph(config: WirelessConfig,
                          placement: Placement) -> WirelessTopology:
-    """Coefficient matrix plus thresholded binary graph.
+    """Binary graph linking every pair i != j within one link radius.
 
-    One broadcast expression serves scalar and per-pair power: the coverage
-    radius r_c = r0 * max(p/p_min - 1, 0)^(1/eta) is a scalar or an n x n
-    matrix, and coefficients[i][j] = 1 / (1 + (r_ij/r_c)^alpha) where
-    r_c > 0, else 0 (power at or below p_min).  The diagonal is 1 by the
-    r_ij = 0 limit.  The graph has an edge for i != j iff coefficient >=
-    threshold.  A disconnected result is returned with connected=False, not
-    raised.
+    The radius is r_c * (1/tau - 1)^(1/alpha) with the coverage radius
+    r_c = r0 * (p/p_min - 1)^(1/eta); no pair is linked when power is at or
+    below p_min.  A disconnected result is returned with connected=False,
+    not raised.
     """
     if placement.n != config.n:
         raise ValidationError("placement size does not match config.n")
-    r = placement.distances()
-    # np.power, not **: ** on a float64 scalar calls the C library pow,
-    # while the ufunc runs the same (SIMD) loop as a power matrix does, so
-    # scalar and per-pair power give bit-equal radii.
-    rc = reference_distance(config.n, config.c_n) * np.power(
-        np.maximum(config.power / config.p_min - 1.0, 0.0), 1.0 / config.eta)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        coeff = np.where(rc > 0, 1.0 / (1.0 + (r / rc) ** config.alpha), 0.0)
-    np.fill_diagonal(coeff, 1.0)
-    adjacency = (coeff >= config.threshold).astype(float)
-    np.fill_diagonal(adjacency, 0.0)
+    r0 = reference_distance(config.n, config.c_n)
+    gain = config.power / config.p_min - 1.0
+    adjacency = np.zeros((config.n, config.n))
+    if gain > 0:
+        # np.power, not **: where the radius overflows, ** raises and the
+        # ufunc gives inf.  An infinite r_c links every pair (a_ij = 1),
+        # also where the threshold factor underflows to 0.
+        with np.errstate(over="ignore"):
+            rc = r0 * np.power(gain, 1.0 / config.eta)
+            radius = np.inf if np.isinf(rc) else rc * np.power(
+                1.0 / config.threshold - 1.0, 1.0 / config.alpha)
+        adjacency = (placement.distances() <= radius).astype(float)
+        np.fill_diagonal(adjacency, 0.0)
     graph = Graph(adjacency)
-    return WirelessTopology(coefficients=coeff, graph=graph,
-                            connected=graph.is_connected(),
+    return WirelessTopology(graph=graph, connected=graph.is_connected(),
                             placement=placement)
 
 
@@ -237,9 +214,9 @@ def load_config(path) -> WirelessConfig:
     """Read a WirelessConfig from a flat key=value text file.
 
     Lines starting with '#' and blank lines are ignored; keys mirror the
-    WirelessConfig field names (scalar power only in file form).  A
-    malformed line, an unknown or repeated key and an unparsable or
-    non-finite value raise ValidationError naming path:line.
+    WirelessConfig field names.  A malformed line, an unknown or repeated
+    key and an unparsable or non-finite value raise ValidationError naming
+    path:line.
     """
     values = {}
     with open(path) as f:

@@ -47,8 +47,9 @@ def topology_coefficient(r_ij, r_c, alpha):
 
 def topology_coefficient_from_powers(p_ij, p_min, r_0, r_ij, alpha, eta):
     """Power form: a = r0^a (p - pmin)^(a/eta) /
-    (r0^a (p - pmin)^(a/eta) + r^a pmin^(a/eta)); 0 below minimum power."""
-    if p_ij < p_min:
+    (r0^a (p - pmin)^(a/eta) + r^a pmin^(a/eta)); 0 at or below minimum
+    power, where r_c = 0 (the form reads 0/0 there at r = 0)."""
+    if p_ij <= p_min:
         return 0.0
     num = r_0 ** alpha * (p_ij - p_min) ** (alpha / eta)
     return num / (num + r_ij ** alpha * p_min ** (alpha / eta))
@@ -76,23 +77,20 @@ class TestWirelessConfig:
         with pytest.raises(ValidationError, match="finite"):
             WirelessConfig(n=5, **{field: bad})
 
-    def test_rejects_non_finite_power_matrix(self):
-        p = np.full((3, 3), 2.0)
-        p[0, 1] = p[1, 0] = np.nan
-        with pytest.raises(ValidationError, match="finite"):
-            WirelessConfig(n=3, power=p)
+    def test_rejects_power_matrix(self):
+        with pytest.raises(ValidationError, match="^power must be finite"):
+            WirelessConfig(n=3, power=np.full((3, 3), 2.0))
 
-    def test_rejects_asymmetric_power_matrix(self):
-        p = np.full((3, 3), 2.0)
-        p[0, 1] = 5.0
-        with pytest.raises(ValidationError):
-            WirelessConfig(n=3, power=p)
+    @pytest.mark.parametrize("n", [30.5, 30.0, "30", np.float64(30.0)],
+                             ids=["30.5", "30.0", "str", "float64"])
+    def test_rejects_non_integer_n(self, n):
+        with pytest.raises(ParameterError, match=re.escape(f"(got {n!r})")):
+            WirelessConfig(n=n)
 
-    def test_accepts_symmetric_power_matrix(self):
-        p = np.full((3, 3), 2.0)
-        p[0, 1] = p[1, 0] = 4.0
-        cfg = WirelessConfig(n=3, power=p)
-        assert cfg.power[1, 0] == 4.0
+    def test_accepts_numpy_integer_n(self):
+        cfg = WirelessConfig(n=np.int64(30))
+        assert cfg.n == 30 and type(cfg.n) is int
+        assert generate_topology(cfg, seed=0).graph.n == 30
 
 
 class TestPlaceNodes:
@@ -238,14 +236,7 @@ class TestBuildWirelessGraph:
     def test_symmetry(self):
         cfg = WirelessConfig(n=25)
         topo = build_wireless_graph(cfg, place_nodes(cfg, 3))
-        assert np.array_equal(topo.coefficients, topo.coefficients.T)
         assert np.array_equal(topo.graph.weights, topo.graph.weights.T)
-
-    def test_coefficients_in_unit_interval(self):
-        cfg = WirelessConfig(n=25, eta=4.0, alpha=3.0)
-        topo = build_wireless_graph(cfg, place_nodes(cfg, 3))
-        assert topo.coefficients.min() >= 0.0
-        assert topo.coefficients.max() <= 1.0
 
     def test_tiny_threshold_gives_complete_graph(self):
         cfg = WirelessConfig(n=10, threshold=1e-12, power=5.0)
@@ -273,14 +264,6 @@ class TestBuildWirelessGraph:
             if prev_edges is not None:
                 assert edges <= prev_edges
             prev_edges = edges
-
-    def test_below_minimum_power_pairs_get_zero(self):
-        p = np.full((5, 5), 2.0)
-        p[0, 1] = p[1, 0] = 0.01  # below p_min
-        cfg = WirelessConfig(n=5, power=p)
-        topo = build_wireless_graph(cfg, place_nodes(cfg, 2))
-        assert topo.coefficients[0, 1] == 0.0
-        assert topo.graph.weights[0, 1] == 0.0
 
     def test_disconnected_flagged_not_raised(self):
         # two far-apart clusters in a large area with tiny coverage radius
@@ -316,8 +299,7 @@ class TestBuildWirelessGraph:
 
 def reference_coefficients(cfg, placement):
     """Both scalar reference forms at every pair i != j, diagonal 1."""
-    n, r = cfg.n, placement.distances()
-    p = np.broadcast_to(cfg.power, (n, n))
+    n, r, p = cfg.n, placement.distances(), cfg.power
     r0 = reference_distance(n, cfg.c_n)
     via_radius = np.ones((n, n))
     via_power = np.ones((n, n))
@@ -325,61 +307,84 @@ def reference_coefficients(cfg, placement):
         for j in range(n):
             if i == j:
                 continue
-            if p[i, j] >= cfg.p_min:
-                rc = coverage_radius(p[i, j], cfg.p_min, r0, cfg.eta)
+            if p >= cfg.p_min:
+                rc = coverage_radius(p, cfg.p_min, r0, cfg.eta)
                 via_radius[i, j] = topology_coefficient(r[i, j], rc, cfg.alpha)
             else:
                 via_radius[i, j] = 0.0
             via_power[i, j] = topology_coefficient_from_powers(
-                p[i, j], cfg.p_min, r0, r[i, j], cfg.alpha, cfg.eta)
+                p, cfg.p_min, r0, r[i, j], cfg.alpha, cfg.eta)
     return via_radius, via_power
 
 
-def mixed_power_matrix(n, p_min, seed):
-    """Symmetric per-pair powers with feasible pairs, pairs exactly at
-    p_min and pairs just below it."""
-    rng = np.random.default_rng(seed)
-    p = rng.uniform(0.5 * p_min, 20 * p_min, (n, n))
-    p[rng.random((n, n)) < 0.1] = p_min
-    p[rng.random((n, n)) < 0.05] = np.nextafter(p_min, 0.0)
-    p = np.triu(p, 1)
-    return p + p.T + np.diag(np.full(n, 2 * p_min))
+def assert_graph_is_thresholded_reference(topo, cfg):
+    """The graph links i != j exactly where both reference coefficients
+    clear the threshold."""
+    off_diagonal = ~np.eye(cfg.n, dtype=bool)
+    for reference in reference_coefficients(cfg, topo.placement):
+        expect = ((reference >= cfg.threshold) & off_diagonal).astype(float)
+        assert np.array_equal(topo.graph.weights, expect)
 
 
 class TestCoefficientsMatchReferences:
-    """The vectorized coefficients against the scalar reference forms."""
+    """The graph against the thresholded scalar reference coefficients."""
 
     @pytest.mark.parametrize("alpha", [0.7, 2.0, 3.3, 5.0])
     @pytest.mark.parametrize("eta", [1.0, 2.0, 3.5, 6.0])
     def test_scalar_and_matrix_power(self, alpha, eta):
         n = 20
-        # p_min = 0.1: scalar power above, at and below it, then per-pair
-        for seed, power in ((1, 2.0), (2, 0.35), (3, 0.1), (4, 0.05),
-                            (5, mixed_power_matrix(n, 0.1, 5))):
-            cfg = WirelessConfig(n=n, eta=eta, alpha=alpha, power=power)
-            pl = place_nodes(cfg, seed)
-            coeff = build_wireless_graph(cfg, pl).coefficients
-            via_radius, via_power = reference_coefficients(cfg, pl)
-            np.testing.assert_allclose(coeff, via_radius, rtol=1e-14, atol=0)
-            np.testing.assert_allclose(coeff, via_power, rtol=1e-14, atol=0)
+        # p_min = 0.1: power above, at and below it
+        for seed, power in ((1, 2.0), (2, 0.35), (3, 0.1), (4, 0.05)):
+            for tau in (0.05, 0.3, 0.5, 0.7, 0.95):
+                cfg = WirelessConfig(n=n, eta=eta, alpha=alpha, power=power,
+                                     threshold=tau)
+                topo = build_wireless_graph(cfg, place_nodes(cfg, seed))
+                assert_graph_is_thresholded_reference(topo, cfg)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+           eta=st.floats(1.0, 8.0), alpha=st.floats(0.05, 20.0),
+           tau=st.floats(1e-3, 1 - 1e-3), p_min=st.floats(0.01, 1.0),
+           ratio=st.one_of(st.floats(0.01, 1.0), st.floats(1 + 1e-6, 1e3)),
+           c_n=st.floats(-0.5, 3.0))
+    def test_graph_is_thresholded_reference(self, n, seed, eta, alpha, tau,
+                                            p_min, ratio, c_n):
+        pos = np.random.default_rng(seed).random((n, 2))
+        pos[1] = pos[0]  # one coincident pair
+        cfg = WirelessConfig(n=n, eta=eta, alpha=alpha, threshold=tau,
+                             p_min=p_min, power=p_min * ratio, c_n=c_n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            topo = build_wireless_graph(cfg, Placement(pos))
+        assert_graph_is_thresholded_reference(topo, cfg)
 
     def test_coincident_nodes(self):
         pos = np.array([[0.3, 0.3], [0.3, 0.3], [0.6, 0.7], [0.9, 0.1]])
         pl = Placement(pos)
-        p = np.full((4, 4), 2.0)
-        p[0, 1] = p[1, 0] = 0.1  # exactly p_min: r_c = 0 on the r = 0 pair
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             linked = build_wireless_graph(WirelessConfig(n=4), pl)
             at_min = build_wireless_graph(WirelessConfig(n=4, power=0.1), pl)
-            mixed = build_wireless_graph(WirelessConfig(n=4, power=p), pl)
-        assert linked.coefficients[0, 1] == 1.0
-        assert linked.graph.weights[0, 1] == 1.0
-        assert np.array_equal(at_min.coefficients, np.eye(4))
-        assert mixed.coefficients[0, 1] == mixed.coefficients[1, 0] == 0.0
-        assert mixed.coefficients[2, 3] == linked.coefficients[2, 3]
-        for topo in (linked, at_min, mixed):
-            assert np.isfinite(topo.coefficients).all()
+        assert linked.graph.weights[0, 1] == linked.graph.weights[1, 0] == 1.0
+        assert not at_min.graph.weights.any()
+
+    @pytest.mark.parametrize("tau,p_min,power,linked", [
+        (0.1, 0.1, 2.0, "all"),         # (1/tau - 1)^(1/alpha) overflows
+        (0.9, 0.1, 2.0, "coincident"),  # (1/tau - 1)^(1/alpha) underflows
+        (0.9, 1e-300, 1e10, "all"),     # ... and r_c overflows: a_ij = 1
+    ])
+    def test_tiny_alpha_extremes(self, tau, p_min, power, linked):
+        pos = np.random.default_rng(11).random((12, 2))
+        pos[1] = pos[0]
+        cfg = WirelessConfig(n=12, alpha=1e-3, threshold=tau, p_min=p_min,
+                             power=power)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            topo = build_wireless_graph(cfg, Placement(pos))
+        expect = np.ones((12, 12)) if linked == "all" else np.zeros((12, 12))
+        expect[0, 1] = expect[1, 0] = 1.0
+        np.fill_diagonal(expect, 0.0)
+        assert np.array_equal(topo.graph.weights, expect)
 
 
 class TestConfigFile:
