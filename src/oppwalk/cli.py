@@ -18,6 +18,9 @@ from the FFT of the built graph (latency.mean_latency_circulant), not from
 the closed forms.  It and the Monte-Carlo columns are skipped (marker
 "skipped") for graphs above the node cap, so large closed-form sweeps stay
 honest about what was cross-checked.
+The Monte-Carlo columns of one command come from one walker batch over
+every graph it walks, at --seed; the graphs are built as the walker takes
+them, after their analytic and oracle cells are computed.
 Reruns with identical arguments and seed produce byte-identical files.
 """
 from __future__ import annotations
@@ -103,74 +106,95 @@ def parse_range(text: str, kind=float) -> list:
     return vals
 
 
-def _mc_estimate(g, trials: int, seed: int, label: str) -> walker.WalkEstimate:
-    """Seeded Monte-Carlo mean latency of g in hops.  Walks cut at the step
-    cap enter the mean at the cap; a row with any gets a stderr warning,
-    never a CSV change."""
-    est = walker.estimate_mean_latency(g, trials, seed)
-    if est.truncated:
-        print(f"warning: {label}: {est.truncated} of {est.trials_used} "
-              "walks hit the step cap", file=sys.stderr)
-    return est
+def _mc_estimates(gs, labels, trials: int, seed: int):
+    """Seeded Monte-Carlo mean latency in hops of each graph of gs, all in
+    one walker batch.  Walks cut at the step cap enter the mean at the cap;
+    a graph with any gets a stderr warning under its label, never a CSV
+    change."""
+    batch = walker.estimate_mean_latency(gs, trials, seed)
+    for label, est in zip(labels, batch.estimates):
+        if est.truncated:
+            print(f"warning: {label}: {est.truncated} of {est.trials_used} "
+                  "walks hit the step cap", file=sys.stderr)
+    return batch.estimates
 
 
 # ---------------------------------------------------------------------------
 # cycle and torus sweeps
 
 
-def _lattice_row(args, family, params, spec) -> str:
-    """One row of the lattice spec (a cycle is the one-axis torus) in the
-    units of T: the closed-form mean latency and bounds, then the FFT
-    oracle of the built graph and, with --trials, the Monte-Carlo columns.
-    Above the node cap the graph is never built and those columns read
-    "skipped"; bounds-check takes no node cap and writes only the closed
-    forms."""
-    cells = {"analytic": latency.mean_latency_torus(spec)}
-    cells["lower"], cells["upper"] = latency.torus_latency_bounds(spec)
-    if "node_cap" not in vars(args):
-        pass  # bounds-check: the closed forms only
-    elif spec.n > args.node_cap:
-        cells["oracle"] = "skipped"
-        if args.trials:
-            cells["mc_mean"] = cells["mc_ci"] = "skipped"
-    else:
-        g = graphs.build_torus(spec)
-        cells["oracle"] = latency.mean_latency_circulant(g, spec.dims)
-        if args.trials:
-            est = _mc_estimate(g, args.trials, args.seed, f"{family} {params}")
+def _lattice_rows(args, points):
+    """Rows of the lattice specs of points, (family, params, spec) each (a
+    cycle is the one-axis torus), in the units of T: the closed-form mean
+    latency and bounds, then the FFT oracle of the built graph and, with
+    --trials, the Monte-Carlo columns from one walker batch over every
+    built graph.  Above the node cap the graph is never built and those
+    columns read "skipped"; bounds-check takes no node cap and writes only
+    the closed forms."""
+    rows, built = [], []
+    for family, params, spec in points:
+        cells = {"analytic": latency.mean_latency_torus(spec)}
+        cells["lower"], cells["upper"] = latency.torus_latency_bounds(spec)
+        rows.append((family, params, cells))
+        if "node_cap" not in vars(args):
+            continue  # bounds-check: the closed forms only
+        if spec.n <= args.node_cap:
+            built.append((f"{family} {params}", spec, cells))
+        else:
+            cells["oracle"] = "skipped"
+            if args.trials:
+                cells["mc_mean"] = cells["mc_ci"] = "skipped"
+    if built and args.trials:
+        # The graphs are built as the walker takes them, and it keeps only
+        # their CSR rows, so one dense graph at a time is alive.
+        ests = _mc_estimates(
+            (_with_oracle(spec, cells) for _, spec, cells in built),
+            [label for label, *_ in built], args.trials, args.seed)
+        for (_, spec, cells), est in zip(built, ests):
             # Walks count hops; the commute-time identity EPD = (vol/2) * T,
-            # vol/2 the edge count, turns them into the units of T.
-            edges = g.degrees.sum() / 2
+            # vol/2 the edge count, turns them into the units of T.  The
+            # torus is 2rm-regular, so it has n*r*m edges.
+            edges = spec.n * spec.r * spec.m
             cells.update(mc_mean=est.mean / edges,
                          mc_ci=est.ci_halfwidth / edges,
                          trials=est.trials_used)
-    return _row(family, params, **cells)
+    else:
+        for _, spec, cells in built:
+            _with_oracle(spec, cells)
+    return [_row(family, params, **cells) for family, params, cells in rows]
+
+
+def _with_oracle(spec, cells):
+    """The graph of spec, with its FFT oracle written into cells."""
+    g = graphs.build_torus(spec)
+    cells["oracle"] = latency.mean_latency_circulant(g, spec.dims)
+    return g
 
 
 def _cycle_rows(args):
-    for n, r in itertools.product(parse_range(args.n, int),
-                                  parse_range(args.r, int)):
-        yield _lattice_row(args, "cycle", f"n={n};r={r}",
-                           graphs.TorusSpec((n,), r))
+    return _lattice_rows(args, (
+        ("cycle", f"n={n};r={r}", graphs.TorusSpec((n,), r))
+        for n, r in itertools.product(parse_range(args.n, int),
+                                      parse_range(args.r, int))))
 
 
-def _torus_row(args, dims, r) -> str:
-    spec = graphs.TorusSpec(dims, r)
+def _torus_point(dims, r):
     params = f"dims={'x'.join(str(k) for k in dims)};r={r}"
-    return _lattice_row(args, "torus", params, spec)
+    return "torus", params, graphs.TorusSpec(dims, r)
 
 
 def _torus_rows(args):
     axes = [parse_range(part, int) for part in args.dims.split("x")]
-    for *dims, r in itertools.product(*axes, parse_range(args.r, int)):
-        yield _torus_row(args, dims, r)
+    return _lattice_rows(args, (
+        _torus_point(dims, r)
+        for *dims, r in itertools.product(*axes, parse_range(args.r, int))))
 
 
 def _dimension_rows(args):
     dims = parse_range(args.dims, int)
-    for r in parse_range(args.r, int):
-        for m in range(1, len(dims) + 1):
-            yield _torus_row(args, dims[:m], r)
+    return _lattice_rows(args, (
+        _torus_point(dims[:m], r)
+        for r in parse_range(args.r, int) for m in range(1, len(dims) + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +217,10 @@ def _wireless_base(args) -> wireless.WirelessConfig:
 def _epd_rows(args):
     """Ensemble mean EPD per sweep point.  Each ensemble seed places its
     nodes once for the whole sweep, so nested sweep points stay comparable;
-    the placement is redrawn until the graph of every point is connected."""
+    the placement is redrawn until the graph of every point is connected.
+    Each seed's EPD (and oracle) values are taken as its graphs are built;
+    with --trials the walker then keeps only each graph's CSR rows, so the
+    sweep holds one seed's graphs at a time, whatever --seeds."""
     family, axes = _EPD_SWEEPS[args.kind]
     base = _wireless_base(args)
     ranges = [parse_range(getattr(args, flag[2:]), float)
@@ -204,8 +231,12 @@ def _epd_rows(args):
     for values in itertools.product(*ranges):
         configs.append(replace(base, **dict(zip(fields, values))))
         labels.append(";".join(f"{k}={_fmt(v)}" for k, v in zip(keys, values)))
-    per_seed = []
-    for s in range(args.seeds):
+    epd = [[] for _ in configs]  # epd[j][s]: point j, ensemble seed s
+    oracle = [[] for _ in configs]
+
+    def seed_graphs(s):
+        """Ensemble seed s's graph of every point, its EPD (and oracle)
+        noted."""
         topos = wireless.generate_topologies(
             base, configs, args.seed, args.resample_until_connected,
             prefix=(s,))
@@ -213,26 +244,35 @@ def _epd_rows(args):
             raise RuntimeError(
                 f"no connected placement found for ensemble seed {s} within "
                 f"{max(1, args.resample_until_connected)} attempts")
-        per_seed.append(topos)
+        for j, topo in enumerate(topos):
+            epd[j].append(latency.expected_packet_delay(topo.graph))
+            if args.oracle:
+                oracle[j].append(latency.expected_packet_delay(
+                    topo.graph, "linear-system"))
+        return [topo.graph for topo in topos]
+
+    if args.trials:
+        ests = _mc_estimates(
+            (g for s in range(args.seeds) for g in seed_graphs(s)),
+            [f"{family} {label} seed {s}"
+             for s in range(args.seeds) for label in labels],
+            args.trials, args.seed)
+    else:
+        for s in range(args.seeds):
+            seed_graphs(s)
     for j, label in enumerate(labels):
-        gs = [topos[j].graph for topos in per_seed]
-        analytic = float(np.mean([latency.expected_packet_delay(g) for g in gs]))
-        oracle = mc_mean = mc_ci = trials = None
+        cells = {"analytic": float(np.mean(epd[j]))}
         if args.oracle:
-            oracle = float(np.mean([
-                latency.expected_packet_delay(g, "linear-system") for g in gs]))
+            cells["oracle"] = float(np.mean(oracle[j]))
         if args.trials:
-            ests = [_mc_estimate(g, args.trials, args.seed + s,
-                                 f"{family} {label} seed {s}")
-                    for s, g in enumerate(gs)]
-            mc_mean = float(np.mean([e.mean for e in ests]))
+            point = ests[j::len(labels)]  # the batch is seed-major
+            cells["mc_mean"] = float(np.mean([e.mean for e in point]))
             # The per-seed means are independent, so the CI of their mean
             # adds the per-seed halfwidths in quadrature.
-            mc_ci = float(np.sqrt(sum(e.ci_halfwidth ** 2 for e in ests))
-                          / len(ests))
-            trials = sum(e.trials_used for e in ests)
-        yield _row(family, label, analytic=analytic, oracle=oracle,
-                   mc_mean=mc_mean, mc_ci=mc_ci, trials=trials)
+            cells["mc_ci"] = float(np.sqrt(sum(e.ci_halfwidth ** 2
+                                               for e in point)) / len(point))
+            cells["trials"] = sum(e.trials_used for e in point)
+        yield _row(family, label, **cells)
 
 
 # ---------------------------------------------------------------------------
@@ -265,15 +305,23 @@ def _walk_validate_rows(args):
     if not texts:
         raise ParameterError("--graphs must list at least one graph")
     config = _wireless_base(args)
-    for text in texts:
-        label, g = parse_graph_spec(text, config, args.resample_until_connected)
-        oracle = (latency.expected_packet_delay(g, "linear-system")
-                  if args.oracle else None)
-        est = _mc_estimate(g, args.trials, args.seed, f"walk-validate {label}")
-        yield _row("walk-validate", label,
-                   analytic=latency.expected_packet_delay(g), oracle=oracle,
-                   mc_mean=est.mean, mc_ci=est.ci_halfwidth,
-                   trials=est.trials_used)
+    cells = []
+
+    def analysed(text):
+        """The graph of text, its EPD (and oracle) noted in cells."""
+        _, g = parse_graph_spec(text, config, args.resample_until_connected)
+        cells.append({
+            "analytic": latency.expected_packet_delay(g),
+            "oracle": (latency.expected_packet_delay(g, "linear-system")
+                       if args.oracle else None)})
+        return g
+
+    ests = _mc_estimates(map(analysed, texts),
+                         [f"walk-validate {t}" for t in texts],
+                         args.trials, args.seed)
+    for text, c, est in zip(texts, cells, ests):
+        yield _row("walk-validate", text, **c, mc_mean=est.mean,
+                   mc_ci=est.ci_halfwidth, trials=est.trials_used)
 
 
 def run(args) -> str:

@@ -5,24 +5,32 @@ it first reaches its destination: a simple random walk on a connected 0/1
 graph.  Walk length counts hops, matching the hitting-time convention
 h[s][s] = 0.
 
-Every walk runs on one kernel over the graph's CSR rows (Graph.csr, built
-once per graph and cached).  A walk at u with uniform draw x moves to the
-neighbor in column floor(x * deg(u)) of row u, so each hop costs O(1)
-whatever the degree.
+estimate_mean_latency walks every graph it is given in one batch.  It joins
+the graphs' CSR rows (Graph.csr) into one block-diagonal union, graph i's
+nodes numbered from o_i = n_0 + ... + n_{i-1}, and runs all walks of all
+graphs on one kernel over that union.  A walk at u with uniform draw x
+moves to the neighbor in column floor(x * deg(u)) of row u, so each hop
+costs O(1) whatever the degree, and it never leaves its graph's block.
+A walk on graph i still running after 100 n_i^2 steps is cut there.
 
 Randomness comes from numpy's PCG64 seeded through SeedSequence, so results
-are platform-independent for a fixed seed.  The draw schedule is fixed: each
-step draws one uniform per still-active walk, in ascending walk order.
+are platform-independent for a fixed seed.  The draw schedule is fixed: the
+walk stream is SeedSequence(seed), and each step draws one uniform per
+still-active walk, in ascending union order (graph by graph, walk by walk).
 
-estimate_mean_latency spreads its walks over the P = n(n-1) ordered pairs
-s != t by one rule: with trials >= P, walk i takes pair i mod P in row-major
-order, so every pair gets floor(trials/P) or ceil(trials/P) walks; with
-trials < P, the walks take distinct pairs drawn uniformly without
-replacement from the off-pair substream (spawn key n*n), so a short run
-starts at nodes spread over the whole graph, not only the first few.
+Each graph gets trials walks spread over its P = n(n-1) ordered pairs
+s != t by one rule: with trials >= P, walk i takes pair i mod P in
+row-major order, so every pair gets floor(trials/P) or ceil(trials/P)
+walks; with trials < P, the walks take distinct pairs drawn uniformly
+without replacement, so a short run starts at nodes spread over the whole
+graph, not only the first few.  The pair draws of all graphs come in graph
+order from one off-pair substream (spawn key N*N, N the union's node
+count).  A batch of one graph therefore draws exactly what that graph
+draws alone.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +39,7 @@ from .errors import DisconnectedGraphError, EstimationError, ParameterError
 from .graphs import Graph
 
 __all__ = [
+    "WalkBatch",
     "WalkEstimate",
     "estimate_mean_latency",
 ]
@@ -52,37 +61,58 @@ class WalkEstimate:
     truncated: int
 
 
+@dataclass(frozen=True)
+class WalkBatch:
+    """The walks of one estimate_mean_latency call: one WalkEstimate per
+    graph, in the order given, and the totals over all walks (the pooled
+    mean hops, the number of walks and the number truncated)."""
+
+    estimates: tuple[WalkEstimate, ...]
+    mean: float
+    trials_used: int
+    truncated: int
+
+
 def _step_cap(n: int) -> int:
     """Steps after which a walk on n nodes is cut: far above the worst
     expected hitting time for the families in scope."""
     return 100 * n * n
 
 
-def _run_walks(g: Graph, starts, targets, cap: int, rng):
-    """Batch of independent walks; returns (steps, truncated).
+def _run_walks(indptr, indices, starts, targets, caps, rng):
+    """Batch of independent walks on the CSR rows (indptr, indices), walk i
+    cut after caps[i] steps (caps may be one number for all); returns
+    (steps, cut), cut marking the walks that were cut.
 
     Each step draws one uniform per active walk, in ascending walk order,
     and moves every active walk one hop.  The active set (ids, cur, tgt)
-    is compacted only on steps where some walk arrives.
+    is compacted only on steps where some walk arrives, and at each cap,
+    where the walks with that cap are cut.
     """
-    indptr, indices = g.csr
     deg = np.diff(indptr).astype(float)
     starts = np.asarray(starts, dtype=np.intp)
     targets = np.asarray(targets, dtype=np.intp)
-    steps = np.where(starts == targets, 0, cap)
+    steps = np.where(starts == targets, 0, caps)
+    cut = np.zeros(steps.shape, dtype=bool)
     ids = np.flatnonzero(starts != targets)
     cur, tgt = starts[ids], targets[ids]
     step = 0
-    while ids.size and step < cap:
-        step += 1
-        u = rng.random(ids.size)
-        cur = indices[indptr[cur] + (u * deg[cur]).astype(np.intp)]
-        hit = cur == tgt
-        if np.count_nonzero(hit):  # much cheaper than hit.any() on short arrays
-            steps[ids[hit]] = step
-            miss = ~hit
-            ids, cur, tgt = ids[miss], cur[miss], tgt[miss]
-    return steps, int(ids.size)
+    # np.unique would import numpy.ma, 1.3 MB of resident memory
+    for cap in sorted(set(steps[ids].tolist())):
+        while ids.size and step < cap:
+            step += 1
+            u = rng.random(ids.size)
+            cur = indices[indptr[cur] + (u * deg[cur]).astype(np.intp)]
+            hit = cur == tgt
+            if np.count_nonzero(hit):  # much cheaper than hit.any() on short arrays
+                steps[ids[hit]] = step
+                miss = ~hit
+                ids, cur, tgt = ids[miss], cur[miss], tgt[miss]
+        # a walk still active keeps its cap in steps
+        live = steps[ids] != cap
+        cut[ids[~live]] = True
+        ids, cur, tgt = ids[live], cur[live], tgt[live]
+    return steps, cut
 
 
 def _estimate(steps: np.ndarray, truncated: int) -> WalkEstimate:
@@ -90,7 +120,7 @@ def _estimate(steps: np.ndarray, truncated: int) -> WalkEstimate:
         raise EstimationError("every walk was truncated at the step cap")
     mean = float(steps.mean())
     if steps.size > 1:
-        ci = _Z95 * float(steps.std(ddof=1)) / np.sqrt(steps.size)
+        ci = _Z95 * float(steps.std(ddof=1)) / math.sqrt(steps.size)
     else:
         ci = 0.0
     return WalkEstimate(mean=mean, ci_halfwidth=ci,
@@ -102,38 +132,79 @@ def _pair_rng(seed: int, pair_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _pair_schedule(n: int, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start and target of each of trials walks.
+def _pair_schedule(n: int, trials: int,
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Start and target of each of trials walks on n nodes.
 
     Ordered pairs with s != t are numbered k = 0..P-1 in row-major order,
-    P = n(n-1).  With trials >= P, walk i takes k = i mod P; with trials < P,
-    the walks take trials distinct k drawn uniformly from the off-pair
-    substream of seed.  Pair k is s, j = divmod(k, n - 1), t = j + (j >= s),
-    found without listing the pairs.
+    P = n(n-1).  With trials >= P, walk i takes k = i mod P and rng is not
+    used; with trials < P, the walks take trials distinct k drawn uniformly
+    from rng.  Pair k is s, j = divmod(k, n - 1), t = j + (j >= s), found
+    without listing the pairs.
     """
     pairs = n * (n - 1)
     if trials >= pairs:
         k = np.arange(trials) % pairs
     else:
-        k = _pair_rng(seed, n * n).choice(pairs, trials, replace=False)
+        k = rng.choice(pairs, trials, replace=False)
     s, j = np.divmod(k, n - 1)
     return s, j + (j >= s)
 
 
-def estimate_mean_latency(g: Graph, trials: int, seed: int) -> WalkEstimate:
-    """Monte-Carlo mean latency in hops: trials walks spread over the
-    ordered pairs (each pair in turn when trials >= n(n-1), else distinct
-    pairs drawn uniformly), all simulated in one vectorized batch.
-    Comparable to the analytic expected packet delay.  The graph must be
-    connected and have n >= 2 nodes."""
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
+def _checked_csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """g's CSR rows, once g is known to be walkable.  The indices are
+    copied compact: Graph.csr's are a view of the (nnz, 2) array of
+    np.nonzero, which would keep the row numbers alive too."""
     if g.n < 2:
         raise ParameterError("mean latency needs n >= 2")
     if not g.is_connected():
         raise DisconnectedGraphError(
             "graph is disconnected; walks between components never arrive")
-    starts, targets = _pair_schedule(g.n, trials, seed)
+    indptr, indices = g.csr
+    return indptr, np.ascontiguousarray(indices)
+
+
+def _union(blocks):
+    """Block-diagonal union (indptr, indices, nodes) of the CSR rows of
+    blocks: block i's rows are rows nodes[i]..nodes[i+1]-1 of the union,
+    its indptr shifted by the slots of the blocks before it and its indices
+    by nodes[i]."""
+    nodes = np.cumsum([0, *(ip.size - 1 for ip, _ in blocks)])
+    slots = np.cumsum([0, *(ix.size for _, ix in blocks)])
+    indptr = np.concatenate(
+        [[0], *(ip[1:] + e for (ip, _), e in zip(blocks, slots))])
+    indices = np.concatenate([ix + o for (_, ix), o in zip(blocks, nodes)])
+    return indptr, indices, nodes
+
+
+def estimate_mean_latency(graphs, trials: int, seed: int) -> WalkBatch:
+    """Monte-Carlo mean latency in hops of each graph of the iterable
+    graphs: trials walks per graph, spread over its ordered pairs (each
+    pair in turn when trials >= n(n-1), else distinct pairs drawn
+    uniformly), all simulated in one vectorized batch.  Comparable to the
+    analytic expected packet delay.  Every graph must be connected and have
+    n >= 2 nodes; each is checked before any walk, and only its CSR rows
+    are kept, so an iterable that builds its graphs lazily holds one dense
+    matrix at a time."""
+    if trials < 1:
+        raise ParameterError("trials must be >= 1")
+    blocks = list(map(_checked_csr, graphs))
+    if not blocks:
+        raise ParameterError("estimate_mean_latency needs at least one graph")
+    indptr, indices, nodes = _union(blocks)
+    sizes = np.diff(nodes).tolist()
+    pair_rng = _pair_rng(seed, int(nodes[-1]) ** 2)
+    starts, targets = [], []
+    for n, o in zip(sizes, nodes):
+        s, t = _pair_schedule(n, trials, pair_rng)
+        starts.append(s + o)
+        targets.append(t + o)
+    caps = np.repeat([_step_cap(n) for n in sizes], trials)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    steps, truncated = _run_walks(g, starts, targets, _step_cap(g.n), rng)
-    return _estimate(steps, truncated)
+    steps, cut = _run_walks(indptr, indices, np.concatenate(starts),
+                            np.concatenate(targets), caps, rng)
+    steps, cut = steps.reshape(-1, trials), cut.reshape(-1, trials)
+    estimates = tuple(_estimate(row, int(c))
+                      for row, c in zip(steps, cut.sum(axis=1)))
+    return WalkBatch(estimates=estimates, mean=float(steps.mean()),
+                     trials_used=int(steps.size), truncated=int(cut.sum()))

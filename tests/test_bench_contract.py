@@ -16,6 +16,8 @@ from pathlib import Path
 import pytest
 
 import oppwalk
+from oppwalk import walker
+from oppwalk.graphs import TorusSpec, build_cycle, build_torus
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -53,3 +55,30 @@ def test_traced_names_exist():
                for owner, attr, _, _ in tracer._points(oppwalk)
                if attr not in owner.__dict__]
     assert missing == []
+
+
+def test_walk_batch_totals_are_what_the_tracer_counts(monkeypatch):
+    # bench/tracer.py::_count_walks counts a batch's walks, hops and cut
+    # walks as trials_used, round(mean * trials_used) and truncated; over a
+    # batch of several graphs these must be the totals of its estimates
+    # and of the kernel's walks
+    kernel = walker._run_walks
+    walked = []
+
+    def spy(*args):
+        steps, cut = kernel(*args)
+        walked.append((int(steps.sum()), steps.size, int(cut.sum())))
+        return steps, cut
+
+    monkeypatch.setattr(walker, "_run_walks", spy)
+    monkeypatch.setattr(walker, "_step_cap", lambda n: 6 * n)
+    gs = [build_cycle(16, 1), build_torus(TorusSpec([4, 5], 1)),
+          build_cycle(7, 2)]
+    b = walker.estimate_mean_latency(gs, 1500, 2)
+    ests = b.estimates
+    assert len(walked) == 1
+    hops, walks, cut = walked[0]
+    assert round(b.mean * b.trials_used) == hops == sum(
+        round(e.mean * e.trials_used) for e in ests)
+    assert b.trials_used == walks == sum(e.trials_used for e in ests)
+    assert b.truncated == cut == sum(e.truncated for e in ests) > 0

@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -295,25 +296,66 @@ class TestMonteCarloAgreesWithAnalytic:
 
 class TestEnsembleCI:
     def test_mc_ci_is_ci_of_ensemble_mean(self, capsys, monkeypatch):
-        graphs_seen = []
+        # one walker batch holds the 4 ensemble graphs of the sweep point
+        calls = []
         estimate = walker.estimate_mean_latency
 
-        def spy(g, trials, seed):
-            graphs_seen.append(g)
-            return estimate(g, trials, seed)
+        def spy(gs, trials, seed):
+            gs = list(gs)
+            calls.append((len(gs), trials, seed, estimate(gs, trials, seed)))
+            return calls[-1][-1]
 
         monkeypatch.setattr(walker, "estimate_mean_latency", spy)
         code, out, _ = run_cli(
             ["epd-eta-sweep", "--etas", "2", "--n", "12", "--seeds", "4",
              "--trials", "500", "--seed", "5"], capsys)
-        assert code == 0 and len(graphs_seen) == 4
-        ests = [estimate(g, 500, 5 + i) for i, g in enumerate(graphs_seen)]
+        assert code == 0 and len(calls) == 1
+        count, trials, seed, batch = calls[0]
+        assert (count, trials, seed) == (4, 500, 5)
+        ests = batch.estimates
         row = csv_rows(out)[0]
         assert float(row["mc_mean"]) == pytest.approx(
             np.mean([e.mean for e in ests]), rel=1e-11)
         assert float(row["mc_ci"]) == pytest.approx(
             np.sqrt(sum(e.ci_halfwidth ** 2 for e in ests)) / 4, rel=1e-11)
         assert int(row["trials"]) == sum(e.trials_used for e in ests)
+
+
+def traced_peak(argv, capsys):
+    """tracemalloc peak in bytes of one CLI run that succeeds."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    return peak
+
+
+class TestMemory:
+    """Sweeps hold one graph, or one ensemble seed's graphs, at a time."""
+
+    @pytest.mark.parametrize("mc", [[], ["--trials", "100"]])
+    def test_lattice_sweep_holds_one_dense_graph(self, capsys, mc):
+        # four tori of 992-1088 nodes, 7.9-9.5 MB dense each (34.6 MB in
+        # all).  Building one peaks near 2.3 matrices (the builder's, the
+        # Graph's copy and its 0/1 and symmetry checks), so the bound is 3.
+        peak = traced_peak(["torus-sweep", "--dims", "31:34x32", "--r", "1",
+                            *mc], capsys)
+        assert peak < 3 * 8 * 1088 ** 2
+
+    def test_ensemble_memory_does_not_grow_with_seeds(self, capsys):
+        # n=200: one seed's graphs of the 9 sweep points take 2.9 MB, and
+        # keeping every seed's would add 17 MB from 2 seeds to 8.  While a
+        # placement is redrawn (here in one of the 8 seeds) the graphs of
+        # the rejected attempt are alive beside the new ones.
+        one_seed = 9 * 8 * 200 ** 2
+        argv = ["epd-eta-sweep", "--n", "200", "--seed", "3", "--seeds"]
+        two = traced_peak([*argv, "2"], capsys)
+        eight = traced_peak([*argv, "8"], capsys)
+        assert eight < two + 2 * one_seed
 
 
 class TestTruncationWarning:

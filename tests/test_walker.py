@@ -10,15 +10,22 @@ from oppwalk.latency import (
     hitting_times,
     hitting_times_linear_system,
 )
+from oppwalk import walker
 from oppwalk.walker import (
     _estimate,
     _pair_rng,
     _pair_schedule,
     _run_walks,
     _step_cap,
+    _union,
     estimate_mean_latency,
 )
 from oppwalk.wireless import WirelessConfig, generate_topology
+
+
+def estimate_one(g, trials, seed):
+    """The estimate of a batch of the one graph g."""
+    return estimate_mean_latency([g], trials, seed).estimates[0]
 
 
 def path2():
@@ -37,10 +44,10 @@ def estimate_hitting(g, s, t, trials, seed):
     """Monte-Carlo hitting time of one ordered pair: trials walks from s to
     t in one batch of the walker's kernel, drawn from the pair's own
     substream (spawn key s * n + t)."""
-    steps, truncated = _run_walks(
-        g, np.full(trials, s), np.full(trials, t), _step_cap(g.n),
+    steps, cut = _run_walks(
+        *g.csr, np.full(trials, s), np.full(trials, t), _step_cap(g.n),
         _pair_rng(seed, s * g.n + t))
-    return _estimate(steps, truncated)
+    return _estimate(steps, int(cut.sum()))
 
 
 class TestWalkConfig:
@@ -48,7 +55,7 @@ class TestWalkConfig:
 
     def test_rejects_bad_trials(self):
         with pytest.raises(ParameterError):
-            estimate_mean_latency(build_cycle(5, 1), 0, 0)
+            estimate_mean_latency([build_cycle(5, 1)], 0, 0)
 
     def test_default_cap(self):
         assert _step_cap(30) == 90_000
@@ -64,7 +71,7 @@ class TestGraphChecks:
         for a, b in ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)):
             w[a, b] = w[b, a] = 1.0
         with pytest.raises(DisconnectedGraphError):
-            estimate_mean_latency(Graph(w), 200, 0)
+            estimate_mean_latency([Graph(w)], 200, 0)
 
 
 class TestSimulateWalk:
@@ -72,21 +79,21 @@ class TestSimulateWalk:
     every estimate."""
 
     def test_two_node_path_always_one_step(self):
-        steps, truncated = _run_walks(path2(), np.zeros(20), np.ones(20),
-                                      _step_cap(2), np.random.default_rng(0))
-        assert steps.tolist() == [1] * 20 and truncated == 0
+        steps, cut = _run_walks(*path2().csr, np.zeros(20), np.ones(20),
+                                _step_cap(2), np.random.default_rng(0))
+        assert steps.tolist() == [1] * 20 and not cut.any()
 
     def test_same_node_returns_zero(self):
-        steps, _ = _run_walks(build_cycle(5, 1), [2], [2], _step_cap(5),
+        steps, _ = _run_walks(*build_cycle(5, 1).csr, [2], [2], _step_cap(5),
                               np.random.default_rng(0))
         assert steps.tolist() == [0]
 
     def test_cap_respected(self):
         # s can never reach t across components; the walk stops at the cap
         # and counts as truncated
-        steps, truncated = _run_walks(two_edges(), [0], [2], 50,
-                                      np.random.default_rng(1))
-        assert steps.tolist() == [50] and truncated == 1
+        steps, cut = _run_walks(*two_edges().csr, [0], [2], 50,
+                                np.random.default_rng(1))
+        assert steps.tolist() == [50] and cut.tolist() == [True]
 
 
 def test_uniform_next_hop_frequencies():
@@ -99,9 +106,9 @@ def test_uniform_next_hop_frequencies():
     p = 1.0 / len(neighbors)
     draws = 100000
     for t in [*neighbors, 7]:
-        _, truncated = _run_walks(g, np.zeros(draws), np.full(draws, t),
-                                  1, np.random.default_rng(123 + t))
-        count = draws - truncated
+        _, cut = _run_walks(indptr, indices, np.zeros(draws),
+                            np.full(draws, t), 1, np.random.default_rng(123 + t))
+        count = draws - np.count_nonzero(cut)
         if t in neighbors:
             sigma = np.sqrt(draws * p * (1 - p))
             assert abs(count - draws * p) <= 3 * sigma
@@ -156,32 +163,37 @@ class TestEstimateHitting:
 
 class TestEstimateMeanLatency:
     def test_k3_close_to_epd(self):
-        est = estimate_mean_latency(build_cycle(3, 1), 100000, 42)
+        est = estimate_one(build_cycle(3, 1), 100000, 42)
         assert est.mean == pytest.approx(2.0, rel=0.02)
 
     def test_c4_close_to_epd(self):
-        est = estimate_mean_latency(build_cycle(4, 1), 100000, 42)
+        est = estimate_one(build_cycle(4, 1), 100000, 42)
         assert est.mean == pytest.approx(10 / 3, rel=0.02)
 
     def test_seeded_determinism(self):
         g = build_torus(TorusSpec([4, 4], 1))
-        assert (estimate_mean_latency(g, 20000, 7)
-                == estimate_mean_latency(g, 20000, 7))
+        assert (estimate_mean_latency([g], 20000, 7)
+                == estimate_mean_latency([g], 20000, 7))
 
     def test_no_truncation_on_connected_graphs(self):
         for g in (build_cycle(5, 1), build_cycle(12, 2),
                   build_torus(TorusSpec([3, 3], 1))):
-            est = estimate_mean_latency(g, 5000, 11)
+            est = estimate_one(g, 5000, 11)
             assert est.truncated == 0
 
     def test_sampled_pair_mode(self):
         # fewer trials than the 4032 ordered pairs: the walks go to distinct
         # sampled pairs, and the mean still lands on EPD
         g = build_torus(TorusSpec([8, 8], 1))
-        est = estimate_mean_latency(g, 2000, 5)
+        est = estimate_one(g, 2000, 5)
         assert est.trials_used == 2000
         epd = expected_packet_delay(g)
         assert abs(est.mean - epd) <= 4 * est.ci_halfwidth / 1.96
+
+
+def schedule(n, trials, seed):
+    """The pair schedule of a batch of one n-node graph at seed."""
+    return _pair_schedule(n, trials, _pair_rng(seed, n * n))
 
 
 def enumerated_schedule(n, trials, seed):
@@ -210,7 +222,7 @@ class TestPairSchedule:
         pairs = n * (n - 1)
         for trials in (1, pairs - 1 or 1, pairs, 3 * pairs + 5):
             for seed in (0, 9):
-                got = _pair_schedule(n, trials, seed)
+                got = schedule(n, trials, seed)
                 want = enumerated_schedule(n, trials, seed)
                 assert np.array_equal(got[0], want[0])
                 assert np.array_equal(got[1], want[1])
@@ -219,7 +231,7 @@ class TestPairSchedule:
                                           (30, 100), (64, 4031)])
     @pytest.mark.parametrize("seed", [0, 1, 2024])
     def test_short_run_pairs_distinct(self, n, trials, seed):
-        starts, targets = _pair_schedule(n, trials, seed)
+        starts, targets = schedule(n, trials, seed)
         assert starts.size == targets.size == trials
         assert np.all((0 <= starts) & (starts < n))
         assert np.all((0 <= targets) & (targets < n))
@@ -230,7 +242,7 @@ class TestPairSchedule:
     def test_short_run_starts_spread(self, seed):
         # 100 walks on 30 nodes: row-major order would start them all at
         # nodes 0-3
-        starts, _ = _pair_schedule(30, 100, seed)
+        starts, _ = schedule(30, 100, seed)
         assert np.unique(starts).size >= 20
 
     @pytest.mark.parametrize("placement_seed", [1, 4, 5])
@@ -241,7 +253,7 @@ class TestPairSchedule:
         # about 3% on these graphs
         g = wireless_n30(placement_seed)
         h = hitting_times_linear_system(g)
-        means = [h[_pair_schedule(g.n, 100, seed)].mean()
+        means = [h[schedule(g.n, 100, seed)].mean()
                  for seed in range(200)]
         assert np.mean(means) == pytest.approx(expected_packet_delay(g),
                                                rel=0.015)
@@ -251,7 +263,7 @@ class TestPairSchedule:
         n, trials = 4096, 10_000
         tracemalloc.start()
         try:
-            starts, targets = _pair_schedule(n, trials, 0)
+            starts, targets = schedule(n, trials, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -260,13 +272,94 @@ class TestPairSchedule:
         assert np.unique(starts * n + targets).size == trials
 
 
+def batch_graphs():
+    """Graphs of several sizes and degrees for one batch."""
+    return [build_cycle(5, 1), path2(), build_torus(TorusSpec([3, 4], 1)),
+            wireless_n30(1), build_cycle(12, 2)]
+
+
+class TestBatch:
+    """Every graph of a batch walks in one kernel call on the
+    block-diagonal union of the graphs' CSR rows."""
+
+    def test_union_blocks_stay_in_their_graph(self):
+        gs = batch_graphs()
+        indptr, indices, nodes = _union([g.csr for g in gs])
+        assert nodes.tolist() == np.cumsum([0] + [g.n for g in gs]).tolist()
+        assert indptr[-1] == indices.size
+        for g, o in zip(gs, nodes):
+            ip, ix = g.csr
+            rows = indices[indptr[o]:indptr[o + g.n]]
+            assert np.all((o <= rows) & (rows < o + g.n))
+            assert np.array_equal(rows, ix + o)
+            assert np.array_equal(np.diff(indptr[o:o + g.n + 1]), np.diff(ip))
+
+    def test_caps_are_per_graph(self, monkeypatch):
+        # a cap of 2 steps on the 20-node cycle cuts every walk between
+        # nodes more than 2 hops apart; the 3-cycle's cap of 60 cuts none
+        monkeypatch.setattr(walker, "_step_cap",
+                            lambda n: 60 if n == 3 else 2)
+        batch = estimate_mean_latency([build_cycle(3, 1), build_cycle(20, 1)],
+                                      380, 4)
+        small, large = batch.estimates
+        assert small.truncated == 0
+        assert large.truncated >= 380 - 4 * 20  # at most 4 targets per start
+        assert batch.truncated == large.truncated
+        assert batch.trials_used == 760
+
+    def test_kernel_cuts_each_walk_at_its_own_cap(self):
+        # walks 0 -> 2 on two_edges never arrive; walk 0 -> 1 arrives
+        steps, cut = _run_walks(*two_edges().csr, [0, 0, 0, 3], [2, 2, 1, 3],
+                                [5, 9, 7, 4], np.random.default_rng(2))
+        assert steps.tolist() == [5, 9, 1, 0]
+        assert cut.tolist() == [True, True, False, False]
+
+    def test_disconnected_graph_raises_before_any_walk(self, monkeypatch):
+        def no_walks(*args):
+            raise AssertionError("walked a batch holding a disconnected graph")
+
+        monkeypatch.setattr(walker, "_run_walks", no_walks)
+        with pytest.raises(DisconnectedGraphError):
+            estimate_mean_latency([build_cycle(5, 1), two_edges(), path2()],
+                                  100, 0)
+
+    def test_rejects_empty_batch_and_single_node(self):
+        with pytest.raises(ParameterError):
+            estimate_mean_latency([], 100, 0)
+        with pytest.raises(ParameterError):
+            estimate_mean_latency([path2(), Graph(np.zeros((1, 1)))], 100, 0)
+
+    def test_multi_graph_batch_is_deterministic(self):
+        a = estimate_mean_latency(batch_graphs(), 700, 3)
+        b = estimate_mean_latency(iter(batch_graphs()), 700, 3)
+        assert a == b
+        assert len(a.estimates) == 5
+        assert all(e.trials_used == 700 for e in a.estimates)
+        assert a != estimate_mean_latency(batch_graphs(), 700, 4)
+
+    def test_each_graph_near_its_epd(self):
+        gs = batch_graphs()
+        batch = estimate_mean_latency(gs, 20000, 8)
+        for g, est in zip(gs, batch.estimates):
+            epd = expected_packet_delay(g)
+            assert abs(est.mean - epd) <= 4 * est.ci_halfwidth / 1.96
+            assert est.truncated == 0
+            assert type(est.ci_halfwidth) is float
+
+    def test_one_graph_batch_totals_are_its_estimate(self):
+        batch = estimate_mean_latency([build_cycle(12, 2)], 3000, 1)
+        (est,) = batch.estimates
+        assert (batch.mean, batch.trials_used, batch.truncated) == (
+            est.mean, est.trials_used, est.truncated)
+
+
 class TestGoldenStream:
     """Seeded MC values on binary graphs, pinned across kernel rewrites:
     one uniform per active walk per step, in ascending walk order."""
 
     def test_mean_latency_torus(self):
-        est = estimate_mean_latency(build_torus(TorusSpec([4, 4], 1)),
-                                    20000, 7)
+        est = estimate_mean_latency([build_torus(TorusSpec([4, 4], 1))],
+                                    20000, 7).estimates[0]
         assert est.mean == 18.29895
         assert est.ci_halfwidth == 0.25444183905803996
 
@@ -275,6 +368,6 @@ class TestGoldenStream:
         assert est.mean == 18.1266
 
     def test_simulate_walk(self):
-        steps, _ = _run_walks(build_cycle(9, 1), [0], [4], _step_cap(9),
+        steps, _ = _run_walks(*build_cycle(9, 1).csr, [0], [4], _step_cap(9),
                               np.random.default_rng(11))
         assert steps.tolist() == [18]
