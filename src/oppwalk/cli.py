@@ -146,7 +146,7 @@ def _lattice_rows(args, points):
                 cells["mc_mean"] = cells["mc_ci"] = "skipped"
     if built and args.trials:
         # The graphs are built as the walker takes them, and it keeps only
-        # their CSR rows, so one dense graph at a time is alive.
+        # their CSR rows.
         ests = _mc_estimates(
             (_with_oracle(spec, cells) for _, spec, cells in built),
             [label for label, *_ in built], args.trials, args.seed)

@@ -1,5 +1,14 @@
 """Graph families used by the latency analysis.
 
+A Graph is built one of two ways.  Graph(weights) takes a dense square,
+symmetric 0/1 matrix with zero diagonal and keeps a frozen copy; its CSR
+rows (Graph.csr) are derived on first use.  Graph.from_csr(indptr,
+indices) takes the CSR rows alone and keeps only those; cycles, tori and
+loaded edge lists are built this way, so they never allocate an n x n
+matrix.  On a CSR-built graph, weights and laplacian() build a new dense
+matrix on every call, for the dense consumers (eigvalsh, the
+fundamental-matrix oracle); nothing dense is cached beside the rows.
+
 Nodes are indexed 0..n-1. Torus nodes are indexed row-major over their
 coordinate tuples (numpy ravel order), so for dims [k_1, ..., k_m] the node
 with coordinates (c_1, ..., c_m) has index
@@ -31,65 +40,177 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph: symmetric 0/1 weights with zero diagonal."""
+    """Undirected simple graph: symmetric 0/1 adjacency with zero diagonal,
+    held as a dense matrix (Graph(weights)) or as CSR rows
+    (Graph.from_csr).  Immutable; every construction runs __post_init__,
+    which checks the input and freezes a copy of it."""
 
-    weights: np.ndarray
+    def __init__(self, weights):
+        self.__dict__["_dense"] = weights
+        self.__post_init__()
+
+    @classmethod
+    def from_csr(cls, indptr, indices) -> Graph:
+        """The graph whose neighbors of u are indices[indptr[u]:indptr[u+1]]:
+        every row strictly increasing, no self-loops, and v in the row of u
+        exactly when u is in the row of v.  Checked in O(nnz log nnz)."""
+        g = cls.__new__(cls)
+        g.__dict__.update(_dense=None, csr=(indptr, indices))
+        g.__post_init__()
+        return g
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 1:
-            raise ValidationError("weights must be a square matrix")
-        bad = w[(w != 0.0) & (w != 1.0)]
-        if bad.size:
-            raise ValidationError(f"weights must be finite 0/1, not {bad[0]:g}")
-        if not np.array_equal(w, w.T):
-            raise ValidationError("weight matrix must be symmetric")
-        if w.diagonal().any():
-            raise ValidationError("weight matrix must have zero diagonal")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        """Check the input of either constructor and freeze a copy of it."""
+        if self._dense is None:
+            self.__dict__["csr"] = _frozen_csr(*self.csr)
+        else:
+            self.__dict__["_dense"] = _frozen_dense(self._dense)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Graph is immutable: cannot set {name!r}")
 
     @property
     def n(self) -> int:
-        return self.weights.shape[0]
+        if self._dense is None:
+            return self.csr[0].size - 1
+        return self._dense.shape[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The dense 0/1 matrix, read-only: Graph(weights)'s own copy, or a
+        new matrix per call for a CSR-built graph."""
+        if self._dense is not None:
+            return self._dense
+        indptr, indices = self.csr
+        w = np.zeros((self.n, self.n))
+        w[_row_of_slot(indptr), indices] = 1.0
+        w.setflags(write=False)
+        return w
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        d = self.weights.sum(axis=1)
+        if self._dense is None:
+            d = np.diff(self.csr[0]).astype(float)
+        else:
+            d = self._dense.sum(axis=1)
         d.setflags(write=False)
         return d
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Compressed sparse rows (indptr, indices): the neighbors of u are
-        indices[indptr[u]:indptr[u+1]], in ascending order."""
-        rows, indices = np.nonzero(self.weights)
-        indptr = np.zeros(self.n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
+        indices[indptr[u]:indptr[u+1]], in ascending order.  Derived once
+        from a dense graph's matrix; both arrays compact and read-only."""
+        rows, cols = np.nonzero(self._dense)
+        indptr = np.searchsorted(rows, np.arange(self.n + 1))
+        # nonzero's arrays are strided views of one (nnz, 2) array
+        indices = cols.copy()
         indptr.setflags(write=False)
         indices.setflags(write=False)
         return indptr, indices
 
     def laplacian(self) -> np.ndarray:
+        """L = D - W as a new, writable dense matrix."""
         return np.diag(self.degrees) - self.weights
 
     def is_connected(self) -> bool:
         """Breadth-first sweep from node 0, one whole frontier per step,
         run on the first call; the graph is immutable, so later calls
-        return the stored answer."""
+        return the stored answer.  A dense graph sweeps its matrix rows,
+        which at wireless sizes costs less than deriving its CSR rows; a
+        CSR-built graph sweeps its rows, O(n + nnz) per step."""
         connected = self.__dict__.get("_connected")
         if connected is None:
-            seen = np.zeros(self.n, dtype=bool)
-            frontier = seen.copy()
-            frontier[0] = True
-            while frontier.any():
-                seen |= frontier
-                frontier = self.weights[frontier].any(axis=0) & ~seen
-            connected = bool(seen.all())
-            object.__setattr__(self, "_connected", connected)
+            if self._dense is None:
+                connected = _sweep_csr(*self.csr)
+            else:
+                connected = _sweep_dense(self._dense)
+            self.__dict__["_connected"] = connected
         return connected
+
+
+def _row_of_slot(indptr: np.ndarray) -> np.ndarray:
+    """The row of each CSR slot."""
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+
+
+def _frozen_dense(weights) -> np.ndarray:
+    """A read-only float copy of a symmetric 0/1 matrix with zero
+    diagonal; anything else raises a ValidationError."""
+    w = np.array(weights, dtype=float)
+    if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 1:
+        raise ValidationError("weights must be a square matrix")
+    bad = w[(w != 0.0) & (w != 1.0)]
+    if bad.size:
+        raise ValidationError(f"weights must be finite 0/1, not {bad[0]:g}")
+    if not np.array_equal(w, w.T):
+        raise ValidationError("weight matrix must be symmetric")
+    if w.diagonal().any():
+        raise ValidationError("weight matrix must have zero diagonal")
+    w.setflags(write=False)
+    return w
+
+
+def _frozen_csr(indptr, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only intp copies of the CSR rows of a simple undirected graph;
+    anything else raises a ValidationError that names the fault."""
+    out = []
+    for name, a in (("indptr", indptr), ("indices", indices)):
+        a = np.asarray(a)
+        if a.ndim != 1 or (a.size and a.dtype.kind not in "iu"):
+            raise ValidationError(f"CSR {name} must be a 1-D integer array")
+        out.append(a)
+    indptr, indices = out
+    n = indptr.size - 1
+    if (n < 1 or indptr[0] != 0 or indptr[-1] != indices.size
+            or np.any(indptr[1:] < indptr[:-1])):
+        raise ValidationError(
+            "CSR indptr must start at 0, never decrease and end at the "
+            "number of indices")
+    bad = indices[(indices < 0) | (indices >= n)]
+    if bad.size:
+        raise ValidationError(f"CSR index {bad[0]} out of range for n={n}")
+    indptr, indices = indptr.astype(np.intp), indices.astype(np.intp)
+    rows = _row_of_slot(indptr)
+    step = np.diff(indices)[rows[1:] == rows[:-1]]  # within one row
+    if np.any(step < 0):
+        raise ValidationError("CSR rows must be sorted in ascending order")
+    if np.any(step == 0):
+        raise ValidationError("CSR row lists a neighbor twice")
+    if np.any(indices == rows):
+        raise ValidationError("CSR rows must have no self-loops")
+    # (row, col) slots are in ascending row * n + col order; the graph is
+    # symmetric exactly when the transposed slots sort to the same keys
+    if not np.array_equal(np.sort(indices * n + rows), rows * n + indices):
+        raise ValidationError("CSR rows must be symmetric")
+    indptr.setflags(write=False)
+    indices.setflags(write=False)
+    return indptr, indices
+
+
+def _sweep_dense(w: np.ndarray) -> bool:
+    seen = np.zeros(w.shape[0], dtype=bool)
+    frontier = seen.copy()
+    frontier[0] = True
+    while frontier.any():
+        seen |= frontier
+        frontier = w[frontier].any(axis=0) & ~seen
+    return bool(seen.all())
+
+
+def _sweep_csr(indptr: np.ndarray, indices: np.ndarray) -> bool:
+    rows = _row_of_slot(indptr)
+    seen = np.zeros(indptr.size - 1, dtype=bool)
+    frontier = seen.copy()
+    frontier[0] = True
+    while frontier.any():
+        seen |= frontier
+        # the nodes in the slots of the frontier rows
+        reached = np.zeros_like(seen)
+        reached[indices[frontier[rows]]] = True
+        frontier = reached & ~seen
+    return bool(seen.all())
 
 
 def _integer(value, name: str) -> int:
@@ -153,11 +274,11 @@ def cartesian_product(g1: Graph, g2: Graph) -> Graph:
 
 def build_torus(spec: TorusSpec) -> Graph:
     """m-dimensional r-nearest-neighbor torus, the Cartesian product of
-    r-nearest-neighbor cycles, filled row by row from torus_neighbors."""
-    nodes = np.arange(spec.n)
-    weights = np.zeros((spec.n, spec.n))
-    weights[nodes[:, None], torus_neighbors(spec, nodes)] = 1.0
-    return Graph(weights)
+    r-nearest-neighbor cycles, built from the CSR rows torus_neighbors
+    gives: every node has 2mr neighbors, so no n x n matrix is made."""
+    rows = torus_neighbors(spec, np.arange(spec.n))
+    width = rows.shape[1]
+    return Graph.from_csr(np.arange(0, rows.size + 1, width), rows.ravel())
 
 
 def torus_neighbors(spec: TorusSpec, index) -> np.ndarray:
@@ -194,11 +315,14 @@ def _text_file(path_or_buf, mode: str):
 
 
 def save_edge_list(g: Graph, path_or_buf) -> None:
-    """Write the plain-text edge list: `n <count>` header then `i j 1` rows."""
-    rows, cols = np.nonzero(np.triu(g.weights))
+    """Write the plain-text edge list: `n <count>` header then `i j 1` rows,
+    one per edge i < j in row-major order, from the CSR rows."""
+    indptr, indices = g.csr
+    rows = _row_of_slot(indptr)
+    upper = rows < indices
     with _text_file(path_or_buf, "w") as buf:
         buf.write(f"n {g.n}\n")
-        for i, j in zip(rows, cols):
+        for i, j in zip(rows[upper], indices[upper]):
             buf.write(f"{i} {j} 1\n")
 
 
@@ -216,7 +340,8 @@ def _fields(no: int, line: str, kinds) -> list:
 
 def load_edge_list(path_or_buf) -> Graph:
     """Read a graph from the edge-list format written by save_edge_list.
-    Every line is checked before the n x n matrix is allocated."""
+    Every line is checked before the graph is built from its CSR rows, in
+    O(n + edges) memory."""
     with _text_file(path_or_buf, "r") as f:
         lines = [(no, ln.strip()) for no, ln in enumerate(f, 1) if ln.strip()]
     if not lines or lines[0][1].split()[0] != "n":
@@ -237,7 +362,7 @@ def load_edge_list(path_or_buf) -> Graph:
         if pair in pairs:
             raise ValidationError(f"pair listed twice on line {no}: {ln!r}")
         pairs.add(pair)
-    weights = np.zeros((n, n))
-    for i, j in pairs:
-        weights[i, j] = weights[j, i] = 1.0
-    return Graph(weights)
+    # both slots of every edge, sorted by (row, column): the CSR rows
+    i, j = np.array(list(pairs), dtype=np.intp).reshape(-1, 2).T
+    rows, cols = np.divmod(np.sort(np.concatenate([i * n + j, j * n + i])), n)
+    return Graph.from_csr(np.searchsorted(rows, np.arange(n + 1)), cols)

@@ -152,16 +152,13 @@ def _pair_schedule(n: int, trials: int,
 
 
 def _checked_csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """g's CSR rows, once g is known to be walkable.  The indices are
-    copied compact: Graph.csr's are a view of the (nnz, 2) array of
-    np.nonzero, which would keep the row numbers alive too."""
+    """g's CSR rows, once g is known to be walkable."""
     if g.n < 2:
         raise ParameterError("mean latency needs n >= 2")
     if not g.is_connected():
         raise DisconnectedGraphError(
             "graph is disconnected; walks between components never arrive")
-    indptr, indices = g.csr
-    return indptr, np.ascontiguousarray(indices)
+    return g.csr
 
 
 def _union(blocks):
@@ -184,8 +181,8 @@ def estimate_mean_latency(graphs, trials: int, seed: int) -> WalkBatch:
     uniformly), all simulated in one vectorized batch.  Comparable to the
     analytic expected packet delay.  Every graph must be connected and have
     n >= 2 nodes; each is checked before any walk, and only its CSR rows
-    are kept, so an iterable that builds its graphs lazily holds one dense
-    matrix at a time."""
+    are kept, so an iterable that builds its graphs lazily holds at most
+    one dense matrix at a time."""
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     blocks = list(map(_checked_csr, graphs))

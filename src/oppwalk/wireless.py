@@ -180,11 +180,19 @@ def generate_topologies(base: WirelessConfig, configs, seed: int,
     Attempt k places the nodes from SeedSequence(seed, spawn_key=(*prefix,
     k)).  Up to max(1, resample_until_connected) attempts are made; the
     first whose topologies are all connected is returned, else the last.
+    Every attempt but the last stops at its first disconnected topology,
+    and a rejected attempt's topologies are released before the next
+    placement.
     """
-    for attempt in range(max(1, resample_until_connected)):
+    last = max(1, resample_until_connected) - 1
+    for attempt in range(last + 1):
+        topos = []
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(*prefix, attempt))
         placement = place_nodes(base, np.random.Generator(np.random.PCG64(ss)))
-        topos = [build_wireless_graph(cfg, placement) for cfg in configs]
+        for cfg in configs:
+            topos.append(build_wireless_graph(cfg, placement))
+            if not topos[-1].connected and attempt < last:
+                break
         if all(t.connected for t in topos):
             break
     return topos

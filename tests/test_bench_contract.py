@@ -6,6 +6,7 @@ that called a layer through a reference taken at import time would hide
 that layer from the tracer.  Each workload runs one tiny traced pass in a
 subprocess, so the tracer's patches never reach the other tests.
 """
+import csv
 import importlib.util
 import json
 import subprocess
@@ -29,18 +30,47 @@ LAYERS = {
 }
 
 
+@pytest.fixture(scope="module")
+def traced_pass(tmp_path_factory):
+    """The output directory of one tiny traced pass of a workload, run
+    once per module."""
+    done = {}
+
+    def run(workload):
+        if workload not in done:
+            out = tmp_path_factory.mktemp(workload)
+            subprocess.run(
+                [sys.executable, "bench/onepass.py", "--workload", workload,
+                 "--seed", "7", "--out-dir", str(out),
+                 "--t0", str(time.monotonic()), "--tiny", "--trace"],
+                cwd=ROOT, check=True, timeout=300)
+            done[workload] = out
+        return done[workload]
+    return run
+
+
 @pytest.mark.parametrize("workload", sorted(LAYERS))
-def test_tiny_traced_pass(tmp_path, workload):
-    subprocess.run(
-        [sys.executable, "bench/onepass.py", "--workload", workload,
-         "--seed", "7", "--out-dir", str(tmp_path),
-         "--t0", str(time.monotonic()), "--tiny", "--trace"],
-        cwd=ROOT, check=True, timeout=300)
-    result = json.loads((tmp_path / "result.json").read_text())
+def test_tiny_traced_pass(traced_pass, workload):
+    result = json.loads((traced_pass(workload) / "result.json").read_text())
     assert result["steps"]
     assert all(step["rc"] == 0 for step in result["steps"]), result["steps"]
     for metric in LAYERS[workload]:
         assert result["layers"][metric] > 0, metric
+
+
+def test_each_built_lattice_counted_once(traced_pass):
+    # the tracer counts graph builds in Graph.__post_init__, so every
+    # construction, Graph.from_csr included, must run it exactly once; a
+    # lattice is built for each row with an oracle cell
+    out = traced_pass("lattice-oracle")
+    result = json.loads((out / "result.json").read_text())
+    built = 0
+    for step in result["steps"]:
+        with open(out / f"{step['label']}.csv", newline="") as f:
+            built += sum(row["oracle"] not in ("", "skipped")
+                         for row in csv.DictReader(f))
+    assert built > 0
+    assert result["layers"]["graphs.build_calls"] == built
 
 
 def test_traced_names_exist():

@@ -340,22 +340,24 @@ class TestMemory:
     @pytest.mark.parametrize("mc", [[], ["--trials", "100"]])
     def test_lattice_sweep_holds_one_dense_graph(self, capsys, mc):
         # four tori of 992-1088 nodes, 7.9-9.5 MB dense each (34.6 MB in
-        # all).  Building one peaks near 2.3 matrices (the builder's, the
-        # Graph's copy and its 0/1 and symmetry checks), so the bound is 3.
+        # all).  Lattices are built from their CSR rows and never made
+        # dense, so the whole sweep stays below a quarter of one matrix
+        # (0.6 MB without MC, 1.4 MB with).
         peak = traced_peak(["torus-sweep", "--dims", "31:34x32", "--r", "1",
                             *mc], capsys)
-        assert peak < 3 * 8 * 1088 ** 2
+        assert peak < 8 * 1088 ** 2 / 4
 
     def test_ensemble_memory_does_not_grow_with_seeds(self, capsys):
         # n=200: one seed's graphs of the 9 sweep points take 2.9 MB, and
-        # keeping every seed's would add 17 MB from 2 seeds to 8.  While a
-        # placement is redrawn (here in one of the 8 seeds) the graphs of
-        # the rejected attempt are alive beside the new ones.
+        # keeping every seed's would add 17 MB from 2 seeds to 8.  One of
+        # the 8 seeds redraws its placement; the rejected attempt stops at
+        # its first disconnected graph and is released before the redraw,
+        # so its graphs are never alive beside the new ones.
         one_seed = 9 * 8 * 200 ** 2
         argv = ["epd-eta-sweep", "--n", "200", "--seed", "3", "--seeds"]
         two = traced_peak([*argv, "2"], capsys)
         eight = traced_peak([*argv, "8"], capsys)
-        assert eight < two + 2 * one_seed
+        assert eight < two + one_seed / 4
 
 
 class TestTruncationWarning:

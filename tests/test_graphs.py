@@ -89,6 +89,118 @@ class TestCsr:
         g = build_cycle(6, 1)
         assert g.csr is g.csr
 
+    @pytest.mark.parametrize("make", [
+        lambda: Graph(reference_cycle(7, 2).weights),
+        lambda: build_torus(TorusSpec([3, 4], 1)),
+        lambda: load_edge_list(io.StringIO("n 3\n0 2 1\n")),
+    ], ids=["dense", "lattice", "edge-list"])
+    def test_rows_compact_and_frozen(self, make):
+        # np.nonzero's column array is a strided view of one (nnz, 2) array
+        # that holds the row numbers too; the graph keeps a compact copy
+        for a in make().csr:
+            assert a.base is None or a.base.ndim == 1
+            assert a.flags.c_contiguous and not a.flags.writeable
+
+
+def csr_of(w):
+    """CSR rows of a dense 0/1 matrix, row by row, without Graph."""
+    rows = [np.flatnonzero(row) for row in w]
+    return (np.cumsum([0] + [r.size for r in rows]),
+            np.concatenate([np.zeros(0, dtype=int), *rows]))
+
+
+class TestFromCsr:
+    GOOD = (np.array([0, 2, 4, 6]), np.array([1, 2, 0, 2, 0, 1]))  # K3
+
+    def test_triangle(self):
+        g = Graph.from_csr(*self.GOOD)
+        assert g.n == 3
+        assert np.array_equal(g.weights, 1.0 - np.eye(3))
+        assert np.array_equal(g.degrees, [2.0, 2.0, 2.0])
+        assert g.is_connected()
+
+    @pytest.mark.parametrize("indptr,indices,message", [
+        ([0], [], "indptr must start at 0"),
+        ([1, 2, 4, 6], [1, 2, 0, 2, 0, 1], "indptr must start at 0"),
+        ([0, 3, 2, 6], [1, 2, 0, 2, 0, 1], "never decrease"),
+        ([0, 2, 4, 5], [1, 2, 0, 2, 0, 1], "end at the number of indices"),
+        ([[0, 2], [4, 6]], [1, 2, 0, 2, 0, 1], "indptr must be a 1-D integer"),
+        ([0, 2, 4, 6], [1.0, 2, 0, 2, 0, 1], "indices must be a 1-D integer"),
+        ([0, 2, 4, 6], [1, 3, 0, 2, 0, 1], "index 3 out of range for n=3"),
+        ([0, 2, 4, 6], [1, -1, 0, 2, 0, 1], "index -1 out of range"),
+        ([0, 2, 4, 6], [2, 1, 0, 2, 0, 1], "sorted in ascending order"),
+        ([0, 2, 4, 6], [1, 1, 0, 2, 0, 1], "lists a neighbor twice"),
+        ([0, 2, 4, 6], [0, 1, 0, 2, 0, 1], "no self-loops"),
+        ([0, 2, 3, 5], [1, 2, 0, 0, 1], "symmetric"),
+        ([0, 1, 1], [1], "symmetric"),
+    ], ids=["empty-indptr", "indptr-start", "indptr-decreasing", "indptr-end",
+            "indptr-2d", "float-indices", "index-too-large",
+            "index-negative", "unsorted-row", "duplicate", "self-loop",
+            "asymmetric", "one-way-edge"])
+    def test_rejects_malformed_rows(self, indptr, indices, message):
+        with pytest.raises(ValidationError, match=message):
+            Graph.from_csr(np.array(indptr), np.array(indices))
+
+    def test_rows_are_copied(self):
+        indptr, indices = (a.copy() for a in self.GOOD)
+        g = Graph.from_csr(indptr, indices)
+        indices[:] = 0
+        assert indptr.flags.writeable and indices.flags.writeable
+        assert np.array_equal(g.csr[1], self.GOOD[1])
+
+    def test_dense_views_are_new_read_only_matrices(self):
+        g = build_cycle(6, 1)
+        w = g.weights
+        assert w is not g.weights  # never cached beside the rows
+        with pytest.raises(ValueError):
+            w[0, 1] = 0.0
+        lap = g.laplacian()
+        lap += 1.0  # the caller's own matrix
+        assert np.array_equal(g.laplacian(), np.diag(g.degrees) - w)
+
+    def test_immutable(self):
+        g = build_cycle(6, 1)
+        with pytest.raises(AttributeError):
+            g.csr = None
+        with pytest.raises(AttributeError):
+            Graph(np.zeros((2, 2))).weights = np.zeros((2, 2))
+
+    def test_single_node(self):
+        g = Graph.from_csr(np.zeros(2, dtype=int), np.zeros(0, dtype=int))
+        assert g.n == 1 and g.is_connected()
+        assert np.array_equal(g.weights, [[0.0]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(min_value=1, max_value=24),
+       density=st.floats(min_value=0.0, max_value=1.0),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_csr_construction_matches_dense(n, density, seed):
+    block = np.triu(np.random.default_rng(seed).random((n, n)) < density, 1)
+    w = (block | block.T).astype(float)
+    dense = Graph(w)
+    sparse = Graph.from_csr(*dense.csr)
+    assert np.array_equal(sparse.weights, dense.weights)
+    assert np.array_equal(sparse.degrees, dense.degrees)
+    assert np.array_equal(sparse.laplacian(), dense.laplacian())
+    for a, b, ref in zip(sparse.csr, dense.csr, csr_of(w)):
+        assert np.array_equal(a, b) and np.array_equal(b, ref)
+    expected = connected_components(w, directed=False)[0] == 1
+    assert sparse.is_connected() == dense.is_connected() == expected
+
+
+def test_lattice_build_allocates_no_dense_matrix():
+    # the dense 4096-node cycle would take 134 MB; the rows take 98 kB
+    tracemalloc.start()
+    try:
+        g = build_cycle(4096, 1)
+        t = mean_latency_circulant(g, (4096,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert t == pytest.approx((4096 + 1) / 6, rel=1e-9)
+
 
 class TestBuildCycle:
     def test_c4_adjacency(self):
@@ -335,6 +447,21 @@ class TestEdgeListFormat:
     def test_bad_line_names_the_line(self, text, line):
         with pytest.raises(ValidationError, match=line):
             load_edge_list(io.StringIO(text))
+
+    def test_large_node_count_loads_in_linear_memory(self):
+        # a dense matrix of this header would take 8 TB
+        tracemalloc.start()
+        try:
+            g = load_edge_list(io.StringIO("n 1000000\n0 999999 1\n5 3 1\n"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        assert g.n == 10**6
+        indptr, indices = g.csr
+        assert indices.tolist() == [999999, 5, 3, 0]
+        assert indptr[[0, 1, 3, 4, 5, 6, -1]].tolist() == [0, 1, 1, 2, 2, 3, 4]
+        assert not g.is_connected()
 
     def test_bad_line_found_before_the_matrix_is_allocated(self):
         # the header alone would size a 5000 x 5000 matrix (200 MB)

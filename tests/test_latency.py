@@ -15,7 +15,11 @@ from oppwalk.latency import (
     mean_latency_torus,
     torus_latency_bounds,
 )
-from oppwalk.spectral import cycle_laplacian_eigenvalues, pinv_trace
+from oppwalk.spectral import (
+    cycle_laplacian_eigenvalues,
+    pinv_trace,
+    torus_laplacian_eigenvalues,
+)
 from oppwalk.wireless import WirelessConfig, generate_topology
 from test_acceptance import ORACLE_CYCLE_CASES, ORACLE_TORUS_CASES
 
@@ -100,6 +104,15 @@ class TestMeanLatencyTorus:
         spec = TorusSpec(dims, r)
         assert mean_latency_torus(spec) == pytest.approx(
             mean_latency_spectral(build_torus(spec)), abs=1e-9)
+
+    @pytest.mark.parametrize("dims,r", [([11], 2), ([300], 5), ([4, 5, 6], 1),
+                                        ([1000, 1000], 5), ([16, 18, 20], 4)])
+    def test_bit_identical_to_sum_of_reciprocals(self, dims, r):
+        # the reciprocals are taken in place; same values, same order
+        spec = TorusSpec(dims, r)
+        vals = torus_laplacian_eigenvalues(spec)
+        expected = 2.0 / (spec.n - 1) * float(np.sum(1.0 / vals[1:]))
+        assert mean_latency_torus(spec) == expected
 
     def test_decreases_with_dimension_and_r(self):
         dims = [16, 18, 20, 22]

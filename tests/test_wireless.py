@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from oppwalk import wireless
 from oppwalk.errors import ParameterError, ValidationError
 from oppwalk.wireless import (
     Placement,
@@ -295,6 +296,30 @@ class TestBuildWirelessGraph:
         ss = np.random.SeedSequence(entropy=1, spawn_key=(4, 2))
         last = place_nodes(cfg, np.random.Generator(np.random.PCG64(ss)))
         assert np.array_equal(topo.placement.positions, last.positions)
+
+    def test_rejected_attempt_stops_at_first_disconnected(self, monkeypatch):
+        # every attempt but the last stops at its first disconnected graph;
+        # the last still builds every graph ("else the last")
+        base = WirelessConfig(n=50)
+        hard = dataclasses.replace(base, eta=6.0, threshold=0.9)
+        built = []
+        build = wireless.build_wireless_graph
+
+        def spy(cfg, placement):
+            topo = build(cfg, placement)
+            built.append((placement, topo.connected))
+            return topo
+
+        monkeypatch.setattr(wireless, "build_wireless_graph", spy)
+        topos = generate_topologies(base, [base, hard, base], seed=1,
+                                    resample_until_connected=3)
+        # built keeps every placement alive, so their ids are distinct
+        attempts = list(dict.fromkeys(id(p) for p, _ in built))
+        assert len(attempts) == 3
+        per_attempt = [[ok for p, ok in built if id(p) == a] for a in attempts]
+        assert per_attempt[:2] == [[True, False], [True, False]]
+        assert len(per_attempt[2]) == 3 and not per_attempt[2][1]
+        assert [id(t.placement) for t in topos] == [attempts[2]] * 3
 
 
 def reference_coefficients(cfg, placement):
