@@ -37,6 +37,9 @@ from .errors import ParameterError
 
 CSV_HEADER = "family,params,analytic,lower,upper,oracle,mc_mean,mc_ci,trials"
 
+# Eigenvalues spectrum-export formats into one string before writing it.
+_EXPORT_LINES = 4096
+
 # Wireless ensemble sweeps: subcommand -> (family, axes).  Each axis is
 # (flag, default range, WirelessConfig field, label key); rows run over the
 # product of the axes, the first (eta) outermost.
@@ -280,15 +283,16 @@ def _epd_rows(args):
 
 
 def parse_graph_spec(text: str, base_config=None, resample: int = 100):
-    """Graph descriptors: cycle:N:R, torus:K1xK2[x..]:R, wireless:SEED."""
+    """Graph descriptors: cycle:N:R, torus:K1xK2[x..]:R, wireless:SEED.
+
+    Returns (spec, graph): the TorusSpec of a cycle or torus (a cycle is
+    the one-axis torus), None for a wireless graph."""
     parts = text.split(":")
-    if parts[0] == "cycle" and len(parts) == 3:
-        n, r = (_parse_value(v, int, text) for v in parts[1:])
-        return text, graphs.build_cycle(n, r)
-    if parts[0] == "torus" and len(parts) == 3:
-        dims = [_parse_value(k, int, text) for k in parts[1].split("x")]
-        r = _parse_value(parts[2], int, text)
-        return text, graphs.build_torus(graphs.TorusSpec(dims, r))
+    if parts[0] in ("cycle", "torus") and len(parts) == 3:
+        sizes = parts[1].split("x") if parts[0] == "torus" else [parts[1]]
+        spec = graphs.TorusSpec([_parse_value(k, int, text) for k in sizes],
+                                _parse_value(parts[2], int, text))
+        return spec, graphs.build_torus(spec)
     if parts[0] == "wireless" and len(parts) == 2:
         cfg = base_config or wireless.WirelessConfig(n=30)
         topo = wireless.generate_topology(
@@ -296,11 +300,15 @@ def parse_graph_spec(text: str, base_config=None, resample: int = 100):
             resample_until_connected=resample)
         if not topo.connected:
             raise RuntimeError(f"wireless graph {text} is disconnected")
-        return text, topo.graph
+        return None, topo.graph
     raise ParameterError(f"bad graph descriptor {text!r}")
 
 
 def _walk_validate_rows(args):
+    """EPD rows of the --graphs descriptors.  A lattice's analytic EPD is
+    its edge count n*m*r times the closed-form mean latency; a wireless
+    graph's comes from its Laplacian eigenvalues.  --oracle adds the
+    fundamental-matrix EPD of every graph."""
     texts = [s for s in args.graphs.split(",") if s]
     if not texts:
         raise ParameterError("--graphs must list at least one graph")
@@ -309,9 +317,11 @@ def _walk_validate_rows(args):
 
     def analysed(text):
         """The graph of text, its EPD (and oracle) noted in cells."""
-        _, g = parse_graph_spec(text, config, args.resample_until_connected)
+        spec, g = parse_graph_spec(text, config, args.resample_until_connected)
         cells.append({
-            "analytic": latency.expected_packet_delay(g),
+            "analytic": (latency.expected_packet_delay(g) if spec is None else
+                         spec.n * spec.m * spec.r
+                         * latency.mean_latency_torus(spec)),
             "oracle": (latency.expected_packet_delay(g, "linear-system")
                        if args.oracle else None)})
         return g
@@ -328,17 +338,18 @@ def run(args) -> str:
     """Write CSV_HEADER and the rows of one parsed sweep command to
     args.out ('-' is stdout) and return the CSV text."""
     text = "\n".join([CSV_HEADER, *args.rows(args)]) + "\n"
-    _write(args.out, text)
+    _write(args.out, [text])
     return text
 
 
-def _write(out: str, text: str) -> None:
-    """Write text to the path out, or to stdout when out is '-'."""
+def _write(out: str, chunks) -> None:
+    """Write the strings of chunks to the path out, or to stdout when out
+    is '-'."""
     if out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", newline="") as f:
-            f.write(text)
+            f.writelines(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +489,9 @@ def _run_spectrum_export(args) -> None:
             raise ParameterError("--n does not apply to family=torus")
         dims = [_parse_value(k, int, args.dims) for k in args.dims.split("x")]
     vals = spectral.torus_laplacian_eigenvalues(graphs.TorusSpec(dims, args.r))
-    _write(args.out, "".join(f"{v:.17g}\n" for v in np.sort(vals)))
+    vals.sort()
+    _write(args.out, ("".join(f"{v:.17g}\n" for v in vals[i:i + _EXPORT_LINES])
+                      for i in range(0, vals.size, _EXPORT_LINES)))
 
 
 def _run_wireless_export(args) -> None:

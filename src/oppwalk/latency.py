@@ -62,6 +62,9 @@ __all__ = [
     "expected_packet_delay",
 ]
 
+# Most torus eigenvalues mean_latency_torus builds at once: 512 KB.
+_LEAF = 1 << 16
+
 
 def _require_connected(g: Graph, quantity: str) -> None:
     """Raise unless g has n >= 2 nodes and is connected."""
@@ -130,12 +133,85 @@ def mean_latency_torus(spec: TorusSpec) -> float:
     """Closed-form mean latency of the m-dimensional torus.
 
     Sums 1/lambda over every index tuple except the all-zero one and scales
-    by 2/(n-1) with n = prod(k_i).  The reciprocals are taken in place,
-    so a 1000 x 1000 torus needs one 8 MB buffer, not two.
+    by 2/(n-1) with n = prod(k_i).  The sum is np.sum over the raveled
+    spectrum, element 0 dropped, but no more than _LEAF eigenvalues are
+    built at once (see _pairwise_sum), so memory is O(_LEAF + n/k_m) for
+    any n: under 1 MB for a 1000 x 1000 torus, whose spectrum takes 8 MB.
+    The result is the same double as the whole-array sum.
     """
-    vals = torus_laplacian_eigenvalues(spec)[1:]
-    np.reciprocal(vals, out=vals)
-    return 2.0 / (spec.n - 1) * float(np.sum(vals))
+    if spec.n - 1 <= _LEAF:
+        vals = torus_laplacian_eigenvalues(spec)[1:]
+        total = np.sum(np.reciprocal(vals, out=vals))
+    else:
+        total = _pairwise_sum(_reciprocal_leaves(spec), 1, spec.n - 1)
+    return 2.0 / (spec.n - 1) * float(total)
+
+
+def _pairwise_sum(leaf, start: int, count: int) -> float:
+    """np.sum of the values start..start+count-1 of a sequence, with
+    leaf(start, count) giving at most _LEAF of them as an array.
+
+    np.sum of a contiguous float64 array is a pairwise sum whose splits
+    depend on the length alone: a run of more than 128 values splits at
+    half its length rounded down to a multiple of 8, and the two halves'
+    sums are added.  Splitting by the same rule down to runs of at most
+    _LEAF (>= 128) values repeats every addition of np.sum over the whole
+    run.
+    """
+    if count <= _LEAF:
+        return np.sum(leaf(start, count))
+    half = count // 2
+    half -= half % 8
+    return (_pairwise_sum(leaf, start, half)
+            + _pairwise_sum(leaf, start + half, count - half))
+
+
+def _reciprocal_leaves(spec: TorusSpec):
+    """leaf(start, count) for _pairwise_sum: 1/lambda of the raveled torus
+    eigenvalues start..start+count-1, count <= _LEAF.
+
+    Eigenvalue i is head[i // k] + last[i % k], with head the spectrum of
+    every axis but the last (k long) and last that axis's spectrum, which
+    is the order torus_laplacian_eigenvalues adds in, so every value is
+    the same double.  A last axis longer than _LEAF is evaluated per leaf
+    at the indices the leaf needs; a leaf then spans at most two rows.
+    """
+    *head_dims, k = spec.dims
+    r = spec.r
+    head = (torus_laplacian_eigenvalues(TorusSpec(head_dims, r))
+            if head_dims else np.zeros(1))
+
+    if k > _LEAF:
+        def leaf(start: int, count: int) -> np.ndarray:
+            row, col = divmod(start, k)
+            out = cycle_laplacian_eigenvalues(
+                k, r, np.arange(col, col + count) % k)
+            split = k - col
+            out[:split] += head[row]
+            if split < count:
+                out[split:] += head[row + 1]
+            return np.reciprocal(out, out=out)
+        return leaf
+
+    last = cycle_laplacian_eigenvalues(k, r)
+    buf = np.empty(_LEAF)
+
+    def leaf(start: int, count: int) -> np.ndarray:
+        row, col = divmod(start, k)
+        end_row, end_col = divmod(start + count, k)
+        out = buf[:count]
+        if row == end_row:
+            np.add(head[row], last[col:end_col], out=out)
+        else:
+            first = k - col
+            tail = first + (end_row - row - 1) * k
+            np.add(head[row], last[col:], out=out[:first])
+            np.add(head[row + 1:end_row, None], last,
+                   out=out[first:tail].reshape(-1, k))
+            if end_col:
+                np.add(head[end_row], last[:end_col], out=out[tail:])
+        return np.reciprocal(out, out=out)
+    return leaf
 
 
 def cycle_latency_bounds(n: int, r: int) -> tuple[float, float]:

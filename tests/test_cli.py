@@ -11,7 +11,7 @@ import numpy as np
 
 import pytest
 
-from oppwalk import walker, wireless
+from oppwalk import latency, walker, wireless
 from oppwalk.cli import (
     CSV_HEADER,
     _row,
@@ -21,6 +21,8 @@ from oppwalk.cli import (
     parse_range,
 )
 from oppwalk.errors import ParameterError
+from oppwalk.graphs import TorusSpec
+from oppwalk.spectral import torus_laplacian_eigenvalues
 
 
 def run_cli(argv, capsys):
@@ -260,12 +262,38 @@ class TestWalkValidate:
             assert abs(mc - analytic) <= ci
 
     def test_graph_descriptor_parsing(self):
-        _, g = parse_graph_spec("torus:4x4:1")
-        assert g.n == 16
-        _, g = parse_graph_spec("wireless:3")
-        assert g.n == 30
+        spec, g = parse_graph_spec("torus:4x4:1")
+        assert spec == TorusSpec((4, 4), 1) and g.n == 16
+        spec, g = parse_graph_spec("cycle:9:2")
+        assert spec == TorusSpec((9,), 2) and g.n == 9
+        spec, g = parse_graph_spec("wireless:3")
+        assert spec is None and g.n == 30
         with pytest.raises(ParameterError):
             parse_graph_spec("hypercube:4")
+
+    def test_lattice_analytic_is_edges_times_closed_form(self, capsys):
+        # the paper's closed form, cross-checked by the dense
+        # fundamental-matrix oracle
+        code, out, _ = run_cli(
+            ["walk-validate", "--graphs",
+             "cycle:64:1,torus:16x16:1,cycle:11:5,torus:3x4x5:1",
+             "--trials", "200", "--oracle"], capsys)
+        assert code == 0
+        specs = [TorusSpec((64,), 1), TorusSpec((16, 16), 1),
+                 TorusSpec((11,), 5), TorusSpec((3, 4, 5), 1)]
+        for row, spec in zip(csv_rows(out), specs, strict=True):
+            epd = spec.n * spec.m * spec.r * latency.mean_latency_torus(spec)
+            assert row["analytic"] == f"{epd:.12g}"
+            assert float(row["oracle"]) == pytest.approx(epd, rel=1e-11)
+
+    def test_lattice_analytic_uses_no_dense_route(self, capsys, monkeypatch):
+        def dense(g, method="spectral"):
+            raise AssertionError(f"dense {method} EPD on a lattice")
+        monkeypatch.setattr(latency, "expected_packet_delay", dense)
+        # a 64 x 64 torus: one dense matrix is 134 MB
+        peak = traced_peak(["walk-validate", "--graphs", "torus:64x64:1",
+                            "--trials", "1"], capsys)
+        assert peak < 8 * 4096 ** 2 / 16
 
 
 class TestMonteCarloAgreesWithAnalytic:
@@ -482,6 +510,26 @@ class TestExports:
              "--r", "1"], capsys)
         vals = sorted(float(v) for v in out.split())
         assert vals == pytest.approx([0, 3, 3, 3, 3, 6, 6, 6, 6], abs=1e-12)
+
+    def test_spectrum_export_streams_same_text(self, tmp_path, capsys):
+        # 4200 lines: more than one chunk of formatted eigenvalues
+        path = tmp_path / "spec.csv"
+        code, _, _ = run_cli(
+            ["spectrum-export", "--family", "torus", "--dims", "60x70",
+             "--r", "2", "--out", str(path)], capsys)
+        assert code == 0
+        vals = torus_laplacian_eigenvalues(TorusSpec((60, 70), 2))
+        assert path.read_text() == "".join(f"{v:.17g}\n"
+                                           for v in np.sort(vals))
+
+    def test_spectrum_export_memory(self, tmp_path, capsys):
+        # one string per eigenvalue, all joined, took 13 times the 8n bytes
+        # of the spectrum
+        n = 300 * 300
+        peak = traced_peak(
+            ["spectrum-export", "--family", "torus", "--dims", "300x300",
+             "--r", "1", "--out", str(tmp_path / "spec.csv")], capsys)
+        assert peak < 3 * 8 * n
 
     def test_wireless_export(self, tmp_path, capsys):
         prefix = str(tmp_path / "topo")

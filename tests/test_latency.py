@@ -1,7 +1,10 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
 
+from oppwalk import latency
 from oppwalk.errors import DisconnectedGraphError, ParameterError, ValidationError
 from oppwalk.graphs import Graph, TorusSpec, build_cycle, build_torus
 from oppwalk.latency import (
@@ -124,6 +127,81 @@ class TestMeanLatencyTorus:
             series = [mean_latency_torus(TorusSpec(dims[:m], r))
                       for r in range(1, 5)]
             assert all(a > b for a, b in zip(series, series[1:]))
+
+
+def full_array_latency(spec):
+    """T from the whole spectrum at once, summed by one np.sum."""
+    vals = torus_laplacian_eigenvalues(spec)
+    return 2.0 / (spec.n - 1) * float(np.sum(1.0 / vals[1:]))
+
+
+def traced_peak(f, *args):
+    """tracemalloc peak in bytes of one call f(*args)."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLeafByLeafSum:
+    """mean_latency_torus sums at most latency._LEAF eigenvalues at a time,
+    in np.sum's own pairwise order, so its result is the whole-array sum's
+    double in O(_LEAF + n/k_m) memory."""
+
+    @pytest.mark.parametrize("leaf", [128, latency._LEAF])
+    def test_leaf_replay_is_numpy_sum(self, monkeypatch, leaf):
+        # Canary for the summation order: a numpy that splits its pairwise
+        # sum by another rule fails here, by name, before any analytic
+        # byte moves.
+        monkeypatch.setattr(latency, "_LEAF", leaf)
+        rng = np.random.default_rng(18)
+        lengths = {c + d for c in (8, 128, leaf, 2 * leaf)
+                   for d in (-8, -1, 0, 1, 8)}
+        for size in sorted(lengths):
+            # magnitudes over 16 decades make every order give its own sum
+            a = rng.random(size) * 10.0 ** rng.integers(-8, 8, size)
+            replay = latency._pairwise_sum(
+                lambda start, count: a[start:start + count], 0, size)
+            assert replay == np.sum(a), size
+        assert np.cumsum(a)[-1] != np.sum(a)  # the data tells orders apart
+
+    @pytest.mark.parametrize("dims,r", [
+        ((3, 200003), 1),        # last axis longer than a leaf
+        ((7, 70001), 3),         # ... with leaves that span two rows
+        ((200003, 3), 1),        # many rows per leaf
+        ((300, 301), 2),
+        ((8, 9, 10, 100), 1),    # 4-D
+        ((65537,), 1),           # a cycle one value over one leaf
+        ((1024, 128), 1),        # leaves end on row boundaries
+    ])
+    def test_bit_identical_across_leaves(self, dims, r):
+        spec = TorusSpec(dims, r)
+        assert mean_latency_torus(spec) == full_array_latency(spec)
+
+    @pytest.mark.parametrize("dims,r", [
+        ((129,), 1), ((1000,), 4), ((5, 200), 2), ((200, 5), 1),
+        ((13, 17), 1), ((3, 5, 7, 11), 1), ((9, 9, 9), 4)])
+    def test_bit_identical_with_small_leaves(self, monkeypatch, dims, r):
+        # a 128-value leaf puts many leaf boundaries into small tori
+        monkeypatch.setattr(latency, "_LEAF", 128)
+        spec = TorusSpec(dims, r)
+        assert mean_latency_torus(spec) == full_array_latency(spec)
+
+    def test_fig6_torus_memory(self):
+        # the 1000 x 1000 spectrum alone is 8 MB
+        spec = TorusSpec((1000, 1000), 5)
+        assert traced_peak(mean_latency_torus, spec) < 2e6
+
+    def test_long_cycle_memory(self):
+        # 4e6 eigenvalues would take 32 MB
+        assert traced_peak(mean_latency_cycle, 4 * 10**6, 1) < 4e6
+
+    @pytest.mark.parametrize("n", [4 * 10**6, 10**7])
+    def test_long_cycle_is_n_plus_1_over_6(self, n):
+        assert mean_latency_cycle(n, 1) == pytest.approx((n + 1) / 6,
+                                                         rel=1e-12)
 
 
 class TestLatencyBounds:
