@@ -26,6 +26,7 @@ Reruns with identical arguments and seed produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 from dataclasses import replace
@@ -505,8 +506,15 @@ def _run_wireless_export(args) -> None:
         print("warning: generated topology is disconnected", file=sys.stderr)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call: a process that calls
+    main once per command builds its ten subparsers once."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.command(args)
         return 0

@@ -111,8 +111,11 @@ class Graph:
         return indptr, indices
 
     def laplacian(self) -> np.ndarray:
-        """L = D - W as a new, writable dense matrix."""
-        return np.diag(self.degrees) - self.weights
+        """L = D - W as a new, writable dense matrix, built in one buffer:
+        0 - W, then the degrees on the diagonal (bit for bit diag(D) - W)."""
+        lap = np.subtract(0.0, self.weights)
+        np.fill_diagonal(lap, self.degrees)
+        return lap
 
     def is_connected(self) -> bool:
         """Breadth-first sweep from node 0, one whole frontier per step,

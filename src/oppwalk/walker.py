@@ -18,6 +18,21 @@ are platform-independent for a fixed seed.  The draw schedule is fixed: the
 walk stream is SeedSequence(seed), and each step draws one uniform per
 still-active walk, in ascending union order (graph by graph, walk by walk).
 
+The kernel holds each walk as its node's row start in the union, its slot,
+so a hop is two gathers: the row length at the slot, and the slot of the
+neighbor drawn (a table of indptr[indices]).  No node of a connected graph
+with n >= 2 has an empty row, so slots are distinct and a walk arrives
+when its slot is its target's.  A numpy step costs about 7 us however few
+walks it moves, against about 0.4 us per hop in a Python loop (2-core
+Xeon, Python 3.11, numpy 2.4).  In the benchmark's Monte-Carlo batches,
+26-63% of the steps move at most 16 walks, yet those steps carry 0.3-1.1%
+of the hops.  So the kernel moves walks in numpy steps while more than
+_TAIL = 16, about the break-even, are active, then finishes the rest hop
+by hop in Python.  That tail takes its uniforms from the same generator
+in chunks, one per walk per step in walk order, which PCG64 gives as the
+same stream: the draw schedule, and so every result, is that of all-numpy
+steps.
+
 Each graph gets trials walks spread over its P = n(n-1) ordered pairs
 s != t by one rule: with trials >= P, walk i takes pair i mod P in
 row-major order, so every pair gets floor(trials/P) or ceil(trials/P)
@@ -45,6 +60,8 @@ __all__ = [
 ]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+_TAIL = 16  # active walks at or below which _run_walks goes scalar
+_CHUNK = 1024  # fewest uniforms the scalar tail draws at once
 
 
 @dataclass(frozen=True)
@@ -82,37 +99,80 @@ def _step_cap(n: int) -> int:
 def _run_walks(indptr, indices, starts, targets, caps, rng):
     """Batch of independent walks on the CSR rows (indptr, indices), walk i
     cut after caps[i] steps (caps may be one number for all); returns
-    (steps, cut), cut marking the walks that were cut.
+    (steps, cut), cut marking the walks that were cut.  Every node must
+    have a neighbor, as on a connected graph with n >= 2.
 
     Each step draws one uniform per active walk, in ascending walk order,
-    and moves every active walk one hop.  The active set (ids, cur, tgt)
-    is compacted only on steps where some walk arrives, and at each cap,
-    where the walks with that cap are cut.
+    and moves every active walk one hop.  A walk is held as its slot, its
+    node's row start: slot j of row u hops to nxt[j], the slot of u's
+    neighbor in column j - indptr[u], and deg[slot] is the row's length.
+    No row is empty, so slots are distinct and a walk arrives exactly when
+    its slot is its target's.  While more than _TAIL walks are active,
+    each step moves them all in numpy, and the active set (ids, cur, tgt)
+    is compacted on steps where some walk arrives and at each cap, where
+    the walks with that cap are cut.  The active set only shrinks, so once
+    at most _TAIL are left _finish_walks moves them to the end, with the
+    same draws.  It draws ahead in chunks, so rng ends up past the last
+    draw used.
     """
-    deg = np.diff(indptr).astype(float)
+    nxt = indptr[indices]
+    deg = np.zeros(indices.size)
+    deg[indptr[:-1]] = np.diff(indptr)
     starts = np.asarray(starts, dtype=np.intp)
     targets = np.asarray(targets, dtype=np.intp)
     steps = np.where(starts == targets, 0, caps)
     cut = np.zeros(steps.shape, dtype=bool)
     ids = np.flatnonzero(starts != targets)
-    cur, tgt = starts[ids], targets[ids]
+    cur, tgt = indptr[starts[ids]], indptr[targets[ids]]
     step = 0
     # np.unique would import numpy.ma, 1.3 MB of resident memory
     for cap in sorted(set(steps[ids].tolist())):
-        while ids.size and step < cap:
+        while ids.size > _TAIL and step < cap:
             step += 1
             u = rng.random(ids.size)
-            cur = indices[indptr[cur] + (u * deg[cur]).astype(np.intp)]
+            cur = nxt[cur + (u * deg[cur]).astype(np.intp)]
             hit = cur == tgt
             if np.count_nonzero(hit):  # much cheaper than hit.any() on short arrays
                 steps[ids[hit]] = step
                 miss = ~hit
                 ids, cur, tgt = ids[miss], cur[miss], tgt[miss]
+        if step < cap:  # at most _TAIL walks left, none of them at its cap
+            break
         # a walk still active keeps its cap in steps
         live = steps[ids] != cap
         cut[ids[~live]] = True
         ids, cur, tgt = ids[live], cur[live], tgt[live]
+    walks = list(zip(ids.tolist(), cur.tolist(), tgt.tolist(),
+                     steps[ids].tolist()))
+    _finish_walks(memoryview(nxt), memoryview(deg), walks, step, steps, cut,
+                  rng)
     return steps, cut
+
+
+def _finish_walks(nxt, deg, walks, step, steps, cut, rng):
+    """The scalar tail of _run_walks: moves the walks (id, slot, target
+    slot, cap), in ascending id order and each cap above step, hop by hop
+    until each arrives or is cut, writing steps and cut.  The draws are
+    those of the numpy steps, one per walk per step in walk order; they
+    come from rng in chunks of at least _CHUNK, which PCG64 gives as the
+    same stream, and the draws left in the last chunk are never used."""
+    draws, k = [], 0
+    while walks:
+        step += 1
+        if len(draws) - k < len(walks):
+            draws = draws[k:] + rng.random(max(_CHUNK, len(walks))).tolist()
+            k = 0
+        left = []
+        for i, c, t, cap in walks:
+            c = nxt[c + int(draws[k] * deg[c])]
+            k += 1
+            if c == t:
+                steps[i] = step
+            elif step == cap:
+                cut[i] = True
+            else:
+                left.append((i, c, t, cap))
+        walks = left
 
 
 def _estimate(steps: np.ndarray, truncated: int) -> WalkEstimate:

@@ -11,7 +11,7 @@ import numpy as np
 
 import pytest
 
-from oppwalk import latency, walker, wireless
+from oppwalk import cli, latency, walker, wireless
 from oppwalk.cli import (
     CSV_HEADER,
     _row,
@@ -556,6 +556,26 @@ class TestExports:
 
 def test_parser_builds():
     assert build_parser().prog == "oppwalk"
+    assert build_parser() is not build_parser()
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+
+    def counted():
+        built.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        assert run_cli(["cycle-sweep", "--n", "5", "--r", "1"], capsys)[0] == 0
+        code, out, _ = run_cli(["torus-sweep", "--dims", "3x4", "--r", "1"],
+                               capsys)
+    finally:
+        cli._parser.cache_clear()
+    assert code == 0 and out.startswith(CSV_HEADER)
+    assert len(built) == 1
 
 
 class TestModuleEntryPoint:

@@ -189,6 +189,26 @@ def test_csr_construction_matches_dense(n, density, seed):
     assert sparse.is_connected() == dense.is_connected() == expected
 
 
+@pytest.mark.parametrize("make", [
+    lambda: build_cycle(7, 2),
+    lambda: build_torus(TorusSpec([3, 4], 1)),
+    lambda: Graph.from_csr(*TestFromCsr.GOOD),
+    lambda: Graph(np.array([[0.0, 1, 1, 0], [1, 0, 0, 0], [1, 0, 0, 1],
+                            [0, 0, 1, 0]])),
+    lambda: Graph(np.zeros((3, 3))),
+], ids=["cycle", "torus", "from-csr", "dense-path", "dense-empty"])
+def test_laplacian_is_diag_minus_weights_bit_for_bit(make):
+    # built in one buffer, 0 - W with the degrees on the diagonal: the same
+    # bits as diag(D) - W, +0.0 (never -0.0) off the diagonal included
+    g = make()
+    lap = g.laplacian()
+    want = np.diag(g.degrees) - g.weights
+    assert lap.flags.writeable and lap is not g.laplacian()
+    assert np.array_equal(lap, want)
+    assert np.array_equal(np.signbit(lap), np.signbit(want))
+    assert not np.signbit(lap[lap == 0.0]).any()
+
+
 def test_lattice_build_allocates_no_dense_matrix():
     # the dense 4096-node cycle would take 134 MB; the rows take 98 kB
     tracemalloc.start()

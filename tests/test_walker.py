@@ -1,7 +1,10 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oppwalk.errors import DisconnectedGraphError, EstimationError, ParameterError
 from oppwalk.graphs import Graph, TorusSpec, build_cycle, build_torus
@@ -371,3 +374,113 @@ class TestGoldenStream:
         steps, _ = _run_walks(*build_cycle(9, 1).csr, [0], [4], _step_cap(9),
                               np.random.default_rng(11))
         assert steps.tolist() == [18]
+
+
+class TestGoldenBatch:
+    """The walk-validate batch of cycle:64:1, torus:16x16:1 and wireless:0
+    at 3000 trials and seed 7: three graphs in one kernel call, with a long
+    tail of few active walks."""
+
+    def test_walk_validate_batch(self):
+        wireless_0 = generate_topology(WirelessConfig(n=30), seed=0,
+                                       resample_until_connected=100).graph
+        batch = estimate_mean_latency(
+            [build_cycle(64, 1), build_torus(TorusSpec([16, 16], 1)),
+             wireless_0], 3000, 7)
+        assert [(e.mean, e.ci_halfwidth) for e in batch.estimates] == [
+            (687.7063333333333, 28.9865305616286),
+            (492.776, 17.89419098482342),
+            (30.575333333333333, 1.0627043966857657)]
+        assert batch.truncated == 0
+
+
+def reference_walks(indptr, indices, starts, targets, caps, rng):
+    """Reference kernel: every step in numpy, walks held as node ids, the
+    same draws as _run_walks."""
+    deg = np.diff(indptr).astype(float)
+    starts = np.asarray(starts, dtype=np.intp)
+    targets = np.asarray(targets, dtype=np.intp)
+    steps = np.where(starts == targets, 0, caps)
+    cut = np.zeros(steps.shape, dtype=bool)
+    ids = np.flatnonzero(starts != targets)
+    cur, tgt = starts[ids], targets[ids]
+    step = 0
+    for cap in sorted(set(steps[ids].tolist())):
+        while ids.size and step < cap:
+            step += 1
+            u = rng.random(ids.size)
+            cur = indices[indptr[cur] + (u * deg[cur]).astype(np.intp)]
+            hit = cur == tgt
+            steps[ids[hit]] = step
+            ids, cur, tgt = ids[~hit], cur[~hit], tgt[~hit]
+        live = steps[ids] != cap
+        cut[ids[~live]] = True
+        ids, cur, tgt = ids[live], cur[live], tgt[live]
+    return steps, cut
+
+
+def random_connected_csr(n, density, rng):
+    """CSR rows of a random connected n-node graph: a path through the
+    nodes in random order plus each other pair with probability density."""
+    w = np.triu(rng.random((n, n)) < density, 1)
+    order = rng.permutation(n)
+    a, b = order[:-1], order[1:]
+    w[np.minimum(a, b), np.maximum(a, b)] = True
+    return Graph((w | w.T).astype(float)).csr
+
+
+class TestTailRegime:
+    """The scalar tail of _run_walks takes the numpy steps' draws in the
+    same order, so where the kernel switches to it changes no result."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sizes=st.lists(st.integers(min_value=2, max_value=12),
+                          min_size=1, max_size=4),
+           density=st.floats(min_value=0.0, max_value=1.0),
+           walks=st.integers(min_value=1, max_value=60),
+           max_cap=st.integers(min_value=1, max_value=80),
+           chunk=st.integers(min_value=1, max_value=40),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_regimes_agree(self, sizes, density, walks, max_cap, chunk, seed):
+        # mixed-degree graphs in one union; walks may start at their
+        # target, and caps small enough to cut walks in either regime
+        rng = np.random.default_rng(seed)
+        indptr, indices, nodes = _union(
+            [random_connected_csr(n, density, rng) for n in sizes])
+        block = rng.integers(0, len(sizes), walks)
+        offset, size = nodes[block], np.diff(nodes)[block]
+        starts = offset + rng.integers(0, size)
+        targets = offset + rng.integers(0, size)
+        caps = rng.integers(1, max_cap + 1, walks)
+        args = (indptr, indices, starts, targets, caps)
+        want = reference_walks(*args, np.random.default_rng(seed))
+        for tail in (walker._TAIL, 0, walks + 1):
+            with mock.patch.object(walker, "_TAIL", tail), \
+                    mock.patch.object(walker, "_CHUNK", chunk):
+                got = _run_walks(*args, np.random.default_rng(seed))
+            assert np.array_equal(got[0], want[0]), tail
+            assert np.array_equal(got[1], want[1]), tail
+
+    def test_tail_of_more_walks_than_a_chunk(self):
+        # 3000 walks on the triangle, all of them in the scalar tail: each
+        # step needs more draws than one chunk holds
+        g = build_cycle(3, 1)
+        s, t = schedule(3, 3000, 5)
+        want = reference_walks(*g.csr, s, t, 4, np.random.default_rng(5))
+        with mock.patch.object(walker, "_TAIL", 3000):
+            got = _run_walks(*g.csr, s, t, 4, np.random.default_rng(5))
+        assert want[1].any() and not want[1].all()
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("k,m", [(1, 1), (3, 1024), (17, 5), (1024, 1024)])
+def test_pcg64_split_draws_are_one_stream(k, m):
+    # the scalar tail takes its draws in chunks; PCG64 must give random(k)
+    # then random(m) as the same numbers as random(k + m)
+    def fresh():
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(7)))
+
+    split = fresh()
+    assert np.array_equal(np.concatenate([split.random(k), split.random(m)]),
+                          fresh().random(k + m))
