@@ -82,11 +82,16 @@ class Graph:
         new matrix per call for a CSR-built graph."""
         if self._dense is not None:
             return self._dense
-        indptr, indices = self.csr
-        w = np.zeros((self.n, self.n))
-        w[_row_of_slot(indptr), indices] = 1.0
+        w = self._fill_csr(1.0)
         w.setflags(write=False)
         return w
+
+    def _fill_csr(self, value: float) -> np.ndarray:
+        """A new n x n matrix of +0.0 with value at every CSR slot."""
+        indptr, indices = self.csr
+        m = np.zeros((self.n, self.n))
+        m[_row_of_slot(indptr), indices] = value
+        return m
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -112,17 +117,22 @@ class Graph:
 
     def laplacian(self) -> np.ndarray:
         """L = D - W as a new, writable dense matrix, built in one buffer:
-        0 - W, then the degrees on the diagonal (bit for bit diag(D) - W)."""
-        lap = np.subtract(0.0, self.weights)
+        0 - W (a CSR-built graph writes -1.0 at its slots of a zeroed
+        matrix), then the degrees on the diagonal; bit for bit diag(D) - W."""
+        if self._dense is None:
+            lap = self._fill_csr(-1.0)
+        else:
+            lap = np.subtract(0.0, self._dense)
         np.fill_diagonal(lap, self.degrees)
         return lap
 
     def is_connected(self) -> bool:
         """Breadth-first sweep from node 0, one whole frontier per step,
         run on the first call; the graph is immutable, so later calls
-        return the stored answer.  A dense graph sweeps its matrix rows,
-        which at wireless sizes costs less than deriving its CSR rows; a
-        CSR-built graph sweeps its rows, O(n + nnz) per step."""
+        return the stored answer.  A dense graph takes one matrix-vector
+        product per step, which at wireless sizes costs less than deriving
+        its CSR rows; a CSR-built graph sweeps its rows, O(n + nnz) per
+        step."""
         connected = self.__dict__.get("_connected")
         if connected is None:
             if self._dense is None:
@@ -140,17 +150,24 @@ def _row_of_slot(indptr: np.ndarray) -> np.ndarray:
 
 def _frozen_dense(weights) -> np.ndarray:
     """A read-only float copy of a symmetric 0/1 matrix with zero
-    diagonal; anything else raises a ValidationError."""
-    w = np.array(weights, dtype=float)
+    diagonal; anything else raises a ValidationError.  A bool matrix is
+    0/1 by its type: it is checked as it is and converted once."""
+    w = np.asarray(weights)
+    binary = w.dtype == bool
+    if not binary:
+        w = w.astype(float)
     if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 1:
         raise ValidationError("weights must be a square matrix")
-    bad = w[(w != 0.0) & (w != 1.0)]
-    if bad.size:
-        raise ValidationError(f"weights must be finite 0/1, not {bad[0]:g}")
+    if not binary:
+        bad = w[(w != 0.0) & (w != 1.0)]
+        if bad.size:
+            raise ValidationError(f"weights must be finite 0/1, not {bad[0]:g}")
     if not np.array_equal(w, w.T):
         raise ValidationError("weight matrix must be symmetric")
     if w.diagonal().any():
         raise ValidationError("weight matrix must have zero diagonal")
+    if binary:
+        w = w.astype(float)
     w.setflags(write=False)
     return w
 
@@ -193,13 +210,18 @@ def _frozen_csr(indptr, indices) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sweep_dense(w: np.ndarray) -> bool:
+    # a node is reached when a reached node is its neighbor: w @ seen
+    # counts them, and integer sums below 2**53 are exact in float
     seen = np.zeros(w.shape[0], dtype=bool)
-    frontier = seen.copy()
-    frontier[0] = True
-    while frontier.any():
-        seen |= frontier
-        frontier = w[frontier].any(axis=0) & ~seen
-    return bool(seen.all())
+    seen[0] = True
+    count = 1
+    while count < seen.size:
+        seen |= (w @ seen) > 0
+        grown = np.count_nonzero(seen)
+        if grown == count:
+            break
+        count = grown
+    return bool(count == seen.size)
 
 
 def _sweep_csr(indptr: np.ndarray, indices: np.ndarray) -> bool:

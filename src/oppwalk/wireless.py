@@ -11,8 +11,13 @@ a_ij = 1 / (1 + (r_ij / r_c)^alpha) clears the connectivity threshold tau.
 Every node transmits with one power, so r_c is one number, and
 a_ij >= tau holds exactly when r_ij <= r_c * (1/tau - 1)^(1/alpha): the
 binary network graph links every pair within that one link radius.  Power
-at or below p_min links no pair.  build_wireless_graph is the one
-implementation of this rule.
+at or below p_min links no pair.  _link_radius is the one implementation of
+this rule; build_wireless_graph thresholds a placement's distances with it.
+
+Every graph on one placement compares the same distance matrix with its
+own radius, so a larger radius gives a supergraph, and the graphs of a
+sweep are all connected exactly when the one with the smallest radius is.
+generate_topologies therefore judges a placement by that graph alone.
 """
 from __future__ import annotations
 
@@ -143,30 +148,38 @@ def reference_distance(n: int, c_n: float) -> float:
     return math.sqrt(radicand / (math.pi * n))
 
 
+def _link_radius(config: WirelessConfig) -> float:
+    """The link radius r_c * (1/tau - 1)^(1/alpha), with the coverage
+    radius r_c = r0 * (p/p_min - 1)^(1/eta).  Power at or below p_min gives
+    -inf, which links no pair; an infinite r_c gives inf, which links every
+    pair.  Computed on the first call and kept on the (immutable) config."""
+    radius = config.__dict__.get("_radius")
+    if radius is None:
+        r0 = reference_distance(config.n, config.c_n)
+        gain = config.power / config.p_min - 1.0
+        radius = -math.inf
+        if gain > 0:
+            # np.power, not **: where the radius overflows, ** raises and
+            # the ufunc gives inf.  An infinite r_c links every pair
+            # (a_ij = 1), also where the threshold factor underflows to 0.
+            with np.errstate(over="ignore"):
+                rc = r0 * np.power(gain, 1.0 / config.eta)
+                radius = math.inf if np.isinf(rc) else rc * np.power(
+                    1.0 / config.threshold - 1.0, 1.0 / config.alpha)
+        object.__setattr__(config, "_radius", radius)
+    return radius
+
+
 def build_wireless_graph(config: WirelessConfig,
                          placement: Placement) -> WirelessTopology:
-    """Binary graph linking every pair i != j within one link radius.
-
-    The radius is r_c * (1/tau - 1)^(1/alpha) with the coverage radius
-    r_c = r0 * (p/p_min - 1)^(1/eta); no pair is linked when power is at or
-    below p_min.  A disconnected result is returned with connected=False,
-    not raised.
+    """Binary graph linking every pair i != j within the link radius of
+    config (see _link_radius).  A disconnected result is returned with
+    connected=False, not raised.
     """
     if placement.n != config.n:
         raise ValidationError("placement size does not match config.n")
-    r0 = reference_distance(config.n, config.c_n)
-    gain = config.power / config.p_min - 1.0
-    adjacency = np.zeros((config.n, config.n))
-    if gain > 0:
-        # np.power, not **: where the radius overflows, ** raises and the
-        # ufunc gives inf.  An infinite r_c links every pair (a_ij = 1),
-        # also where the threshold factor underflows to 0.
-        with np.errstate(over="ignore"):
-            rc = r0 * np.power(gain, 1.0 / config.eta)
-            radius = np.inf if np.isinf(rc) else rc * np.power(
-                1.0 / config.threshold - 1.0, 1.0 / config.alpha)
-        adjacency = (placement.distances() <= radius).astype(float)
-        np.fill_diagonal(adjacency, 0.0)
+    adjacency = placement.distances() <= _link_radius(config)
+    np.fill_diagonal(adjacency, False)
     graph = Graph(adjacency)
     return WirelessTopology(graph=graph, connected=graph.is_connected(),
                             placement=placement)
@@ -175,27 +188,29 @@ def build_wireless_graph(config: WirelessConfig,
 def generate_topologies(base: WirelessConfig, configs, seed: int,
                         resample_until_connected: int = 0,
                         prefix: tuple[int, ...] = ()) -> list[WirelessTopology]:
-    """One topology per config, all built on one placement of `base`.
+    """One topology per config, in config order, all built on one
+    placement of `base`.
 
     Attempt k places the nodes from SeedSequence(seed, spawn_key=(*prefix,
     k)).  Up to max(1, resample_until_connected) attempts are made; the
     first whose topologies are all connected is returned, else the last.
-    Every attempt but the last stops at its first disconnected topology,
-    and a rejected attempt's topologies are released before the next
-    placement.
+    Each attempt builds the graph of the smallest link radius first: every
+    other graph is a supergraph of it, so all are connected exactly when it
+    is.  An attempt before the last whose first graph is disconnected is
+    rejected without building any other; the last builds every config.
     """
+    if not configs:
+        return []
+    radii = [_link_radius(cfg) for cfg in configs]
+    sparsest = radii.index(min(radii))
     last = max(1, resample_until_connected) - 1
     for attempt in range(last + 1):
-        topos = []
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(*prefix, attempt))
         placement = place_nodes(base, np.random.Generator(np.random.PCG64(ss)))
-        for cfg in configs:
-            topos.append(build_wireless_graph(cfg, placement))
-            if not topos[-1].connected and attempt < last:
-                break
-        if all(t.connected for t in topos):
-            break
-    return topos
+        first = build_wireless_graph(configs[sparsest], placement)
+        if first.connected or attempt == last:
+            return [first if j == sparsest else build_wireless_graph(cfg, placement)
+                    for j, cfg in enumerate(configs)]
 
 
 def generate_topology(config: WirelessConfig, seed: int,

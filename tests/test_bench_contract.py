@@ -3,8 +3,8 @@
 bench/tracer.py times each layer by replacing oppwalk functions with
 wrappers at their module attributes, after oppwalk.cli is imported.  A CLI
 that called a layer through a reference taken at import time would hide
-that layer from the tracer.  Each workload runs one tiny traced pass in a
-subprocess, so the tracer's patches never reach the other tests.
+that layer from the tracer.  Each workload runs one tiny traced pass per
+seed in a subprocess, so the tracer's patches never reach the other tests.
 """
 import csv
 import importlib.util
@@ -30,22 +30,33 @@ LAYERS = {
 }
 
 
+def bench_module(name):
+    """bench/<name>.py, loaded as module bench_<name> without putting
+    bench/ on sys.path (a dataclass needs its module in sys.modules)."""
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture(scope="module")
 def traced_pass(tmp_path_factory):
-    """The output directory of one tiny traced pass of a workload, run
-    once per module."""
+    """The output directory of one tiny traced pass of a workload at a
+    seed, run once per module."""
     done = {}
 
-    def run(workload):
-        if workload not in done:
+    def run(workload, seed=7):
+        if (workload, seed) not in done:
             out = tmp_path_factory.mktemp(workload)
             subprocess.run(
                 [sys.executable, "bench/onepass.py", "--workload", workload,
-                 "--seed", "7", "--out-dir", str(out),
+                 "--seed", str(seed), "--out-dir", str(out),
                  "--t0", str(time.monotonic()), "--tiny", "--trace"],
                 cwd=ROOT, check=True, timeout=300)
-            done[workload] = out
-        return done[workload]
+            done[workload, seed] = out
+        return done[workload, seed]
     return run
 
 
@@ -73,14 +84,38 @@ def test_each_built_lattice_counted_once(traced_pass):
     assert result["layers"]["graphs.build_calls"] == built
 
 
+def test_wireless_builds_follow_the_sparsest_first_schedule(traced_pass):
+    # every EPD goes through the traced eigensolver, one per row and seed;
+    # an accepted placement builds the graph of every sweep point, and a
+    # rejected one only the graph of its smallest link radius.  The tiny
+    # pass at seed 2 redraws 6 of its 12 placements.
+    seed = 2
+    out = traced_pass("wireless-ensemble", seed)
+    result = json.loads((out / "result.json").read_text())
+    layers = result["layers"]
+    argvs = dict(bench_module("workloads").steps("wireless-ensemble", seed,
+                                                 tiny=True))
+    accepted = graphs = 0
+    for step in result["steps"]:
+        assert step["rc"] == 0, step  # every ensemble seed was accepted
+        argv = argvs[step["label"]]
+        seeds = int(argv[argv.index("--seeds") + 1])
+        with open(out / f"{step['label']}.csv", newline="") as f:
+            rows = sum(1 for _ in csv.DictReader(f))
+        accepted += seeds
+        graphs += rows * seeds
+    placed = layers["wireless.placements"]
+    assert placed > accepted > 0
+    assert layers["spectral.eig_calls"] == graphs
+    assert layers["wireless.build_calls"] == graphs + (placed - accepted)
+    assert layers["wireless.accept_ratio"] == pytest.approx(accepted / placed)
+
+
 def test_traced_names_exist():
     # every point the tracer patches must be a name its owner defines; a
     # removed or renamed function fails here by name, not as a KeyError
     # inside the traced subprocess
-    spec = importlib.util.spec_from_file_location(
-        "bench_tracer", ROOT / "bench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = bench_module("tracer")
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, _, _ in tracer._points(oppwalk)
                if attr not in owner.__dict__]

@@ -15,6 +15,7 @@ from oppwalk.spectral import cycle_laplacian_eigenvalues
 from oppwalk.graphs import (
     Graph,
     TorusSpec,
+    _sweep_dense,
     build_cycle,
     build_torus,
     cartesian_product,
@@ -60,6 +61,56 @@ class TestGraphInvariants:
     def test_rejects_weights_other_than_0_or_1(self, weight):
         with pytest.raises(ValidationError, match=f"{weight:g}"):
             Graph(np.array([[0.0, weight], [weight, 0.0]]))
+
+
+class TestBoolWeights:
+    """A bool matrix is 0/1 by its type: Graph checks it as it is."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=24),
+           density=st.floats(min_value=0.0, max_value=1.0),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_bool_and_float_agree_bit_for_bit(self, n, density, seed):
+        block = np.triu(np.random.default_rng(seed).random((n, n)) < density, 1)
+        mask = block | block.T
+        a, b = Graph(mask), Graph(mask.astype(float))
+        assert a.weights.dtype == b.weights.dtype == np.float64
+        assert not a.weights.flags.writeable
+        for x, y in ((a.weights, b.weights), (a.degrees, b.degrees),
+                     (a.laplacian(), b.laplacian()), *zip(a.csr, b.csr)):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+            assert np.array_equal(np.signbit(x), np.signbit(y))
+
+    def test_bool_input_is_copied(self):
+        mask = np.array([[False, True], [True, False]])
+        g = Graph(mask)
+        mask[0, 1] = mask[1, 0] = False
+        assert g.weights[0, 1] == 1.0
+
+    @pytest.mark.parametrize("w,message", [
+        ([[False, True], [False, False]], "must be symmetric"),
+        ([[True, False], [False, False]], "zero diagonal"),
+        ([[False, True, False]], "square matrix"),
+        ([[0.0, 0.5], [0.5, 0.0]], "finite 0/1, not 0.5"),
+        ([[0.0, np.nan], [np.nan, 0.0]], "finite 0/1, not nan"),
+        ([[0.0, np.inf], [np.inf, 0.0]], "finite 0/1, not inf"),
+        ([[0.0, 1.0], [0.0, 0.0]], "must be symmetric"),
+        ([[1.0, 0.0], [0.0, 0.0]], "zero diagonal"),
+    ])
+    def test_messages(self, w, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            Graph(np.array(w))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=1, max_value=40),
+       density=st.floats(min_value=0.0, max_value=0.3),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_dense_sweep_matches_scipy(n, density, seed):
+    block = np.triu(np.random.default_rng(seed).random((n, n)) < density, 1)
+    w = (block | block.T).astype(float)
+    expected = bool(connected_components(w, directed=False)[0] == 1)
+    assert _sweep_dense(w) is expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -207,6 +258,19 @@ def test_laplacian_is_diag_minus_weights_bit_for_bit(make):
     assert np.array_equal(lap, want)
     assert np.array_equal(np.signbit(lap), np.signbit(want))
     assert not np.signbit(lap[lap == 0.0]).any()
+
+
+def test_csr_laplacian_takes_one_matrix():
+    # -1.0 at the CSR slots of one zeroed matrix, then the degrees: no
+    # dense weights beside it (20.5 MB per matrix at 1600 nodes)
+    g = build_torus(TorusSpec([40, 40], 1))
+    tracemalloc.start()
+    try:
+        lap = g.laplacian()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * lap.nbytes
 
 
 def test_lattice_build_allocates_no_dense_matrix():

@@ -152,6 +152,17 @@ class TestSymmetricEigendecomposition:
         with pytest.raises(ValidationError):
             symmetric_eigendecomposition([[0.0, 1.0], [0.0, 0.0]])
 
+    def test_rejects_one_ulp_asymmetry(self):
+        # symmetry is exact, as the solver reads one triangle
+        M = build_cycle(5, 1).laplacian()
+        M[0, 1] = np.nextafter(M[0, 1], 0.0)
+        with pytest.raises(ValidationError, match="not exactly symmetric"):
+            symmetric_eigendecomposition(M)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValidationError):
+            symmetric_eigendecomposition([[np.nan, 0.0], [0.0, 1.0]])
+
     def test_package_matrices_are_exactly_symmetric(self):
         # the solver reads one triangle, so every matrix the package hands
         # it must be symmetric bit for bit, not only within tolerance

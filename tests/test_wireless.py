@@ -298,8 +298,9 @@ class TestBuildWirelessGraph:
         assert np.array_equal(topo.placement.positions, last.positions)
 
     def test_rejected_attempt_stops_at_first_disconnected(self, monkeypatch):
-        # every attempt but the last stops at its first disconnected graph;
-        # the last still builds every graph ("else the last")
+        # every attempt builds the graph of the smallest link radius first,
+        # and one before the last stops there when it is disconnected; the
+        # last still builds every graph ("else the last")
         base = WirelessConfig(n=50)
         hard = dataclasses.replace(base, eta=6.0, threshold=0.9)
         built = []
@@ -307,19 +308,65 @@ class TestBuildWirelessGraph:
 
         def spy(cfg, placement):
             topo = build(cfg, placement)
-            built.append((placement, topo.connected))
+            built.append((placement, cfg, topo.connected))
             return topo
 
         monkeypatch.setattr(wireless, "build_wireless_graph", spy)
         topos = generate_topologies(base, [base, hard, base], seed=1,
                                     resample_until_connected=3)
         # built keeps every placement alive, so their ids are distinct
-        attempts = list(dict.fromkeys(id(p) for p, _ in built))
+        attempts = list(dict.fromkeys(id(p) for p, *_ in built))
         assert len(attempts) == 3
-        per_attempt = [[ok for p, ok in built if id(p) == a] for a in attempts]
-        assert per_attempt[:2] == [[True, False], [True, False]]
-        assert len(per_attempt[2]) == 3 and not per_attempt[2][1]
+        per_attempt = [[(cfg, ok) for p, cfg, ok in built if id(p) == a]
+                       for a in attempts]
+        assert per_attempt[:2] == [[(hard, False)], [(hard, False)]]
+        assert per_attempt[2] == [(hard, False), (base, True), (base, True)]
         assert [id(t.placement) for t in topos] == [attempts[2]] * 3
+        assert [t.connected for t in topos] == [True, False, True]
+
+
+def reference_topologies(base, configs, seed, resample_until_connected,
+                         prefix):
+    """The in-order rule: every attempt builds its configs in order, and
+    one before the last stops at its first disconnected topology."""
+    last = max(1, resample_until_connected) - 1
+    for attempt in range(last + 1):
+        topos = []
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(*prefix, attempt))
+        placement = place_nodes(base, np.random.Generator(np.random.PCG64(ss)))
+        for cfg in configs:
+            topos.append(build_wireless_graph(cfg, placement))
+            if not topos[-1].connected and attempt < last:
+                break
+        if all(t.connected for t in topos):
+            break
+    return topos
+
+
+# eta, tau and p_min of one sweep point (power 2.0): p_min >= 2.0 links no
+# pair, and p_min = 1e-300 with eta = 1 makes the coverage radius overflow
+_POINTS = st.tuples(
+    st.one_of(st.floats(1.0, 8.0), st.just(1.0)),
+    st.floats(1e-3, 1 - 1e-3),
+    st.one_of(st.floats(0.01, 3.0), st.sampled_from([2.0, 1e-300])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1),
+       points=st.lists(_POINTS, max_size=5),
+       resample=st.integers(0, 4), prefix=st.tuples(st.integers(0, 9)))
+def test_sparsest_first_matches_in_order_rule(n, seed, points, resample,
+                                              prefix):
+    base = WirelessConfig(n=n)
+    configs = [dataclasses.replace(base, eta=eta, threshold=tau, p_min=p_min)
+               for eta, tau, p_min in points]
+    got = generate_topologies(base, configs, seed, resample, prefix)
+    want = reference_topologies(base, configs, seed, resample, prefix)
+    assert len(got) == len(want) == len(configs)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.placement.positions, w.placement.positions)
+        assert np.array_equal(g.graph.weights, w.graph.weights)
+        assert g.connected == w.connected
 
 
 def reference_coefficients(cfg, placement):
