@@ -15,23 +15,29 @@ A walk on graph i still running after 100 n_i^2 steps is cut there.
 
 Randomness comes from numpy's PCG64 seeded through SeedSequence, so results
 are platform-independent for a fixed seed.  The draw schedule is fixed: the
-walk stream is SeedSequence(seed), and each step draws one uniform per
-still-active walk, in ascending union order (graph by graph, walk by walk).
+walk stream is SeedSequence(seed), and walks move in blocks of steps.
+After t steps with m walks active, in ascending union order (graph by
+graph, walk by walk), the next block runs k = min(256, max(1, 32768 // m),
+c - t) steps, c the smallest step cap above t, on one rng.random((k, m)):
+row i holds step t + i + 1, column j the j-th active walk.  A walk stops
+at its first arrival, the rest of its column unused, and the walks that
+arrived leave after the block.  Up to each block's first arrival this is
+the stream of one uniform per active walk per step.
 
 The kernel holds each walk as its node's row start in the union, its slot,
 so a hop is two gathers: the row length at the slot, and the slot of the
 neighbor drawn (a table of indptr[indices]).  No node of a connected graph
 with n >= 2 has an empty row, so slots are distinct and a walk arrives
-when its slot is its target's.  A numpy step costs about 7 us however few
-walks it moves, against about 0.4 us per hop in a Python loop (2-core
-Xeon, Python 3.11, numpy 2.4).  In the benchmark's Monte-Carlo batches,
-26-63% of the steps move at most 16 walks, yet those steps carry 0.3-1.1%
-of the hops.  So the kernel moves walks in numpy steps while more than
-_TAIL = 16, about the break-even, are active, then finishes the rest hop
-by hop in Python.  That tail takes its uniforms from the same generator
-in chunks, one per walk per step in walk order, which PCG64 gives as the
-same stream: the draw schedule, and so every result, is that of all-numpy
-steps.
+when its slot is its target's.  With more than _TAIL = 16 walks active,
+numpy moves all of them one row per step, arrived walks too, and scans
+the block for first arrivals once: in the benchmark's Monte-Carlo batches
+that simulates 3.3% more hops than the walks use.  With at most 16,
+Python walks each column in turn and stops a walk where it arrives.  A
+numpy row costs about 2 us however few walks it moves, a Python hop about
+0.2-0.3 us (2-core Xeon, Python 3.11, numpy 2.4): on walks that do not
+arrive within the block the two break even near 12 walks, and a walk
+that arrives early skips the rest of its column in Python, so 16 is about
+the break-even.  Both regimes give the same results.
 
 Each graph gets trials walks spread over its P = n(n-1) ordered pairs
 s != t by one rule: with trials >= P, walk i takes pair i mod P in
@@ -60,8 +66,9 @@ __all__ = [
 ]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-_TAIL = 16  # active walks at or below which _run_walks goes scalar
-_CHUNK = 1024  # fewest uniforms the scalar tail draws at once
+_BLOCK = 256  # most steps in one block of _run_walks
+_DRAWS = 32768  # most uniforms one block draws, unless one step needs more
+_TAIL = 16  # active walks at or below which a block is walked in Python
 
 
 @dataclass(frozen=True)
@@ -102,22 +109,23 @@ def _run_walks(indptr, indices, starts, targets, caps, rng):
     (steps, cut), cut marking the walks that were cut.  Every node must
     have a neighbor, as on a connected graph with n >= 2.
 
-    Each step draws one uniform per active walk, in ascending walk order,
-    and moves every active walk one hop.  A walk is held as its slot, its
-    node's row start: slot j of row u hops to nxt[j], the slot of u's
-    neighbor in column j - indptr[u], and deg[slot] is the row's length.
-    No row is empty, so slots are distinct and a walk arrives exactly when
-    its slot is its target's.  While more than _TAIL walks are active,
-    each step moves them all in numpy, and the active set (ids, cur, tgt)
-    is compacted on steps where some walk arrives and at each cap, where
-    the walks with that cap are cut.  The active set only shrinks, so once
-    at most _TAIL are left _finish_walks moves them to the end, with the
-    same draws.  It draws ahead in chunks, so rng ends up past the last
-    draw used.
+    A walk is held as its slot, its node's row start: slot j of row u hops
+    to nxt[j], the slot of u's neighbor in column j - indptr[u], and
+    deg[slot] is the row's length.  After t steps with m walks active
+    (ids, cur, tgt), the next block runs k = min(_BLOCK, max(1, _DRAWS //
+    m), c - t) steps, c the smallest cap above t, on u = rng.random((k, m)):
+    walk j takes u[i, j] for step t + i + 1 until it arrives.  With more
+    than _TAIL walks, numpy moves them all a row at a time, arrived walks
+    too, and hits marks each step's arrivals; with fewer, Python walks each
+    column up to its walk's arrival and marks that alone.  The first mark
+    of a column is its walk's arrival, and the walks that arrived leave
+    the active set after the block.  At a cap, the walks still active with
+    that cap are cut.
     """
     nxt = indptr[indices]
     deg = np.zeros(indices.size)
     deg[indptr[:-1]] = np.diff(indptr)
+    nxt_v, deg_v = memoryview(nxt), memoryview(deg)
     starts = np.asarray(starts, dtype=np.intp)
     targets = np.asarray(targets, dtype=np.intp)
     steps = np.where(starts == targets, 0, caps)
@@ -127,52 +135,41 @@ def _run_walks(indptr, indices, starts, targets, caps, rng):
     step = 0
     # np.unique would import numpy.ma, 1.3 MB of resident memory
     for cap in sorted(set(steps[ids].tolist())):
-        while ids.size > _TAIL and step < cap:
-            step += 1
-            u = rng.random(ids.size)
-            cur = nxt[cur + (u * deg[cur]).astype(np.intp)]
-            hit = cur == tgt
-            if np.count_nonzero(hit):  # much cheaper than hit.any() on short arrays
-                steps[ids[hit]] = step
+        while ids.size and step < cap:
+            m = ids.size
+            k = min(_BLOCK, max(1, _DRAWS // m), cap - step)
+            u = rng.random((k, m))
+            hits = np.zeros((k, m), dtype=bool)
+            if m > _TAIL:
+                off = np.empty(m, dtype=np.intp)
+                for x, h in zip(u, hits):
+                    x *= deg[cur]
+                    off[...] = x
+                    off += cur
+                    cur = nxt[off]
+                    np.equal(cur, tgt, out=h)
+            else:
+                for j, col in enumerate(u.T.tolist()):
+                    c, t = int(cur[j]), int(tgt[j])
+                    for i, x in enumerate(col):
+                        c = nxt_v[c + int(x * deg_v[c])]
+                        if c == t:
+                            hits[i, j] = True
+                            break
+                    cur[j] = c
+            hit = hits.any(axis=0)
+            if hit.any():
+                # argmax along axis 0 runs column by column, so only over
+                # the columns that arrived
+                steps[ids[hit]] = step + 1 + hits[:, hit].argmax(axis=0)
                 miss = ~hit
                 ids, cur, tgt = ids[miss], cur[miss], tgt[miss]
-        if step < cap:  # at most _TAIL walks left, none of them at its cap
-            break
+            step += k
         # a walk still active keeps its cap in steps
         live = steps[ids] != cap
         cut[ids[~live]] = True
         ids, cur, tgt = ids[live], cur[live], tgt[live]
-    walks = list(zip(ids.tolist(), cur.tolist(), tgt.tolist(),
-                     steps[ids].tolist()))
-    _finish_walks(memoryview(nxt), memoryview(deg), walks, step, steps, cut,
-                  rng)
     return steps, cut
-
-
-def _finish_walks(nxt, deg, walks, step, steps, cut, rng):
-    """The scalar tail of _run_walks: moves the walks (id, slot, target
-    slot, cap), in ascending id order and each cap above step, hop by hop
-    until each arrives or is cut, writing steps and cut.  The draws are
-    those of the numpy steps, one per walk per step in walk order; they
-    come from rng in chunks of at least _CHUNK, which PCG64 gives as the
-    same stream, and the draws left in the last chunk are never used."""
-    draws, k = [], 0
-    while walks:
-        step += 1
-        if len(draws) - k < len(walks):
-            draws = draws[k:] + rng.random(max(_CHUNK, len(walks))).tolist()
-            k = 0
-        left = []
-        for i, c, t, cap in walks:
-            c = nxt[c + int(draws[k] * deg[c])]
-            k += 1
-            if c == t:
-                steps[i] = step
-            elif step == cap:
-                cut[i] = True
-            else:
-                left.append((i, c, t, cap))
-        walks = left
 
 
 def _estimate(steps: np.ndarray, truncated: int) -> WalkEstimate:

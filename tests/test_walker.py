@@ -358,17 +358,18 @@ class TestBatch:
 
 class TestGoldenStream:
     """Seeded MC values on binary graphs, pinned across kernel rewrites:
-    one uniform per active walk per step, in ascending walk order."""
+    blocks of steps, each one rng.random((k, m)) over the m active walks in
+    ascending walk order, which for a lone walk is one uniform per step."""
 
     def test_mean_latency_torus(self):
         est = estimate_mean_latency([build_torus(TorusSpec([4, 4], 1))],
                                     20000, 7).estimates[0]
-        assert est.mean == 18.29895
-        assert est.ci_halfwidth == 0.25444183905803996
+        assert est.mean == 18.11675
+        assert est.ci_halfwidth == 0.2470506449455637
 
     def test_hitting_cycle(self):
         est = estimate_hitting(build_cycle(12, 2), 0, 5, 5000, 3)
-        assert est.mean == 18.1266
+        assert est.mean == 18.2802
 
     def test_simulate_walk(self):
         steps, _ = _run_walks(*build_cycle(9, 1).csr, [0], [4], _step_cap(9),
@@ -376,47 +377,84 @@ class TestGoldenStream:
         assert steps.tolist() == [18]
 
 
+class CountingRng:
+    """A generator that records the shape of every random() call."""
+
+    def __init__(self, rng):
+        self.rng, self.shapes = rng, []
+
+    def random(self, shape):
+        self.shapes.append(shape)
+        return self.rng.random(shape)
+
+
 class TestGoldenBatch:
     """The walk-validate batch of cycle:64:1, torus:16x16:1 and wireless:0
     at 3000 trials and seed 7: three graphs in one kernel call, with a long
     tail of few active walks."""
 
-    def test_walk_validate_batch(self):
+    def test_walk_validate_batch(self, monkeypatch):
+        kernel, rngs = walker._run_walks, []
+
+        def spy(*args):
+            rngs.append(CountingRng(args[-1]))
+            return kernel(*args[:-1], rngs[-1])
+
+        monkeypatch.setattr(walker, "_run_walks", spy)
         wireless_0 = generate_topology(WirelessConfig(n=30), seed=0,
                                        resample_until_connected=100).graph
         batch = estimate_mean_latency(
             [build_cycle(64, 1), build_torus(TorusSpec([16, 16], 1)),
              wireless_0], 3000, 7)
         assert [(e.mean, e.ci_halfwidth) for e in batch.estimates] == [
-            (687.7063333333333, 28.9865305616286),
-            (492.776, 17.89419098482342),
-            (30.575333333333333, 1.0627043966857657)]
+            (686.027, 28.210896223871067),
+            (494.21133333333336, 17.968717761091924),
+            (30.109666666666666, 1.102279089115778)]
         assert batch.truncated == 0
+        # one draw per block, not one per step of the 6,100 the longest
+        # walk takes
+        (rng,) = rngs
+        assert len(rng.shapes) == 130
 
 
 def reference_walks(indptr, indices, starts, targets, caps, rng):
-    """Reference kernel: every step in numpy, walks held as node ids, the
-    same draws as _run_walks."""
-    deg = np.diff(indptr).astype(float)
-    starts = np.asarray(starts, dtype=np.intp)
-    targets = np.asarray(targets, dtype=np.intp)
-    steps = np.where(starts == targets, 0, caps)
-    cut = np.zeros(steps.shape, dtype=bool)
-    ids = np.flatnonzero(starts != targets)
-    cur, tgt = starts[ids], targets[ids]
-    step = 0
-    for cap in sorted(set(steps[ids].tolist())):
-        while ids.size and step < cap:
-            step += 1
-            u = rng.random(ids.size)
-            cur = indices[indptr[cur] + (u * deg[cur]).astype(np.intp)]
-            hit = cur == tgt
-            steps[ids[hit]] = step
-            ids, cur, tgt = ids[~hit], cur[~hit], tgt[~hit]
-        live = steps[ids] != cap
-        cut[ids[~live]] = True
-        ids, cur, tgt = ids[live], cur[live], tgt[live]
-    return steps, cut
+    """Reference of the block rule, walk by walk on node ids.  After t
+    steps with m walks active, in ascending walk order, it draws
+    rng.random((k, m)) with k = min(256, max(1, 32768 // m), c - t), c the
+    smallest cap above t of the walks not started at their target.  Walk j
+    takes column j, one uniform per step, moving to the neighbor in column
+    floor(x * deg) of its node's row, until it arrives.  After the block
+    the arrived walks leave, and active walks at their cap are cut."""
+    starts = np.asarray(starts, dtype=np.intp).tolist()
+    targets = np.asarray(targets, dtype=np.intp).tolist()
+    caps = np.broadcast_to(caps, len(starts)).tolist()
+    steps = [0] * len(starts)
+    cut = [False] * len(starts)
+    active = [i for i, (s, t) in enumerate(zip(starts, targets)) if s != t]
+    stops = {caps[i] for i in active}
+    node = list(starts)
+    t = 0
+    while active:
+        m = len(active)
+        k = min(256, max(1, 32768 // m), min(c for c in stops if c > t) - t)
+        u = rng.random((k, m))
+        left = []
+        for j, i in enumerate(active):
+            for row in range(k):
+                row_start = int(indptr[node[i]])
+                degree = int(indptr[node[i] + 1]) - row_start
+                node[i] = int(indices[row_start + int(u[row, j] * degree)])
+                if node[i] == targets[i]:
+                    steps[i] = t + row + 1
+                    break
+            else:
+                left.append(i)
+        t += k
+        for i in left:
+            if caps[i] == t:
+                steps[i], cut[i] = t, True
+        active = [i for i in left if caps[i] != t]
+    return np.array(steps), np.array(cut)
 
 
 def random_connected_csr(n, density, rng):
@@ -429,21 +467,40 @@ def random_connected_csr(n, density, rng):
     return Graph((w | w.T).astype(float)).csr
 
 
-class TestTailRegime:
-    """The scalar tail of _run_walks takes the numpy steps' draws in the
-    same order, so where the kernel switches to it changes no result."""
+def assert_kernel_is_reference(indptr, indices, starts, targets, caps, seed):
+    """_run_walks gives the reference's steps and cut, and leaves the
+    generator at the reference's next draw, whether it switches regime at
+    the default _TAIL or keeps one regime throughout."""
+    args = (indptr, indices, starts, targets, caps)
+    ref_rng = np.random.default_rng(seed)
+    want = reference_walks(*args, ref_rng)
+    after = ref_rng.random()
+    for tail in (walker._TAIL, 0, len(starts) + 1):
+        rng = np.random.default_rng(seed)
+        with mock.patch.object(walker, "_TAIL", tail):
+            got = _run_walks(*args, rng)
+        assert np.array_equal(got[0], want[0]), tail
+        assert np.array_equal(got[1], want[1]), tail
+        assert rng.random() == after, tail
+    return want
 
-    @settings(max_examples=150, deadline=None)
+
+class TestBlockRule:
+    """_run_walks against reference_walks, bit for bit, in both regimes:
+    numpy blocks (_TAIL patched to 0), Python walks by column (_TAIL above
+    the walk count), and numpy blocks that hand over to Python ones."""
+
+    @settings(max_examples=120, deadline=None)
     @given(sizes=st.lists(st.integers(min_value=2, max_value=12),
                           min_size=1, max_size=4),
            density=st.floats(min_value=0.0, max_value=1.0),
-           walks=st.integers(min_value=1, max_value=60),
-           max_cap=st.integers(min_value=1, max_value=80),
-           chunk=st.integers(min_value=1, max_value=40),
+           walks=st.integers(min_value=1, max_value=300),
+           max_cap=st.integers(min_value=1, max_value=600),
            seed=st.integers(min_value=0, max_value=2**32 - 1))
-    def test_regimes_agree(self, sizes, density, walks, max_cap, chunk, seed):
-        # mixed-degree graphs in one union; walks may start at their
-        # target, and caps small enough to cut walks in either regime
+    def test_kernel_is_reference(self, sizes, density, walks, max_cap, seed):
+        # mixed-degree graphs in one union, one cap per graph (so caps end
+        # blocks early), walks that may start at their target, and more
+        # than 128 walks (blocks of 32768 // m steps) or fewer (256 steps)
         rng = np.random.default_rng(seed)
         indptr, indices, nodes = _union(
             [random_connected_csr(n, density, rng) for n in sizes])
@@ -451,27 +508,65 @@ class TestTailRegime:
         offset, size = nodes[block], np.diff(nodes)[block]
         starts = offset + rng.integers(0, size)
         targets = offset + rng.integers(0, size)
-        caps = rng.integers(1, max_cap + 1, walks)
-        args = (indptr, indices, starts, targets, caps)
-        want = reference_walks(*args, np.random.default_rng(seed))
-        for tail in (walker._TAIL, 0, walks + 1):
-            with mock.patch.object(walker, "_TAIL", tail), \
-                    mock.patch.object(walker, "_CHUNK", chunk):
-                got = _run_walks(*args, np.random.default_rng(seed))
-            assert np.array_equal(got[0], want[0]), tail
-            assert np.array_equal(got[1], want[1]), tail
+        caps = rng.integers(1, max_cap + 1, len(sizes))[block]
+        assert_kernel_is_reference(indptr, indices, starts, targets, caps,
+                                   seed)
 
-    def test_tail_of_more_walks_than_a_chunk(self):
-        # 3000 walks on the triangle, all of them in the scalar tail: each
-        # step needs more draws than one chunk holds
-        g = build_cycle(3, 1)
+    def test_walks_at_their_target(self):
+        steps, cut = assert_kernel_is_reference(
+            *build_cycle(5, 1).csr, [0, 1, 2, 3], [0, 3, 2, 1], 100, 6)
+        assert steps[[0, 2]].tolist() == [0, 0] and not cut.any()
+
+    def test_caps_end_blocks_early(self):
+        # the 20-cycle's cap of 7 ends the first block; walks on the
+        # triangle (cap 300) go on in the next
+        indptr, indices, _ = _union([build_cycle(20, 1).csr,
+                                     build_cycle(3, 1).csr])
+        starts = np.array([0] * 30 + [20] * 30)
+        targets = np.array([10] * 30 + [22] * 30)
+        caps = np.repeat([7, 300], 30)
+        rng = CountingRng(np.random.default_rng(1))
+        _run_walks(indptr, indices, starts, targets, caps, rng)
+        assert rng.shapes[0] == (7, 60)
+        _, cut = assert_kernel_is_reference(indptr, indices, starts, targets,
+                                            caps, 1)
+        assert cut[:30].all() and not cut[30:].any()
+
+    def test_block_size_crosses_128_walks(self):
+        # 200 walks on a 30-cycle: 32768 // m steps per block while more
+        # than 128 walks are active, then 256
+        s, t = schedule(30, 200, 3)
+        rng = CountingRng(np.random.default_rng(3))
+        _run_walks(*build_cycle(30, 1).csr, s, t, _step_cap(30), rng)
+        assert rng.shapes[0] == (163, 200)
+        assert all(k == min(256, 32768 // m) for k, m in rng.shapes)
+        assert {k < 256 for k, _ in rng.shapes} == {True, False}
+        assert_kernel_is_reference(*build_cycle(30, 1).csr, s, t,
+                                   _step_cap(30), 3)
+
+    def test_one_step_blocks_past_32768_walks(self):
+        s, t = schedule(5, 40000, 2)
+        rng = CountingRng(np.random.default_rng(2))
+        _run_walks(*build_cycle(5, 1).csr, s, t, 60, rng)
+        assert rng.shapes[0] == (1, 40000)
+        assert_kernel_is_reference(*build_cycle(5, 1).csr, s, t, 60, 2)
+
+    def test_every_walk_arrives_in_one_block(self):
+        # every walk on the 2-node path arrives at its first step; the
+        # block still draws its full k rows
+        rng = CountingRng(np.random.default_rng(4))
+        steps, _ = _run_walks(*path2().csr, np.zeros(40), np.ones(40), 500,
+                              rng)
+        assert steps.tolist() == [1] * 40 and rng.shapes == [(256, 40)]
+        assert_kernel_is_reference(*path2().csr, np.zeros(40), np.ones(40),
+                                   500, 4)
+
+    def test_many_walks_in_python(self):
+        # 3000 walks on the triangle, every block walked by column, some
+        # walks cut at the cap of 4
         s, t = schedule(3, 3000, 5)
-        want = reference_walks(*g.csr, s, t, 4, np.random.default_rng(5))
-        with mock.patch.object(walker, "_TAIL", 3000):
-            got = _run_walks(*g.csr, s, t, 4, np.random.default_rng(5))
-        assert want[1].any() and not want[1].all()
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        _, cut = assert_kernel_is_reference(*build_cycle(3, 1).csr, s, t, 4, 5)
+        assert cut.any() and not cut.all()
 
 
 @pytest.mark.parametrize("k,m", [(1, 1), (3, 1024), (17, 5), (1024, 1024)])
