@@ -13,11 +13,13 @@ wireless ensemble row is the 95% CI halfwidth of the ensemble mean.
 
 Each sweep subcommand's parser sets `rows`, the function that turns the
 parsed arguments into CSV rows; `run` writes the header and those rows.
-The oracle column of cycle, torus and dimension sweeps is the mean latency
-from the FFT of the built graph (latency.mean_latency_circulant), not from
-the closed forms.  It and the Monte-Carlo columns are skipped (marker
-"skipped") for graphs above the node cap, so large closed-form sweeps stay
-honest about what was cross-checked.
+Every lattice is a TorusSpec (a cycle is the one-axis torus).
+bounds-check writes its closed forms only.  The oracle column of cycle,
+torus and dimension sweeps is the mean latency from the FFT of the built
+graph (latency.mean_latency_circulant), not from the closed forms.  It and
+the Monte-Carlo columns are skipped (marker "skipped") for graphs above
+_NODE_CAP nodes, so large closed-form sweeps stay honest about what was
+cross-checked.
 The Monte-Carlo columns of one command come from one walker batch over
 every graph it walks, at --seed; the graphs are built as the walker takes
 them, after their analytic and oracle cells are computed.
@@ -40,6 +42,9 @@ CSV_HEADER = "family,params,analytic,lower,upper,oracle,mc_mean,mc_ci,trials"
 
 # Eigenvalues spectrum-export formats into one string before writing it.
 _EXPORT_LINES = 4096
+
+# Lattice sweeps build, FFT-check and walk graphs of at most this many nodes.
+_NODE_CAP = 4096
 
 # Wireless ensemble sweeps: subcommand -> (family, axes).  Each axis is
 # (flag, default range, WirelessConfig field, label key); rows run over the
@@ -83,8 +88,15 @@ def _parse_value(token: str, kind, text: str):
     return value
 
 
+def _parse_dims(sizes: str, text: str) -> list:
+    """The axis sizes of K1xK2[x..] text, one int each, within the argument
+    text."""
+    return [_parse_value(k, int, text) for k in sizes.split("x")]
+
+
 def parse_range(text: str, kind=float) -> list:
-    """Inclusive start:stop[:step] range, or comma list of values."""
+    """Inclusive start:stop[:step] range, or comma list of values; an
+    empty item is a bad value."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) not in (2, 3):
@@ -100,9 +112,7 @@ def parse_range(text: str, kind=float) -> list:
         count = int(np.floor((stop - start) / step + 1e-9)) + 1
         vals = [start + i * step for i in range(count)]
     else:
-        vals = [_parse_value(v, kind, text) for v in text.split(",") if v != ""]
-    if not vals:
-        raise ParameterError(f"range {text!r} is empty")
+        vals = [_parse_value(v, kind, text) for v in text.split(",")]
     if kind is int:
         vals = [int(v) for v in vals]
     else:
@@ -127,22 +137,25 @@ def _mc_estimates(gs, labels, trials: int, seed: int):
 # cycle and torus sweeps
 
 
+def _closed_forms(spec) -> dict:
+    """The closed-form cells of the lattice spec: mean latency T and its
+    bounds."""
+    cells = {"analytic": latency.mean_latency_torus(spec)}
+    cells["lower"], cells["upper"] = latency.torus_latency_bounds(spec)
+    return cells
+
+
 def _lattice_rows(args, points):
-    """Rows of the lattice specs of points, (family, params, spec) each (a
-    cycle is the one-axis torus), in the units of T: the closed-form mean
-    latency and bounds, then the FFT oracle of the built graph and, with
-    --trials, the Monte-Carlo columns from one walker batch over every
-    built graph.  Above the node cap the graph is never built and those
-    columns read "skipped"; bounds-check takes no node cap and writes only
-    the closed forms."""
+    """Rows of the lattice specs of points, (family, params, spec) each, in
+    the units of T: the closed forms, then the FFT oracle of the built graph
+    and, with --trials, the Monte-Carlo columns from one walker batch over
+    every built graph.  Above _NODE_CAP nodes the graph is never built and
+    those columns read "skipped"."""
     rows, built = [], []
     for family, params, spec in points:
-        cells = {"analytic": latency.mean_latency_torus(spec)}
-        cells["lower"], cells["upper"] = latency.torus_latency_bounds(spec)
+        cells = _closed_forms(spec)
         rows.append((family, params, cells))
-        if "node_cap" not in vars(args):
-            continue  # bounds-check: the closed forms only
-        if spec.n <= args.node_cap:
+        if spec.n <= _NODE_CAP:
             built.append((f"{family} {params}", spec, cells))
         else:
             cells["oracle"] = "skipped"
@@ -156,11 +169,9 @@ def _lattice_rows(args, points):
             [label for label, *_ in built], args.trials, args.seed)
         for (_, spec, cells), est in zip(built, ests):
             # Walks count hops; the commute-time identity EPD = (vol/2) * T,
-            # vol/2 the edge count, turns them into the units of T.  The
-            # torus is 2rm-regular, so it has n*r*m edges.
-            edges = spec.n * spec.r * spec.m
-            cells.update(mc_mean=est.mean / edges,
-                         mc_ci=est.ci_halfwidth / edges,
+            # vol/2 the edge count, turns them into the units of T.
+            cells.update(mc_mean=est.mean / spec.edges,
+                         mc_ci=est.ci_halfwidth / spec.edges,
                          trials=est.trials_used)
     else:
         for _, spec, cells in built:
@@ -175,11 +186,20 @@ def _with_oracle(spec, cells):
     return g
 
 
+def _cycle_points(args):
+    return (("cycle", f"n={n};r={r}", graphs.TorusSpec((n,), r))
+            for n, r in itertools.product(parse_range(args.n, int),
+                                          parse_range(args.r, int)))
+
+
 def _cycle_rows(args):
-    return _lattice_rows(args, (
-        ("cycle", f"n={n};r={r}", graphs.TorusSpec((n,), r))
-        for n, r in itertools.product(parse_range(args.n, int),
-                                      parse_range(args.r, int))))
+    return _lattice_rows(args, _cycle_points(args))
+
+
+def _bounds_rows(args):
+    """bounds-check: the closed forms of each cycle; no graph is built."""
+    return [_row(family, params, **_closed_forms(spec))
+            for family, params, spec in _cycle_points(args)]
 
 
 def _torus_point(dims, r):
@@ -290,9 +310,9 @@ def parse_graph_spec(text: str, base_config=None, resample: int = 100):
     the one-axis torus), None for a wireless graph."""
     parts = text.split(":")
     if parts[0] in ("cycle", "torus") and len(parts) == 3:
-        sizes = parts[1].split("x") if parts[0] == "torus" else [parts[1]]
-        spec = graphs.TorusSpec([_parse_value(k, int, text) for k in sizes],
-                                _parse_value(parts[2], int, text))
+        dims = (_parse_dims(parts[1], text) if parts[0] == "torus"
+                else [_parse_value(parts[1], int, text)])
+        spec = graphs.TorusSpec(dims, _parse_value(parts[2], int, text))
         return spec, graphs.build_torus(spec)
     if parts[0] == "wireless" and len(parts) == 2:
         cfg = base_config or wireless.WirelessConfig(n=30)
@@ -310,9 +330,7 @@ def _walk_validate_rows(args):
     its edge count n*m*r times the closed-form mean latency; a wireless
     graph's comes from its Laplacian eigenvalues.  --oracle adds the
     fundamental-matrix EPD of every graph."""
-    texts = [s for s in args.graphs.split(",") if s]
-    if not texts:
-        raise ParameterError("--graphs must list at least one graph")
+    texts = args.graphs.split(",")
     config = _wireless_base(args)
     cells = []
 
@@ -321,8 +339,7 @@ def _walk_validate_rows(args):
         spec, g = parse_graph_spec(text, config, args.resample_until_connected)
         cells.append({
             "analytic": (latency.expected_packet_delay(g) if spec is None else
-                         spec.n * spec.m * spec.r
-                         * latency.mean_latency_torus(spec)),
+                         spec.edges * latency.mean_latency_torus(spec)),
             "oracle": (latency.expected_packet_delay(g, "linear-system")
                        if args.oracle else None)})
         return g
@@ -383,13 +400,6 @@ def _add_trials(p, default=None) -> None:
                    help="Monte-Carlo walks per sweep point")
 
 
-def _add_mc(p) -> None:
-    p.add_argument("--node-cap", type=_count(0), default=4096,
-                   help="skip the FFT-oracle and MC columns above this size "
-                        "(default 4096)")
-    _add_trials(p)
-
-
 def _add_oracle(p) -> None:
     p.add_argument("--oracle", action="store_true",
                    help="write the fundamental-matrix EPD oracle column")
@@ -411,22 +421,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = _sweep(sub, "cycle-sweep", _cycle_rows, "mean latency over cycles")
     p.add_argument("--n", required=True, help="node count or range")
     p.add_argument("--r", required=True, help="neighbor radius or range")
-    _add_mc(p)
+    _add_trials(p)
 
     p = _sweep(sub, "torus-sweep", _torus_rows, "mean latency over m-D tori")
     p.add_argument("--dims", required=True,
                    help="axis sizes K1xK2[x..]; each axis may be a range a:b[:c]")
     p.add_argument("--r", required=True, help="neighbor radius or range")
-    _add_mc(p)
+    _add_trials(p)
 
     p = _sweep(sub, "dimension-sweep", _dimension_rows,
                "mean latency over torus dimension prefixes")
     p.add_argument("--dims", default="16,18,20,22",
                    help="comma axis sizes; prefixes of length 1..m are swept")
     p.add_argument("--r", default="1:4", help="neighbor radius or range")
-    _add_mc(p)
+    _add_trials(p)
 
-    p = _sweep(sub, "bounds-check", _cycle_rows,
+    p = _sweep(sub, "bounds-check", _bounds_rows,
                "closed-form bounds vs latency")
     p.add_argument("--n", required=True)
     p.add_argument("--r", required=True)
@@ -457,9 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum-export",
                        help="closed-form spectrum CSV, one eigenvalue per line")
     p.set_defaults(command=_run_spectrum_export)
-    p.add_argument("--family", choices=("cycle", "torus"), required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--dims")
+    p.add_argument("--dims", required=True,
+                   help="axis sizes K1[xK2..]; one axis is a cycle")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--out", default="-")
 
@@ -477,19 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_spectrum_export(args) -> None:
-    if args.family == "cycle":
-        if args.n is None:
-            raise ParameterError("--n is required for family=cycle")
-        if args.dims is not None:
-            raise ParameterError("--dims does not apply to family=cycle")
-        dims = [args.n]
-    else:
-        if not args.dims:
-            raise ParameterError("--dims is required for family=torus")
-        if args.n is not None:
-            raise ParameterError("--n does not apply to family=torus")
-        dims = [_parse_value(k, int, args.dims) for k in args.dims.split("x")]
-    vals = spectral.torus_laplacian_eigenvalues(graphs.TorusSpec(dims, args.r))
+    vals = spectral.torus_laplacian_eigenvalues(
+        graphs.TorusSpec(_parse_dims(args.dims, args.dims), args.r))
     vals.sort()
     _write(args.out, ("".join(f"{v:.17g}\n" for v in vals[i:i + _EXPORT_LINES])
                       for i in range(0, vals.size, _EXPORT_LINES)))

@@ -279,6 +279,11 @@ class TorusSpec:
     def n(self) -> int:
         return math.prod(self.dims)
 
+    @property
+    def edges(self) -> int:
+        """Edge count n*m*r: every node has 2mr neighbors."""
+        return self.n * self.m * self.r
+
 
 def build_cycle(n: int, r: int) -> Graph:
     """r-nearest-neighbor cycle: i ~ j iff circular distance in [1, r].

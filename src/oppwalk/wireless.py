@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -221,16 +221,9 @@ def generate_topology(config: WirelessConfig, seed: int,
                                resample_until_connected)[0]
 
 
-_CONFIG_FIELDS = {
-    "n": int,
-    "area_side": float,
-    "eta": float,
-    "alpha": float,
-    "p_min": float,
-    "c_n": float,
-    "threshold": float,
-    "power": float,
-}
+# The parser of each load_config key: a WirelessConfig field name.
+_CONFIG_FIELDS = {f.name: int if f.name == "n" else float
+                  for f in fields(WirelessConfig)}
 
 
 def load_config(path) -> WirelessConfig:

@@ -11,7 +11,7 @@ import numpy as np
 
 import pytest
 
-from oppwalk import cli, latency, walker, wireless
+from oppwalk import cli, graphs, latency, walker, wireless
 from oppwalk.cli import (
     CSV_HEADER,
     _row,
@@ -22,7 +22,10 @@ from oppwalk.cli import (
 )
 from oppwalk.errors import ParameterError
 from oppwalk.graphs import TorusSpec
-from oppwalk.spectral import torus_laplacian_eigenvalues
+from oppwalk.spectral import (
+    cycle_laplacian_eigenvalues,
+    torus_laplacian_eigenvalues,
+)
 
 
 def run_cli(argv, capsys):
@@ -94,9 +97,25 @@ class TestCycleSweep:
 
     def test_oracle_skipped_above_cap(self, capsys):
         code, out, _ = run_cli(
-            ["cycle-sweep", "--n", "100", "--r", "1", "--node-cap", "50"],
-            capsys)
+            ["cycle-sweep", "--n", "4097", "--r", "1"], capsys)
         assert out.strip().split("\n")[1].split(",")[5] == "skipped"
+
+    @pytest.mark.parametrize("sweep,at_cap,above_cap", [
+        ("cycle-sweep", ["--n", "4096", "--r", "64"],
+         ["--n", "4097", "--r", "64"]),
+        ("torus-sweep", ["--dims", "64x64", "--r", "1"],
+         ["--dims", "17x241", "--r", "1"]),
+    ])
+    def test_node_cap_is_4096(self, capsys, sweep, at_cap, above_cap):
+        mc = ["--trials", "10", "--seed", "3"]
+        (row,) = csv_rows(run_cli([sweep, *at_cap, *mc], capsys)[1])
+        assert float(row["oracle"]) == pytest.approx(float(row["analytic"]),
+                                                     rel=1e-9)
+        assert float(row["mc_mean"]) > 0 and float(row["mc_ci"]) > 0
+        assert row["trials"] == "10"
+        (row,) = csv_rows(run_cli([sweep, *above_cap, *mc], capsys)[1])
+        assert [row[k] for k in ("oracle", "mc_mean", "mc_ci", "trials")] == [
+            "skipped", "skipped", "skipped", ""]
 
     def test_writes_file(self, tmp_path, capsys):
         path = tmp_path / "out.csv"
@@ -124,6 +143,7 @@ class TestUsageErrors:
         assert code == 2
 
     def test_negative_node_cap_flag_exit_2(self, capsys):
+        # the node cap is fixed; no value of --node-cap is taken
         with pytest.raises(SystemExit) as exc:
             run_cli(["torus-sweep", "--dims", "10x8", "--r", "1",
                      "--node-cap", "-5"], capsys)
@@ -134,7 +154,12 @@ class TestUsageErrors:
         ["cycle-sweep", "--n", "10:abc", "--r", "1"],
         ["epd-eta-sweep", "--etas", "2,nan", "--seeds", "2"],
         ["walk-validate", "--graphs", "cycle:abc:1"],
-        ["spectrum-export", "--family", "torus", "--dims", "3xabc", "--r", "1"],
+        ["spectrum-export", "--dims", "3xabc", "--r", "1"],
+        # an empty item of a comma list is a bad value, not skipped
+        ["dimension-sweep", "--dims", "16,,18", "--r", "1"],
+        ["epd-eta-sweep", "--etas", "2,,4", "--seeds", "1"],
+        ["cycle-sweep", "--n", "10,", "--r", "1"],
+        ["walk-validate", "--graphs", "cycle:4:1,", "--trials", "10"],
     ])
     def test_bad_number_exit_2(self, capsys, argv):
         code, _, err = run_cli(argv, capsys)
@@ -164,24 +189,25 @@ class TestUsageErrors:
           "--seed", "-3"], "--seed"),
         (["wireless-export", "--n", "10", "--seed", "-2",
           "--out-prefix", "unused"], "--seed"),
+        (["cycle-sweep", "--n", "10", "--r", "1", "--node-cap", "5"],
+         "--node-cap"),
+        (["torus-sweep", "--dims", "4x5", "--r", "1", "--node-cap", "5"],
+         "--node-cap"),
+        (["dimension-sweep", "--node-cap", "5"], "--node-cap"),
+        (["spectrum-export", "--dims", "3", "--r", "1", "--node-cap", "5"],
+         "--node-cap"),
+        (["wireless-export", "--out-prefix", "unused", "--node-cap", "5"],
+         "--node-cap"),
+        # a cycle's spectrum is --dims N
+        (["spectrum-export", "--family", "cycle", "--dims", "5", "--r", "1"],
+         "--family"),
+        (["spectrum-export", "--dims", "3", "--n", "99", "--r", "1"], "--n"),
     ])
     def test_bad_count_or_flag_exit_2(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
             run_cli(argv, capsys)
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
-
-    @pytest.mark.parametrize("argv,flag", [
-        (["--family", "cycle", "--n", "5", "--r", "1", "--dims", "3x3"],
-         "--dims"),
-        (["--family", "torus", "--dims", "3", "--n", "99", "--r", "1"], "--n"),
-    ])
-    def test_spectrum_export_other_family_flag_exit_2(self, capsys, argv,
-                                                      flag):
-        # a flag of the other family is refused, not silently ignored
-        code, out, err = run_cli(["spectrum-export", *argv], capsys)
-        assert (code, out) == (2, "")
-        assert err.startswith("usage error:") and flag in err
 
     @pytest.mark.parametrize("text", [
         None, "n=20\neta=nan\n", "n=abc\n", "n=20\nradius=3\n", "eta=2\n",
@@ -240,6 +266,18 @@ class TestTorusSweeps:
 
 
 class TestBoundsCheck:
+    def test_builds_no_graph(self, capsys, monkeypatch):
+        def build(spec):
+            raise AssertionError(f"bounds-check built {spec}")
+        monkeypatch.setattr(graphs, "build_torus", build)
+        code, out, _ = run_cli(
+            ["bounds-check", "--n", "10:100:10", "--r", "2", "--seed", "7"],
+            capsys)
+        assert code == 0
+        for row in csv_rows(out):
+            assert row["analytic"] and row["lower"] and row["upper"]
+            assert not (row["oracle"] or row["mc_mean"] or row["trials"])
+
     def test_sandwich_rows(self, capsys):
         code, out, _ = run_cli(
             ["bounds-check", "--n", "10:60:10", "--r", "2"], capsys)
@@ -496,18 +534,23 @@ class TestWirelessSweepsSmall:
 
 class TestExports:
     def test_spectrum_export_cycle(self, tmp_path, capsys):
+        # a cycle is one axis: the sorted closed form of the cycle, byte
+        # for byte
         path = tmp_path / "spec.csv"
-        code, _, _ = run_cli(
-            ["spectrum-export", "--family", "cycle", "--n", "4", "--r", "1",
-             "--out", str(path)], capsys)
-        assert code == 0
-        vals = [float(v) for v in path.read_text().split()]
+        for n, r in [(4, 1), (50, 3), (5000, 7)]:
+            code, _, _ = run_cli(
+                ["spectrum-export", "--dims", str(n), "--r", str(r),
+                 "--out", str(path)], capsys)
+            assert code == 0
+            vals = np.sort(cycle_laplacian_eigenvalues(n, r))
+            assert path.read_text() == "".join(f"{v:.17g}\n" for v in vals)
+        vals = [float(v) for v in run_cli(
+            ["spectrum-export", "--dims", "4", "--r", "1"], capsys)[1].split()]
         assert vals == pytest.approx([0, 2, 2, 4], abs=1e-12)
 
     def test_spectrum_export_torus_stdout(self, capsys):
         code, out, _ = run_cli(
-            ["spectrum-export", "--family", "torus", "--dims", "3x3",
-             "--r", "1"], capsys)
+            ["spectrum-export", "--dims", "3x3", "--r", "1"], capsys)
         vals = sorted(float(v) for v in out.split())
         assert vals == pytest.approx([0, 3, 3, 3, 3, 6, 6, 6, 6], abs=1e-12)
 
@@ -515,8 +558,8 @@ class TestExports:
         # 4200 lines: more than one chunk of formatted eigenvalues
         path = tmp_path / "spec.csv"
         code, _, _ = run_cli(
-            ["spectrum-export", "--family", "torus", "--dims", "60x70",
-             "--r", "2", "--out", str(path)], capsys)
+            ["spectrum-export", "--dims", "60x70", "--r", "2",
+             "--out", str(path)], capsys)
         assert code == 0
         vals = torus_laplacian_eigenvalues(TorusSpec((60, 70), 2))
         assert path.read_text() == "".join(f"{v:.17g}\n"
@@ -527,8 +570,8 @@ class TestExports:
         # of the spectrum
         n = 300 * 300
         peak = traced_peak(
-            ["spectrum-export", "--family", "torus", "--dims", "300x300",
-             "--r", "1", "--out", str(tmp_path / "spec.csv")], capsys)
+            ["spectrum-export", "--dims", "300x300", "--r", "1",
+             "--out", str(tmp_path / "spec.csv")], capsys)
         assert peak < 3 * 8 * n
 
     def test_wireless_export(self, tmp_path, capsys):
@@ -598,7 +641,7 @@ class TestModuleEntryPoint:
 
     @pytest.mark.parametrize("argv", [
         ("--no-such-flag",),
-        ("spectrum-export", "--family", "torus", "--dims", "3xabc", "--r", "1"),
+        ("spectrum-export", "--dims", "3xabc", "--r", "1"),
     ])
     def test_bad_argument_exit_2(self, argv):
         proc = self.run_module(*argv)

@@ -382,6 +382,13 @@ class TestTorus:
         with pytest.raises(ParameterError):
             TorusSpec([4, 4], 2)  # 2r+1 > min k
 
+    @pytest.mark.parametrize("dims,r", [
+        ((3,), 1), ((11,), 5), ((64,), 3), ((4, 4), 1), ((3, 4, 5), 1),
+        ((7, 9), 3), ((5, 6, 7, 8), 2)])
+    def test_edges_counts_built_edges(self, dims, r):
+        spec = TorusSpec(dims, r)
+        assert spec.edges == build_torus(spec).csr[1].size // 2
+
     @pytest.mark.parametrize("make,bad", [
         (lambda: build_cycle(7.9, 2), "7.9"),
         (lambda: build_cycle(7, 2.0), "2.0"),

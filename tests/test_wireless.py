@@ -478,6 +478,18 @@ class TestConfigFile:
         assert cfg.threshold == 0.4
         assert cfg.power == 1.5
 
+    def test_every_field_loads(self, tmp_path):
+        # every WirelessConfig field is a key, each off its default
+        cfg = WirelessConfig(n=17, area_side=2.5, eta=3.25, alpha=1.5,
+                             p_min=0.125, c_n=0.75, threshold=0.3, power=4.0)
+        names = [f.name for f in dataclasses.fields(WirelessConfig)]
+        assert all(getattr(cfg, k) != getattr(WirelessConfig(n=2), k)
+                   for k in names)
+        path = tmp_path / "w.cfg"
+        path.write_text("".join(f"{k} = {getattr(cfg, k)!r}\n"
+                                for k in names))
+        assert load_config(path) == cfg
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "w.cfg"
         path.write_text("n=5\nbogus=1\n")
@@ -495,7 +507,10 @@ class TestConfigFile:
         ("# sweep\nn = 3.5\n", "w.cfg:2: bad value for n: '3.5'"),
         ("n=10\n\neta=fast\n", "w.cfg:3: bad value for eta: 'fast'"),
         ("n=10\npower = inf\n", "w.cfg:2: bad value for power: 'inf'"),
-    ], ids=["repeated-key", "float-n", "text-eta", "inf-power"])
+        ("n=10\n# c\nradius=3\n", "w.cfg:3: unknown key 'radius'"),
+        ("eta=2\nn=10\neta=3\n", "w.cfg:3: repeated key 'eta'"),
+    ], ids=["repeated-key", "float-n", "text-eta", "inf-power", "unknown-key",
+            "repeated-float-key"])
     def test_bad_line_names_path_and_line(self, tmp_path, text, error):
         path = tmp_path / "w.cfg"
         path.write_text(text)
