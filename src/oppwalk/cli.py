@@ -13,7 +13,8 @@ wireless ensemble row is the 95% CI halfwidth of the ensemble mean.
 
 Each sweep subcommand's parser sets `rows`, the function that turns the
 parsed arguments into CSV rows; `run` writes the header and those rows.
-Every lattice is a TorusSpec (a cycle is the one-axis torus).
+Every lattice is a TorusSpec (a cycle is the one-axis torus).  A wireless
+seed with no connected placement (wireless.generate_topologies) exits 1.
 bounds-check writes its closed forms only.  The oracle column of cycle,
 torus and dimension sweeps is the mean latency from the FFT of the built
 graph (latency.mean_latency_circulant), not from the closed forms.  It and
@@ -109,8 +110,10 @@ def parse_range(text: str, kind=float) -> list:
             raise ParameterError(
                 f"range {text!r} is empty or step sign inconsistent"
             )
-        count = int(np.floor((stop - start) / step + 1e-9)) + 1
-        vals = [start + i * step for i in range(count)]
+        count = np.floor((stop - start) / step + 1e-9) + 1
+        if not count <= 10**6:  # also an infinite or NaN count
+            raise ParameterError(f"range {text!r} has over 10**6 values")
+        vals = [start + i * step for i in range(int(count))]
     else:
         vals = [_parse_value(v, kind, text) for v in text.split(",")]
     if kind is int:
@@ -225,14 +228,13 @@ def _dimension_rows(args):
 # wireless ensembles
 
 
-def _wireless_base(args) -> wireless.WirelessConfig:
-    """The --config file (else the defaults at n=30), at --n nodes if given.
-    An unreadable or invalid file is a usage error."""
-    n = getattr(args, "n", None)
-    if not args.config:
+def _wireless_base(config_path, n=None) -> wireless.WirelessConfig:
+    """The config file at config_path (else the defaults at n=30), at n
+    nodes if given.  An unreadable or invalid file is a usage error."""
+    if not config_path:
         return wireless.WirelessConfig(n=30 if n is None else n)
     try:
-        cfg = wireless.load_config(args.config)
+        cfg = wireless.load_config(config_path)
     except (OSError, ValueError) as exc:
         raise ParameterError(f"bad --config file: {exc}") from None
     return cfg if n is None else replace(cfg, n=n)
@@ -246,7 +248,7 @@ def _epd_rows(args):
     with --trials the walker then keeps only each graph's CSR rows, so the
     sweep holds one seed's graphs at a time, whatever --seeds."""
     family, axes = _EPD_SWEEPS[args.kind]
-    base = _wireless_base(args)
+    base = _wireless_base(args.config, args.n)
     ranges = [parse_range(getattr(args, flag[2:]), float)
               for flag, *_ in axes]
     fields = [field for _, _, field, _ in axes]
@@ -261,13 +263,8 @@ def _epd_rows(args):
     def seed_graphs(s):
         """Ensemble seed s's graph of every point, its EPD (and oracle)
         noted."""
-        topos = wireless.generate_topologies(
-            base, configs, args.seed, args.resample_until_connected,
-            prefix=(s,))
-        if not all(t.connected for t in topos):
-            raise RuntimeError(
-                f"no connected placement found for ensemble seed {s} within "
-                f"{max(1, args.resample_until_connected)} attempts")
+        topos = wireless.generate_topologies(base, configs, args.seed,
+                                             prefix=(s,))
         for j, topo in enumerate(topos):
             epd[j].append(latency.expected_packet_delay(topo.graph))
             if args.oracle:
@@ -303,7 +300,7 @@ def _epd_rows(args):
 # walk validation
 
 
-def parse_graph_spec(text: str, base_config=None, resample: int = 100):
+def parse_graph_spec(text: str, base_config=None):
     """Graph descriptors: cycle:N:R, torus:K1xK2[x..]:R, wireless:SEED.
 
     Returns (spec, graph): the TorusSpec of a cycle or torus (a cycle is
@@ -316,12 +313,8 @@ def parse_graph_spec(text: str, base_config=None, resample: int = 100):
         return spec, graphs.build_torus(spec)
     if parts[0] == "wireless" and len(parts) == 2:
         cfg = base_config or wireless.WirelessConfig(n=30)
-        topo = wireless.generate_topology(
-            cfg, seed=_parse_value(parts[1], int, text),
-            resample_until_connected=resample)
-        if not topo.connected:
-            raise RuntimeError(f"wireless graph {text} is disconnected")
-        return None, topo.graph
+        seed = _parse_value(parts[1], int, text)
+        return None, wireless.generate_topology(cfg, seed).graph
     raise ParameterError(f"bad graph descriptor {text!r}")
 
 
@@ -331,12 +324,12 @@ def _walk_validate_rows(args):
     graph's comes from its Laplacian eigenvalues.  --oracle adds the
     fundamental-matrix EPD of every graph."""
     texts = args.graphs.split(",")
-    config = _wireless_base(args)
+    config = _wireless_base(args.config)
     cells = []
 
     def analysed(text):
         """The graph of text, its EPD (and oracle) noted in cells."""
-        spec, g = parse_graph_spec(text, config, args.resample_until_connected)
+        spec, g = parse_graph_spec(text, config)
         cells.append({
             "analytic": (latency.expected_packet_delay(g) if spec is None else
                          spec.edges * latency.mean_latency_torus(spec)),
@@ -405,12 +398,6 @@ def _add_oracle(p) -> None:
                    help="write the fundamental-matrix EPD oracle column")
 
 
-def _add_resample(p, default: int) -> None:
-    p.add_argument("--resample-until-connected", type=_count(0),
-                   default=default,
-                   help="placement attempts per seed (0 or 1: one attempt)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="oppwalk",
@@ -451,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="node count (default: the --config file, else 30)")
         p.add_argument("--seeds", type=_count(1), default=20,
                        help="ensemble size (placements per sweep point)")
-        _add_resample(p, 100)
         _add_trials(p)
         _add_oracle(p)
 
@@ -460,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graphs", required=True,
                    help="comma list: cycle:N:R, torus:K1xK2:R, wireless:SEED")
     p.add_argument("--config", default=None)
-    _add_resample(p, 100)
     _add_trials(p, default=100000)
     _add_oracle(p)
 
@@ -479,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None,
                    help="node count (default: the --config file, else 30)")
     p.add_argument("--seed", type=_count(0), default=0)
-    _add_resample(p, 0)
     p.add_argument("--out-prefix", required=True)
 
     return ap
@@ -494,14 +478,10 @@ def _run_spectrum_export(args) -> None:
 
 
 def _run_wireless_export(args) -> None:
-    cfg = _wireless_base(args)
-    topo = wireless.generate_topology(
-        cfg, seed=args.seed,
-        resample_until_connected=args.resample_until_connected)
+    topo = wireless.generate_topology(_wireless_base(args.config, args.n),
+                                      seed=args.seed)
     graphs.save_edge_list(topo.graph, args.out_prefix + ".edges")
     wireless.save_positions(topo.placement, args.out_prefix + ".positions.csv")
-    if not topo.connected:
-        print("warning: generated topology is disconnected", file=sys.stderr)
 
 
 @functools.cache

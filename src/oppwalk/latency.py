@@ -139,11 +139,7 @@ def mean_latency_torus(spec: TorusSpec) -> float:
     any n: under 1 MB for a 1000 x 1000 torus, whose spectrum takes 8 MB.
     The result is the same double as the whole-array sum.
     """
-    if spec.n - 1 <= _LEAF:
-        vals = torus_laplacian_eigenvalues(spec)[1:]
-        total = np.sum(np.reciprocal(vals, out=vals))
-    else:
-        total = _pairwise_sum(_reciprocal_leaves(spec), 1, spec.n - 1)
+    total = _pairwise_sum(_reciprocal_leaves(spec), 1, spec.n - 1)
     return 2.0 / (spec.n - 1) * float(total)
 
 

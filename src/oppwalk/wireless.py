@@ -17,7 +17,8 @@ this rule; build_wireless_graph thresholds a placement's distances with it.
 Every graph on one placement compares the same distance matrix with its
 own radius, so a larger radius gives a supergraph, and the graphs of a
 sweep are all connected exactly when the one with the smallest radius is.
-generate_topologies therefore judges a placement by that graph alone.
+generate_topologies therefore judges a placement by that graph alone; a
+seed's topology is its first connected placement of _ATTEMPTS.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ParameterError, ValidationError
+from .errors import DisconnectedGraphError, ParameterError, ValidationError
 from .graphs import Graph, _integer, _text_file
 
 __all__ = [
@@ -185,40 +186,41 @@ def build_wireless_graph(config: WirelessConfig,
                             placement=placement)
 
 
+# Placements tried per seed before generate_topologies gives up.
+_ATTEMPTS = 100
+
+
 def generate_topologies(base: WirelessConfig, configs, seed: int,
-                        resample_until_connected: int = 0,
                         prefix: tuple[int, ...] = ()) -> list[WirelessTopology]:
-    """One topology per config, in config order, all built on one
+    """One connected topology per config, in config order, all built on one
     placement of `base`.
 
     Attempt k places the nodes from SeedSequence(seed, spawn_key=(*prefix,
-    k)).  Up to max(1, resample_until_connected) attempts are made; the
-    first whose topologies are all connected is returned, else the last.
-    Each attempt builds the graph of the smallest link radius first: every
-    other graph is a supergraph of it, so all are connected exactly when it
-    is.  An attempt before the last whose first graph is disconnected is
-    rejected without building any other; the last builds every config.
+    k)); the first of _ATTEMPTS attempts that connects is returned.  Each
+    attempt builds the graph of the smallest link radius first: every other
+    graph is a supergraph of it, so all are connected exactly when it is,
+    and a disconnected one rejects the attempt.  Raises
+    DisconnectedGraphError if none connects.
     """
     if not configs:
         return []
     radii = [_link_radius(cfg) for cfg in configs]
     sparsest = radii.index(min(radii))
-    last = max(1, resample_until_connected) - 1
-    for attempt in range(last + 1):
+    for attempt in range(_ATTEMPTS):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(*prefix, attempt))
         placement = place_nodes(base, np.random.Generator(np.random.PCG64(ss)))
         first = build_wireless_graph(configs[sparsest], placement)
-        if first.connected or attempt == last:
+        if first.connected:
             return [first if j == sparsest else build_wireless_graph(cfg, placement)
                     for j, cfg in enumerate(configs)]
+    raise DisconnectedGraphError(
+        f"no connected placement in {_ATTEMPTS} attempts for seed {seed}, "
+        f"prefix {prefix}")
 
 
-def generate_topology(config: WirelessConfig, seed: int,
-                      resample_until_connected: int = 0) -> WirelessTopology:
-    """Place nodes and build the topology for one seed, redrawing the
-    placement until it is connected (see generate_topologies)."""
-    return generate_topologies(config, [config], seed,
-                               resample_until_connected)[0]
+def generate_topology(config: WirelessConfig, seed: int) -> WirelessTopology:
+    """The connected topology of one seed (see generate_topologies)."""
+    return generate_topologies(config, [config], seed)[0]
 
 
 # The parser of each load_config key: a WirelessConfig field name.

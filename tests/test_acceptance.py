@@ -91,8 +91,7 @@ def _hitting_test_graphs():
     w = np.triu((rng.random((9, 9)) < 0.4).astype(float), 1)
     out.append(graphs.Graph(w + w.T))  # irregular: degrees 3 to 5
     for seed in range(20):
-        topo = wireless.generate_topology(WIRELESS_BASE, seed=seed,
-                                          resample_until_connected=100)
+        topo = wireless.generate_topology(WIRELESS_BASE, seed=seed)
         assert topo.connected
         out.append(topo.graph)
     return [g for g in out if g.is_connected() and g.n <= 64]
@@ -117,8 +116,7 @@ def _mc_validation_graphs():
              ("cycle:8:2", graphs.build_cycle(8, 2)),
              ("torus:4x4:1", graphs.build_torus(graphs.TorusSpec([4, 4], 1)))]
     for seed in range(5):
-        topo = wireless.generate_topology(WIRELESS_BASE, seed=seed,
-                                          resample_until_connected=100)
+        topo = wireless.generate_topology(WIRELESS_BASE, seed=seed)
         cases.append((f"wireless:{seed}", topo.graph))
     return cases
 

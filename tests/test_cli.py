@@ -160,6 +160,10 @@ class TestUsageErrors:
         ["epd-eta-sweep", "--etas", "2,,4", "--seeds", "1"],
         ["cycle-sweep", "--n", "10,", "--r", "1"],
         ["walk-validate", "--graphs", "cycle:4:1,", "--trials", "10"],
+        # a range whose count overflows, or is too large to list
+        ["epd-eta-sweep", "--etas=-1e308:1e308", "--seeds", "1"],
+        ["epd-eta-sweep", "--etas", "0:1e12:1e-3", "--seeds", "1"],
+        ["cycle-sweep", "--n", "1:1000000000000", "--r", "1"],
     ])
     def test_bad_number_exit_2(self, capsys, argv):
         code, _, err = run_cli(argv, capsys)
@@ -524,13 +528,6 @@ class TestWirelessSweepsSmall:
         assert len(out.strip().split("\n")) == 3
         assert seen and set(seen) == {20}
 
-    def test_zero_resample_is_one_attempt(self, capsys):
-        argv = ["epd-eta-sweep", "--etas", "2,3", "--n", "12", "--seeds", "2"]
-        zero = run_cli(argv + ["--resample-until-connected", "0"], capsys)
-        one = run_cli(argv + ["--resample-until-connected", "1"], capsys)
-        assert zero[0] == 0
-        assert zero == one
-
 
 class TestExports:
     def test_spectrum_export_cycle(self, tmp_path, capsys):
@@ -578,7 +575,7 @@ class TestExports:
         prefix = str(tmp_path / "topo")
         code, _, _ = run_cli(
             ["wireless-export", "--n", "15", "--seed", "2",
-             "--resample-until-connected", "50", "--out-prefix", prefix],
+             "--out-prefix", prefix],
             capsys)
         assert code == 0
         edges = (tmp_path / "topo.edges").read_text()
@@ -595,6 +592,45 @@ class TestExports:
             capsys)
         assert code == 0
         assert (tmp_path / "topo.edges").read_text().startswith("n 12\n")
+
+    def test_wireless_export_writes_the_walked_graph(self, tmp_path, capsys):
+        # seed 1's first placement is disconnected at this config; export
+        # and walk-validate both take the first connected one
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text("n=30\neta=4\nthreshold=0.7\n")
+        prefix = str(tmp_path / "topo")
+        code, _, _ = run_cli(
+            ["wireless-export", "--config", str(cfg), "--seed", "1",
+             "--out-prefix", prefix], capsys)
+        assert code == 0
+        _, g = parse_graph_spec("wireless:1", wireless.load_config(cfg))
+        want = io.StringIO()
+        graphs.save_edge_list(g, want)
+        assert (tmp_path / "topo.edges").read_text() == want.getvalue()
+
+
+class TestNoConnectedPlacement:
+    # transmit power at p_min links no pair, so no placement connects
+    @pytest.fixture
+    def config(self, tmp_path):
+        path = tmp_path / "w.cfg"
+        path.write_text("n=12\npower=0.1\np_min=0.1\n")
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["epd-eta-sweep", "--etas", "2", "--seeds", "1", "--seed", "3"],
+        ["walk-validate", "--graphs", "wireless:3", "--trials", "10"],
+        ["wireless-export", "--seed", "3", "--out-prefix", "topo"],
+    ])
+    def test_exit_1_names_attempts_and_seed(self, argv, config, tmp_path,
+                                            monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(argv + ["--config", config], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: no connected placement in 100 attempts "
+                              "for seed 3")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["w.cfg"]
 
 
 def test_parser_builds():

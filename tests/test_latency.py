@@ -173,7 +173,11 @@ class TestLeafByLeafSum:
         ((200003, 3), 1),        # many rows per leaf
         ((300, 301), 2),
         ((8, 9, 10, 100), 1),    # 4-D
-        ((65537,), 1),           # a cycle one value over one leaf
+        ((65536,), 1),           # n - 1 = 65535: one leaf, one value short
+        ((65537,), 1),           # n - 1 = 65536: exactly one leaf
+        ((65538,), 1),           # n - 1 = 65537: one value over one leaf
+        ((256, 256), 1),         # n - 1 = 65535 on a torus
+        ((3, 21846), 1),         # n - 1 = 65537 on a torus
         ((1024, 128), 1),        # leaves end on row boundaries
     ])
     def test_bit_identical_across_leaves(self, dims, r):
@@ -233,8 +237,7 @@ class TestLatencyBounds:
             numeric_bounds(build_torus(spec)), rel=1e-12)
 
     def test_wireless_graph_sandwich(self):
-        topo = generate_topology(WirelessConfig(n=20), seed=9,
-                                 resample_until_connected=50)
+        topo = generate_topology(WirelessConfig(n=20), seed=9)
         lower, upper = numeric_bounds(topo.graph)
         assert lower <= mean_latency_pinv(topo.graph) <= upper
 
@@ -256,8 +259,7 @@ class TestHittingTimes:
         lambda: build_cycle(7, 1),
         lambda: build_cycle(12, 3),
         lambda: build_torus(TorusSpec([4, 4], 1)),
-        lambda: generate_topology(WirelessConfig(n=12), seed=2,
-                                  resample_until_connected=50).graph,
+        lambda: generate_topology(WirelessConfig(n=12), seed=2).graph,
     ])
     def test_spectral_matches_linear_system(self, builder):
         g = builder()
@@ -356,8 +358,7 @@ ORACLE_GRAPHS = [
     lambda: build_torus(TorusSpec([4, 4], 1)),
     lambda: build_torus(TorusSpec([5, 7], 2)),
     lambda: build_torus(TorusSpec([3, 4, 5], 1)),
-    lambda: generate_topology(WirelessConfig(n=20), seed=9,
-                              resample_until_connected=50).graph,
+    lambda: generate_topology(WirelessConfig(n=20), seed=9).graph,
     weighted_random_graph,
 ]
 
@@ -422,8 +423,7 @@ class TestCirculantOracle:
 
     @pytest.mark.parametrize("make", [
         lambda: (cycle_without_edge(10, 3), (10,)),
-        lambda: (generate_topology(WirelessConfig(n=20), seed=9,
-                                   resample_until_connected=50).graph, (20,)),
+        lambda: (generate_topology(WirelessConfig(n=20), seed=9).graph, (20,)),
         lambda: (build_torus(TorusSpec((10, 8), 1)), (8, 10)),
         lambda: (build_cycle(10, 1), (5, 3)),
     ], ids=["edge-removed", "wireless", "swapped-axes",
@@ -454,8 +454,7 @@ EPD_GRAPHS = ORACLE_GRAPHS + [
     irregular_weighted_graph,
     lambda: weighted_random_graph(n=40, seed=11),
 ] + [
-    lambda seed=seed: generate_topology(WirelessConfig(n=30), seed=seed,
-                                        resample_until_connected=100).graph
+    lambda seed=seed: generate_topology(WirelessConfig(n=30), seed=seed).graph
     for seed in range(5)
 ]
 

@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
 import types
+from pathlib import Path
 
 import oppwalk
 from oppwalk import errors, graphs, latency, spectral, walker, wireless
@@ -21,3 +26,36 @@ def test_exports_are_exactly_the_module_apis():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(oppwalk, name) is getattr(module, name)
+
+
+# One tiny command of each kind a run does: a lattice sweep with walks, a
+# wireless ensemble, and walk-validate with its oracle column.
+_RUNTIME_PROBE = textwrap.dedent("""
+    import sys
+    from oppwalk import cli
+    for argv in (["cycle-sweep", "--n", "6", "--r", "1", "--trials", "20"],
+                 ["epd-eta-sweep", "--etas", "2", "--n", "12", "--seeds", "1"],
+                 ["walk-validate", "--graphs", "cycle:5:1,wireless:0",
+                  "--trials", "20", "--oracle"]):
+        assert cli.main(argv) == 0, argv
+    print(" ".join(sorted(sys.modules)), file=sys.stderr)
+""")
+
+
+def test_runtime_imports_only_numpy():
+    # the only runtime dependency is numpy; scipy, hypothesis and pytest
+    # are test tools, and numpy.ma (which np.unique pulls in) stays out
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.run([sys.executable, "-c", _RUNTIME_PROBE],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.split())
+    assert "oppwalk.cli" in loaded and "numpy" in loaded
+    tools = {m for m in loaded
+             if m.split(".")[0] in ("scipy", "hypothesis", "pytest")}
+    assert tools == set()
+    assert "numpy.ma" not in loaded

@@ -168,8 +168,7 @@ class TestSymmetricEigendecomposition:
         # it must be symmetric bit for bit, not only within tolerance
         w = np.triu(np.random.default_rng(6).random((9, 9)) < 0.5, 1)
         w = (w + w.T).astype(float)  # irregular 0/1 graph
-        wireless = generate_topology(WirelessConfig(n=30, eta=4), seed=1,
-                                     resample_until_connected=100).graph
+        wireless = generate_topology(WirelessConfig(n=30, eta=4), seed=1).graph
         for g in (Graph(w), build_cycle(10, 2),
                   build_torus(TorusSpec([4, 5], 1)), wireless):
             M = g.laplacian()

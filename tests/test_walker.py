@@ -215,8 +215,7 @@ def enumerated_schedule(n, trials, seed):
 
 
 def wireless_n30(seed):
-    return generate_topology(WirelessConfig(n=30, eta=4), seed=seed,
-                             resample_until_connected=100).graph
+    return generate_topology(WirelessConfig(n=30, eta=4), seed=seed).graph
 
 
 class TestPairSchedule:
@@ -401,8 +400,7 @@ class TestGoldenBatch:
             return kernel(*args[:-1], rngs[-1])
 
         monkeypatch.setattr(walker, "_run_walks", spy)
-        wireless_0 = generate_topology(WirelessConfig(n=30), seed=0,
-                                       resample_until_connected=100).graph
+        wireless_0 = generate_topology(WirelessConfig(n=30), seed=0).graph
         batch = estimate_mean_latency(
             [build_cycle(64, 1), build_torus(TorusSpec([16, 16], 1)),
              wireless_0], 3000, 7)

@@ -3,6 +3,7 @@ import math
 import pathlib
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from oppwalk import wireless
-from oppwalk.errors import ParameterError, ValidationError
+from oppwalk.errors import DisconnectedGraphError, ParameterError, ValidationError
 from oppwalk.wireless import (
     Placement,
     WirelessConfig,
@@ -275,34 +276,53 @@ class TestBuildWirelessGraph:
 
     def test_generate_topology_resampling_deterministic(self):
         cfg = WirelessConfig(n=30)
-        a = generate_topology(cfg, seed=6, resample_until_connected=50)
-        b = generate_topology(cfg, seed=6, resample_until_connected=50)
+        a = generate_topology(cfg, seed=6)
+        b = generate_topology(cfg, seed=6)
         assert np.array_equal(a.graph.weights, b.graph.weights)
         assert a.connected
 
     def test_generate_topologies_share_one_placement(self):
         base = WirelessConfig(n=30)
         configs = [base, dataclasses.replace(base, eta=4.0)]
-        topos = generate_topologies(base, configs, seed=3,
-                                    resample_until_connected=50, prefix=(1,))
+        topos = generate_topologies(base, configs, seed=3, prefix=(1,))
         assert all(t.connected for t in topos)
         assert topos[0].placement is topos[1].placement
 
-    def test_generate_topologies_returns_last_attempt(self):
-        cfg = WirelessConfig(n=50, eta=6.0, threshold=0.9)
-        topo, = generate_topologies(cfg, [cfg], seed=1,
-                                    resample_until_connected=3, prefix=(4,))
-        assert not topo.connected
-        ss = np.random.SeedSequence(entropy=1, spawn_key=(4, 2))
-        last = place_nodes(cfg, np.random.Generator(np.random.PCG64(ss)))
-        assert np.array_equal(topo.placement.positions, last.positions)
+    def test_generate_topologies_raises_when_no_attempt_connects(
+            self, monkeypatch):
+        # power at p_min links no pair, so every attempt is rejected; attempt
+        # k places the nodes from spawn key (*prefix, k)
+        cfg = WirelessConfig(n=50, power=0.1, p_min=0.1)
+        placed = []
+        place = wireless.place_nodes
+
+        def spy(config, rng):
+            placed.append(place(config, rng))
+            return placed[-1]
+
+        monkeypatch.setattr(wireless, "_ATTEMPTS", 3)
+        monkeypatch.setattr(wireless, "place_nodes", spy)
+        with pytest.raises(DisconnectedGraphError,
+                           match=r"3 attempts for seed 1, prefix \(4,\)"):
+            generate_topologies(cfg, [cfg], seed=1, prefix=(4,))
+        assert len(placed) == 3
+        for k, placement in enumerate(placed):
+            ss = np.random.SeedSequence(entropy=1, spawn_key=(4, k))
+            want = place(cfg, np.random.Generator(np.random.PCG64(ss)))
+            assert np.array_equal(placement.positions, want.positions)
+
+    def test_generate_topology_gives_up_after_100_attempts(self):
+        cfg = WirelessConfig(n=12, power=0.1, p_min=0.1)
+        with pytest.raises(DisconnectedGraphError,
+                           match="100 attempts for seed 3"):
+            generate_topology(cfg, seed=3)
 
     def test_rejected_attempt_stops_at_first_disconnected(self, monkeypatch):
-        # every attempt builds the graph of the smallest link radius first,
-        # and one before the last stops there when it is disconnected; the
-        # last still builds every graph ("else the last")
-        base = WirelessConfig(n=50)
-        hard = dataclasses.replace(base, eta=6.0, threshold=0.9)
+        # every attempt builds the graph of the smallest link radius first
+        # and stops there when it is disconnected; seed 4's first two
+        # placements are rejected and its third builds every graph
+        base = WirelessConfig(n=30)
+        hard = dataclasses.replace(base, eta=4.0, threshold=0.7)
         built = []
         build = wireless.build_wireless_graph
 
@@ -311,36 +331,35 @@ class TestBuildWirelessGraph:
             built.append((placement, cfg, topo.connected))
             return topo
 
+        monkeypatch.setattr(wireless, "_ATTEMPTS", 3)
         monkeypatch.setattr(wireless, "build_wireless_graph", spy)
-        topos = generate_topologies(base, [base, hard, base], seed=1,
-                                    resample_until_connected=3)
+        topos = generate_topologies(base, [base, hard, base], seed=4)
         # built keeps every placement alive, so their ids are distinct
         attempts = list(dict.fromkeys(id(p) for p, *_ in built))
         assert len(attempts) == 3
         per_attempt = [[(cfg, ok) for p, cfg, ok in built if id(p) == a]
                        for a in attempts]
         assert per_attempt[:2] == [[(hard, False)], [(hard, False)]]
-        assert per_attempt[2] == [(hard, False), (base, True), (base, True)]
+        assert per_attempt[2] == [(hard, True), (base, True), (base, True)]
         assert [id(t.placement) for t in topos] == [attempts[2]] * 3
-        assert [t.connected for t in topos] == [True, False, True]
+        assert [t.connected for t in topos] == [True, True, True]
 
 
-def reference_topologies(base, configs, seed, resample_until_connected,
-                         prefix):
-    """The in-order rule: every attempt builds its configs in order, and
-    one before the last stops at its first disconnected topology."""
-    last = max(1, resample_until_connected) - 1
-    for attempt in range(last + 1):
+def reference_topologies(base, configs, seed, attempts, prefix):
+    """The in-order rule: every attempt builds its configs in order and
+    stops at its first disconnected topology; None if no attempt of
+    `attempts` connects."""
+    for attempt in range(attempts):
         topos = []
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(*prefix, attempt))
         placement = place_nodes(base, np.random.Generator(np.random.PCG64(ss)))
         for cfg in configs:
             topos.append(build_wireless_graph(cfg, placement))
-            if not topos[-1].connected and attempt < last:
+            if not topos[-1].connected:
                 break
         if all(t.connected for t in topos):
-            break
-    return topos
+            return topos
+    return None
 
 
 # eta, tau and p_min of one sweep point (power 2.0): p_min >= 2.0 links no
@@ -354,19 +373,26 @@ _POINTS = st.tuples(
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1),
        points=st.lists(_POINTS, max_size=5),
-       resample=st.integers(0, 4), prefix=st.tuples(st.integers(0, 9)))
-def test_sparsest_first_matches_in_order_rule(n, seed, points, resample,
+       attempts=st.integers(1, 4), prefix=st.tuples(st.integers(0, 9)))
+def test_sparsest_first_matches_in_order_rule(n, seed, points, attempts,
                                               prefix):
     base = WirelessConfig(n=n)
     configs = [dataclasses.replace(base, eta=eta, threshold=tau, p_min=p_min)
                for eta, tau, p_min in points]
-    got = generate_topologies(base, configs, seed, resample, prefix)
-    want = reference_topologies(base, configs, seed, resample, prefix)
+    with mock.patch.object(wireless, "_ATTEMPTS", attempts):
+        try:
+            got = generate_topologies(base, configs, seed, prefix)
+        except DisconnectedGraphError:
+            got = None
+    want = reference_topologies(base, configs, seed, attempts, prefix)
+    assert (got is None) == (want is None)
+    if want is None:
+        return
     assert len(got) == len(want) == len(configs)
     for g, w in zip(got, want):
         assert np.array_equal(g.placement.positions, w.placement.positions)
         assert np.array_equal(g.graph.weights, w.graph.weights)
-        assert g.connected == w.connected
+        assert g.connected
 
 
 def reference_coefficients(cfg, placement):
