@@ -29,8 +29,10 @@ Reruns with identical arguments and seed produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import itertools
+import math
 import sys
 from dataclasses import replace
 
@@ -46,6 +48,9 @@ _EXPORT_LINES = 4096
 
 # Lattice sweeps build, FFT-check and walk graphs of at most this many nodes.
 _NODE_CAP = 4096
+
+# Largest integer argument but --seed: numpy takes counts as int64.
+_INT_MAX = np.iinfo(np.int64).max
 
 # Wireless ensemble sweeps: subcommand -> (family, axes).  Each axis is
 # (flag, default range, WirelessConfig field, label key); rows run over the
@@ -84,6 +89,8 @@ def _parse_value(token: str, kind, text: str):
         value = kind(token)
     except ValueError:
         raise ParameterError(f"bad value {token!r} in {text!r}") from None
+    if kind is int and abs(value) > _INT_MAX:
+        raise ParameterError(f"value {token!r} beyond int64 in {text!r}")
     if not np.isfinite(value):
         raise ParameterError(f"non-finite value {token!r} in {text!r}")
     return value
@@ -108,27 +115,26 @@ def parse_range(text: str, kind=float) -> list:
             step = _parse_value(parts[2], kind, text)
         if step == 0 or (stop - start) * step < 0:
             raise ParameterError(
-                f"range {text!r} is empty or step sign inconsistent"
-            )
+                f"range {text!r} is empty or step sign inconsistent")
         count = np.floor((stop - start) / step + 1e-9) + 1
         if not count <= 10**6:  # also an infinite or NaN count
             raise ParameterError(f"range {text!r} has over 10**6 values")
         vals = [start + i * step for i in range(int(count))]
     else:
         vals = [_parse_value(v, kind, text) for v in text.split(",")]
-    if kind is int:
-        vals = [int(v) for v in vals]
-    else:
-        vals = [round(float(v), 12) for v in vals]
-    return vals
+    return [int(v) if kind is int else round(float(v), 12) for v in vals]
 
 
-def _mc_estimates(gs, labels, trials: int, seed: int):
-    """Seeded Monte-Carlo mean latency in hops of each graph of gs, all in
-    one walker batch.  Walks cut at the step cap enter the mean at the cap;
-    a graph with any gets a stderr warning under its label, never a CSV
-    change."""
-    batch = walker.estimate_mean_latency(gs, trials, seed)
+def _mc_estimates(args, gs, labels) -> list:
+    """Seeded Monte-Carlo mean latency in hops of each graph of gs, one
+    label each, in one walker batch; without --trials (or labels) each
+    graph is built and dropped, and no estimate returned.  Walks cut at the
+    step cap enter the mean at the cap; a graph with any gets a stderr
+    warning under its label, never a CSV change."""
+    if not (args.trials and labels):
+        collections.deque(gs, maxlen=0)
+        return []
+    batch = walker.estimate_mean_latency(gs, args.trials, args.seed)
     for label, est in zip(labels, batch.estimates):
         if est.truncated:
             print(f"warning: {label}: {est.truncated} of {est.trials_used} "
@@ -164,21 +170,17 @@ def _lattice_rows(args, points):
             cells["oracle"] = "skipped"
             if args.trials:
                 cells["mc_mean"] = cells["mc_ci"] = "skipped"
-    if built and args.trials:
-        # The graphs are built as the walker takes them, and it keeps only
-        # their CSR rows.
-        ests = _mc_estimates(
-            (_with_oracle(spec, cells) for _, spec, cells in built),
-            [label for label, *_ in built], args.trials, args.seed)
-        for (_, spec, cells), est in zip(built, ests):
-            # Walks count hops; the commute-time identity EPD = (vol/2) * T,
-            # vol/2 the edge count, turns them into the units of T.
-            cells.update(mc_mean=est.mean / spec.edges,
-                         mc_ci=est.ci_halfwidth / spec.edges,
-                         trials=est.trials_used)
-    else:
-        for _, spec, cells in built:
-            _with_oracle(spec, cells)
+    # The graphs are built as the walker takes them, and it keeps only
+    # their CSR rows.
+    ests = _mc_estimates(
+        args, (_with_oracle(spec, cells) for _, spec, cells in built),
+        [label for label, *_ in built])
+    for (_, spec, cells), est in zip(built, ests):
+        # Walks count hops; the commute-time identity EPD = (vol/2) * T,
+        # vol/2 the edge count, turns them into the units of T.
+        cells.update(mc_mean=est.mean / spec.edges,
+                     mc_ci=est.ci_halfwidth / spec.edges,
+                     trials=est.trials_used)
     return [_row(family, params, **cells) for family, params, cells in rows]
 
 
@@ -272,15 +274,10 @@ def _epd_rows(args):
                     topo.graph, "linear-system"))
         return [topo.graph for topo in topos]
 
-    if args.trials:
-        ests = _mc_estimates(
-            (g for s in range(args.seeds) for g in seed_graphs(s)),
-            [f"{family} {label} seed {s}"
-             for s in range(args.seeds) for label in labels],
-            args.trials, args.seed)
-    else:
-        for s in range(args.seeds):
-            seed_graphs(s)
+    seeds = range(args.seeds)
+    ests = _mc_estimates(
+        args, itertools.chain.from_iterable(map(seed_graphs, seeds)),
+        [f"{family} {label} seed {s}" for s in seeds for label in labels])
     for j, label in enumerate(labels):
         cells = {"analytic": float(np.mean(epd[j]))}
         if args.oracle:
@@ -337,9 +334,8 @@ def _walk_validate_rows(args):
                        if args.oracle else None)})
         return g
 
-    ests = _mc_estimates(map(analysed, texts),
-                         [f"walk-validate {t}" for t in texts],
-                         args.trials, args.seed)
+    ests = _mc_estimates(args, map(analysed, texts),
+                         [f"walk-validate {t}" for t in texts])
     for text, c, est in zip(texts, cells, ests):
         yield _row("walk-validate", text, **c, mc_mean=est.mean,
                    mc_ci=est.ci_halfwidth, trials=est.trials_used)
@@ -367,13 +363,13 @@ def _write(out: str, chunks) -> None:
 # argument parsing
 
 
-def _count(minimum: int):
-    """argparse type: an integer of at least `minimum`."""
+def _count(minimum=-_INT_MAX, maximum=_INT_MAX):
+    """argparse type: an integer from `minimum` to `maximum`."""
     def parse(text: str) -> int:
         value = int(text)
-        if value < minimum:
+        if not minimum <= value <= maximum:
             raise argparse.ArgumentTypeError(
-                f"must be >= {minimum}, got {value}")
+                f"must lie in [{minimum}, {maximum}], got {value}")
         return value
     parse.__name__ = "integer"
     return parse
@@ -384,7 +380,7 @@ def _sweep(sub, kind: str, rows, help: str):
     p = sub.add_parser(kind, help=help)
     p.set_defaults(command=run, rows=rows)
     p.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
-    p.add_argument("--seed", type=_count(0), default=0)
+    p.add_argument("--seed", type=_count(0, math.inf), default=0)
     return p
 
 
@@ -434,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, default=default)
         p.add_argument("--config", default=None,
                        help="key=value wireless config file")
-        p.add_argument("--n", type=int, default=None,
+        p.add_argument("--n", type=_count(), default=None,
                        help="node count (default: the --config file, else 30)")
         p.add_argument("--seeds", type=_count(1), default=20,
                        help="ensemble size (placements per sweep point)")
@@ -461,9 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="generate one topology; write edge list + positions")
     p.set_defaults(command=_run_wireless_export)
     p.add_argument("--config", default=None)
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", type=_count(), default=None,
                    help="node count (default: the --config file, else 30)")
-    p.add_argument("--seed", type=_count(0), default=0)
+    p.add_argument("--seed", type=_count(0, math.inf), default=0)
     p.add_argument("--out-prefix", required=True)
 
     return ap

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError, ValidationError
+from .errors import DisconnectedGraphError, ParameterError, ValidationError
 
 __all__ = [
     "Graph",
@@ -236,6 +236,17 @@ def _sweep_csr(indptr: np.ndarray, indices: np.ndarray) -> bool:
         reached[indices[frontier[rows]]] = True
         frontier = reached & ~seen
     return bool(seen.all())
+
+
+def _require_walkable(g: Graph, quantity: str) -> Graph:
+    """g, once it is connected with n >= 2 nodes, as every random-walk
+    quantity needs; else an error naming quantity."""
+    if g.n < 2:
+        raise ParameterError(f"{quantity} needs n >= 2")
+    if not g.is_connected():
+        raise DisconnectedGraphError(
+            f"{quantity} is undefined on a disconnected graph")
+    return g
 
 
 def _integer(value, name: str) -> int:

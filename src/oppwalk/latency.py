@@ -39,8 +39,8 @@ import math
 
 import numpy as np
 
-from .errors import DisconnectedGraphError, ParameterError, ValidationError
-from .graphs import Graph, TorusSpec, _integer
+from .errors import ParameterError, ValidationError
+from .graphs import Graph, TorusSpec, _integer, _require_walkable
 from .spectral import (
     ZERO_EIGENVALUE_RTOL,
     circulant_eigenvalues,
@@ -66,23 +66,13 @@ __all__ = [
 _LEAF = 1 << 16
 
 
-def _require_connected(g: Graph, quantity: str) -> None:
-    """Raise unless g has n >= 2 nodes and is connected."""
-    if g.n < 2:
-        raise ParameterError(f"{quantity} needs n >= 2")
-    if not g.is_connected():
-        raise DisconnectedGraphError(
-            "latency quantities are undefined on disconnected graphs"
-        )
-
-
 def mean_latency_pinv(g: Graph) -> float:
     """Oracle route, independent of eigh: T = 2/(n-1) * (Tr((L + J/n)^{-1}) - 1).
 
     Exact only on a connected graph, where J/n shifts the single zero
     eigenvalue of L to 1 and leaves the rest of the spectrum alone.
     """
-    _require_connected(g, "mean latency")
+    _require_walkable(g, "mean latency")
     shifted = g.laplacian()
     shifted += 1.0 / g.n
     return 2.0 / (g.n - 1) * (float(np.trace(np.linalg.inv(shifted))) - 1.0)
@@ -228,7 +218,7 @@ def torus_latency_bounds(spec: TorusSpec) -> tuple[float, float]:
 def hitting_times(g: Graph) -> np.ndarray:
     """All-pairs expected hitting times h[s, t] (read-only, zero diagonal)
     from the eigendecomposition of the normalized Laplacian."""
-    _require_connected(g, "hitting-time matrix")
+    _require_walkable(g, "hitting-time matrix")
     d = g.degrees
     inv_sqrt = 1.0 / np.sqrt(d)
     vals, vecs = np.linalg.eigh(
@@ -253,11 +243,18 @@ def hitting_times_linear_system(g: Graph) -> np.ndarray:
     It solves the first-step equations h_st = 1 + sum_u P_su h_ut for every
     target at once; Z exists only on a connected graph.
     """
-    _require_connected(g, "hitting-time matrix")
+    _require_walkable(g, "hitting-time matrix")
     d = g.degrees
     pi = d / d.sum()
-    z = np.linalg.inv(np.eye(g.n) - g.weights / d[:, None] + pi[None, :])
-    h = (np.diag(z)[None, :] - z) / pi[None, :]
+    # I - P + 1 pi^T in the Laplacian's buffer, bit for bit ((D - W)/d is 1,
+    # -(1/d) or a zero, and 0 + pi = pi); H then in the inverse's buffer.
+    m = g.laplacian()
+    m /= d[:, None]
+    m += pi
+    h = np.linalg.inv(m)
+    del m
+    np.subtract(h.diagonal().copy(), h, out=h)
+    h /= pi
     np.fill_diagonal(h, 0.0)
     h.setflags(write=False)
     return h
@@ -275,6 +272,6 @@ def expected_packet_delay(g: Graph, method: str = "spectral") -> float:
         return float(hitting_times_linear_system(g).sum()) / (n * (n - 1))
     if method != "spectral":
         raise ParameterError(f"unknown hitting-time method {method!r}")
-    _require_connected(g, "expected packet delay")
+    _require_walkable(g, "expected packet delay")
     vol = float(g.degrees.sum())
     return vol * pinv_trace(symmetric_eigendecomposition(g.laplacian())) / (n - 1)

@@ -101,8 +101,7 @@ def pinv_trace(vals) -> float:
     nzero = np.count_nonzero(zero)
     if nzero > 1:
         raise DisconnectedGraphError(
-            f"{nzero} near-zero eigenvalues: graph is disconnected"
-        )
+            f"{nzero} near-zero eigenvalues: graph is disconnected")
     if nzero == 0:
         raise ValidationError("no zero eigenvalue: not a Laplacian spectrum")
     return float(np.sum(1.0 / vals[~zero]))

@@ -56,8 +56,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DisconnectedGraphError, EstimationError, ParameterError
-from .graphs import Graph
+from .errors import EstimationError, ParameterError
+from .graphs import Graph, _require_walkable
 
 __all__ = [
     "WalkBatch",
@@ -210,12 +210,7 @@ def _pair_schedule(n: int, trials: int,
 
 def _checked_csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """g's CSR rows, once g is known to be walkable."""
-    if g.n < 2:
-        raise ParameterError("mean latency needs n >= 2")
-    if not g.is_connected():
-        raise DisconnectedGraphError(
-            "graph is disconnected; walks between components never arrive")
-    return g.csr
+    return _require_walkable(g, "Monte-Carlo latency").csr
 
 
 def _union(blocks):

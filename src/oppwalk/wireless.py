@@ -110,10 +110,14 @@ class Placement:
         shared read-only by every topology built on this placement."""
         r = self.__dict__.get("_distances")
         if r is None:
+            # sqrt(dx*dx + dy*dy), same operations, in two n x n buffers
             x, y = self.positions.T
-            dx = x[:, None] - x[None, :]
+            r = x[:, None] - x[None, :]
+            r *= r
             dy = y[:, None] - y[None, :]
-            r = np.sqrt(dx * dx + dy * dy)
+            dy *= dy
+            r += dy
+            np.sqrt(r, out=r)
             r.setflags(write=False)
             object.__setattr__(self, "_distances", r)
         return r
@@ -144,8 +148,7 @@ def reference_distance(n: int, c_n: float) -> float:
     radicand = math.log(n) + c_n
     if radicand <= 0:
         raise ParameterError(
-            f"log(n) + c_n must be positive (got {radicand:.6g})"
-        )
+            f"log(n) + c_n must be positive (got {radicand:.6g})")
     return math.sqrt(radicand / (math.pi * n))
 
 
@@ -244,8 +247,7 @@ def load_config(path) -> WirelessConfig:
                 continue
             if "=" not in line:
                 raise ValidationError(
-                    f"{path}:{lineno}: expected key=value, got {line!r}"
-                )
+                    f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, raw = line.partition("=")
             key, raw = key.strip(), raw.strip()
             if key not in _CONFIG_FIELDS:

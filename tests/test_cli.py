@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,10 @@ class TestCycleSweep:
         assert path.read_text().startswith(CSV_HEADER)
 
 
+# 10**20, an integer numpy's int64 cannot hold
+BEYOND_INT64 = "100000000000000000000"
+
+
 class TestUsageErrors:
     def test_zero_length_range_exit_2(self, capsys):
         code, _, err = run_cli(
@@ -164,6 +169,12 @@ class TestUsageErrors:
         ["epd-eta-sweep", "--etas=-1e308:1e308", "--seeds", "1"],
         ["epd-eta-sweep", "--etas", "0:1e12:1e-3", "--seeds", "1"],
         ["cycle-sweep", "--n", "1:1000000000000", "--r", "1"],
+        # an integer beyond int64
+        ["cycle-sweep", "--n", BEYOND_INT64, "--r", "1"],
+        ["cycle-sweep", "--n", "10", "--r", BEYOND_INT64],
+        ["walk-validate", "--graphs", f"wireless:{BEYOND_INT64}"],
+        ["walk-validate", "--graphs", f"torus:4x{BEYOND_INT64}:1"],
+        ["spectrum-export", "--dims", BEYOND_INT64, "--r", "1"],
     ])
     def test_bad_number_exit_2(self, capsys, argv):
         code, _, err = run_cli(argv, capsys)
@@ -206,12 +217,43 @@ class TestUsageErrors:
         (["spectrum-export", "--family", "cycle", "--dims", "5", "--r", "1"],
          "--family"),
         (["spectrum-export", "--dims", "3", "--n", "99", "--r", "1"], "--n"),
+        # an integer beyond int64
+        (["walk-validate", "--graphs", "cycle:8:1", "--trials", BEYOND_INT64],
+         "--trials"),
+        (["wireless-export", "--n", BEYOND_INT64, "--out-prefix", "unused"],
+         "--n"),
+        (["epd-eta-sweep", "--n", BEYOND_INT64], "--n"),
     ])
     def test_bad_count_or_flag_exit_2(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
             run_cli(argv, capsys)
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    def test_int64_bounds(self):
+        # an integer argument may be any int64; --seed any integer >= 0
+        top = 2 ** 63 - 1
+        assert parse_range(str(top), int) == [top]
+        assert parse_range(f"{-top},{top}", int) == [-top, top]
+        with pytest.raises(ParameterError, match="beyond int64"):
+            parse_range(str(top + 1), int)
+        argv = ["walk-validate", "--graphs", "cycle:8:1"]
+        assert build_parser().parse_args(
+            [*argv, "--trials", str(top)]).trials == top
+        assert build_parser().parse_args(
+            [*argv, "--seed", BEYOND_INT64]).seed == 10 ** 20
+        for bad in ([*argv, "--trials", str(top + 1)],
+                    ["epd-eta-sweep", "--seeds", str(top + 1)]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(bad)
+
+    def test_seed_beyond_int64_is_taken(self, capsys):
+        code, out, err = run_cli(["walk-validate", "--graphs", "cycle:8:1",
+                                  "--trials", "10", "--seed", BEYOND_INT64],
+                                 capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == (
+            "walk-validate,cycle:8:1,12,,,,10.5,5.09632513832,10")
 
     @pytest.mark.parametrize("text", [
         None, "n=20\neta=nan\n", "n=abc\n", "n=20\nradius=3\n", "eta=2\n",
@@ -416,6 +458,55 @@ class TestMemory:
         peak = traced_peak(["torus-sweep", "--dims", "31:34x32", "--r", "1",
                             *mc], capsys)
         assert peak < 8 * 1088 ** 2 / 4
+
+    @pytest.mark.parametrize("mc", [[], ["--trials", "10"]])
+    def test_lattice_graph_dropped_before_the_next(self, capsys, monkeypatch,
+                                                   mc):
+        # with or without --trials, every graph is built and none is kept
+        alive = []
+        build = graphs.build_torus
+
+        def spy(spec):
+            assert all(ref() is None for ref in alive)
+            g = build(spec)
+            alive.append(weakref.ref(g))
+            return g
+
+        monkeypatch.setattr(graphs, "build_torus", spy)
+        code, out, _ = run_cli(
+            ["cycle-sweep", "--n", "10:40:10", "--r", "1", *mc], capsys)
+        assert code == 0 and len(alive) == 4
+        assert "skipped" not in out
+
+    @pytest.mark.parametrize("mc", [[], ["--trials", "10"]])
+    def test_seed_graphs_dropped_before_the_next_seed(self, capsys,
+                                                      monkeypatch, mc):
+        alive = []
+        generate = wireless.generate_topologies
+
+        def spy(*args, **kwargs):
+            assert all(ref() is None for ref in alive)
+            topos = generate(*args, **kwargs)
+            alive.extend(weakref.ref(t.graph) for t in topos)
+            return topos
+
+        monkeypatch.setattr(wireless, "generate_topologies", spy)
+        code, _, _ = run_cli(["epd-eta-sweep", "--etas", "2,4", "--n", "12",
+                              "--seeds", "3", *mc], capsys)
+        assert code == 0 and len(alive) == 6
+
+    def test_no_walk_above_the_cap(self, capsys, monkeypatch):
+        # --trials on a sweep whose every graph is above the node cap walks
+        # nothing and builds nothing
+        def no_walks(*args):
+            raise AssertionError("walked a sweep with no graph to walk")
+
+        monkeypatch.setattr(walker, "estimate_mean_latency", no_walks)
+        monkeypatch.setattr(graphs, "build_torus", no_walks)
+        code, out, _ = run_cli(["cycle-sweep", "--n", "5000", "--r", "1",
+                                "--trials", "10"], capsys)
+        assert code == 0
+        assert csv_rows(out)[0]["mc_mean"] == "skipped"
 
     def test_ensemble_memory_does_not_grow_with_seeds(self, capsys):
         # n=200: one seed's graphs of the 9 sweep points take 2.9 MB, and

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from oppwalk import latency
+from oppwalk import latency, walker
 from oppwalk.errors import DisconnectedGraphError, ParameterError, ValidationError
 from oppwalk.graphs import Graph, TorusSpec, build_cycle, build_torus
 from oppwalk.latency import (
@@ -384,6 +384,100 @@ class TestDenseOracles:
     def test_disconnected_rejected(self, oracle):
         with pytest.raises(DisconnectedGraphError):
             oracle(two_component_graph())
+
+
+def fundamental_matrix_reference(g):
+    """The oracle in its first form: Z = inv(eye - W/d + pi) from fresh
+    matrices, then H = (Z_tt - Z_st) / pi_t with a zero diagonal."""
+    d = g.degrees
+    pi = d / d.sum()
+    z = np.linalg.inv(np.eye(g.n) - g.weights / d[:, None] + pi[None, :])
+    h = (np.diag(z)[None, :] - z) / pi[None, :]
+    np.fill_diagonal(h, 0.0)
+    return h
+
+
+def dense_units(f, n):
+    """tracemalloc peak of one call f(), in units of one n x n float matrix
+    (8 n^2 bytes)."""
+    return traced_peak(f) / (8 * n * n)
+
+
+# Slack in bytes a dense_units bound allows beside its n x n matrices.
+SLACK = 1e6
+
+
+class TestFundamentalMatrixBuffers:
+    """hitting_times_linear_system builds I - P + 1 pi^T in the Laplacian's
+    buffer and H in its inverse's: the first form's bytes, in two n x n
+    arrays."""
+
+    @pytest.mark.parametrize("builder", [
+        lambda: build_cycle(64, 1),
+        lambda: build_cycle(9, 3),
+        lambda: build_torus(TorusSpec([16, 16], 1)),
+        lambda: build_torus(TorusSpec([3, 4, 5], 1)),
+        lambda: generate_topology(WirelessConfig(n=30), seed=0).graph,
+        lambda: generate_topology(WirelessConfig(n=30), seed=1).graph,
+        lambda: generate_topology(WirelessConfig(n=100), seed=0).graph,
+        lambda: generate_topology(WirelessConfig(n=100), seed=2).graph,
+        weighted_random_graph,
+    ])
+    def test_bit_equal_to_first_form(self, builder):
+        g = builder()
+        h = hitting_times_linear_system(g)
+        assert h.tobytes() == fundamental_matrix_reference(g).tobytes()
+        n = g.n
+        assert expected_packet_delay(g, "linear-system") == (
+            float(fundamental_matrix_reference(g).sum()) / (n * (n - 1)))
+
+    def test_two_matrices_at_most(self):
+        # 20.5 MB per matrix at 1600 nodes; the first form held three
+        g = build_torus(TorusSpec([40, 40], 1))
+        n = g.n
+        units = dense_units(lambda: hitting_times_linear_system(g), n)
+        assert units <= 2 + SLACK / (8 * n * n)
+
+
+# Every random-walk route but the lattice FFT oracle, which reads
+# connectivity from its zero modes.
+WALK_ROUTES = {
+    "mean_latency_pinv": mean_latency_pinv,
+    "hitting_times": hitting_times,
+    "hitting_times_linear_system": hitting_times_linear_system,
+    "epd-spectral": expected_packet_delay,
+    "epd-linear-system": lambda g: expected_packet_delay(g, "linear-system"),
+    "estimate_mean_latency": lambda g: walker.estimate_mean_latency([g], 10, 0),
+}
+
+
+class TestWalkableRule:
+    """One rule, graphs._require_walkable, decides which graphs the walk
+    routes take: n >= 2 nodes, connected."""
+
+    @pytest.mark.parametrize("route", WALK_ROUTES.values(), ids=WALK_ROUTES)
+    def test_single_node(self, route):
+        with pytest.raises(ParameterError, match="needs n >= 2"):
+            route(Graph(np.zeros((1, 1))))
+
+    @pytest.mark.parametrize("route", WALK_ROUTES.values(), ids=WALK_ROUTES)
+    def test_disconnected(self, route):
+        with pytest.raises(DisconnectedGraphError,
+                           match="undefined on a disconnected graph"):
+            route(two_component_graph())
+
+    @pytest.mark.parametrize("route", WALK_ROUTES.values(), ids=WALK_ROUTES)
+    def test_one_rule_once(self, monkeypatch, route):
+        seen = []
+
+        def rule(g, quantity):
+            seen.append(quantity)
+            return g
+
+        monkeypatch.setattr(latency, "_require_walkable", rule)
+        monkeypatch.setattr(walker, "_require_walkable", rule)
+        route(build_cycle(5, 1))
+        assert len(seen) == 1
 
 
 def circulant_graph(n, offsets):

@@ -569,8 +569,9 @@ class TestBlockRule:
 
 @pytest.mark.parametrize("k,m", [(1, 1), (3, 1024), (17, 5), (1024, 1024)])
 def test_pcg64_split_draws_are_one_stream(k, m):
-    # the scalar tail takes its draws in chunks; PCG64 must give random(k)
-    # then random(m) as the same numbers as random(k + m)
+    # PCG64 gives random(k) then random(m) as the same numbers as
+    # random(k + m): that is why one block's random((k, m)) equals k
+    # per-step draws of m uniforms in a row
     def fresh():
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(7)))
 

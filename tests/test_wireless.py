@@ -24,6 +24,7 @@ from oppwalk.wireless import (
     reference_distance,
     save_positions,
 )
+from test_latency import SLACK, dense_units
 
 
 # Scalar reference forms of the link model.  build_wireless_graph is the
@@ -151,6 +152,27 @@ class TestPlacementDistances:
         diff = pl.positions[:, None, :] - pl.positions[None, :, :]
         reference = np.sqrt((diff ** 2).sum(axis=-1))
         assert pl.distances().tobytes() == reference.tobytes()
+        x, y = pl.positions.T
+        dx = x[:, None] - x[None, :]
+        dy = y[:, None] - y[None, :]
+        assert pl.distances().tobytes() == np.sqrt(dx * dx + dy * dy).tobytes()
+
+    def test_shared_and_corner_positions(self):
+        # repeated nodes give +0.0, the area's corners its side and diagonal
+        pl = Placement(np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                                 [0.0, 0.0]]))
+        r = pl.distances()
+        assert r.tobytes() == np.array([
+            [0.0, math.sqrt(2.0), 1.0, 0.0],
+            [math.sqrt(2.0), 0.0, 1.0, math.sqrt(2.0)],
+            [1.0, 1.0, 0.0, 1.0],
+            [0.0, math.sqrt(2.0), 1.0, 0.0]]).tobytes()
+
+    def test_two_matrices_at_most(self):
+        # 32 MB per matrix at 2000 nodes; the first form held four
+        n = 2000
+        pl = place_nodes(WirelessConfig(n=n), 0)
+        assert dense_units(pl.distances, n) <= 2 + SLACK / (8 * n * n)
 
 
 class TestReferenceDistance:
