@@ -270,8 +270,7 @@ def _epd_rows(args):
         for j, topo in enumerate(topos):
             epd[j].append(latency.expected_packet_delay(topo.graph))
             if args.oracle:
-                oracle[j].append(latency.expected_packet_delay(
-                    topo.graph, "linear-system"))
+                oracle[j].append(_oracle_epd(topo.graph))
         return [topo.graph for topo in topos]
 
     seeds = range(args.seeds)
@@ -297,8 +296,9 @@ def _epd_rows(args):
 # walk validation
 
 
-def parse_graph_spec(text: str, base_config=None):
-    """Graph descriptors: cycle:N:R, torus:K1xK2[x..]:R, wireless:SEED.
+def parse_graph_spec(text: str, config):
+    """Graph descriptors: cycle:N:R, torus:K1xK2[x..]:R and wireless:SEED,
+    the topology of a nonnegative seed at the WirelessConfig config.
 
     Returns (spec, graph): the TorusSpec of a cycle or torus (a cycle is
     the one-axis torus), None for a wireless graph."""
@@ -309,9 +309,10 @@ def parse_graph_spec(text: str, base_config=None):
         spec = graphs.TorusSpec(dims, _parse_value(parts[2], int, text))
         return spec, graphs.build_torus(spec)
     if parts[0] == "wireless" and len(parts) == 2:
-        cfg = base_config or wireless.WirelessConfig(n=30)
         seed = _parse_value(parts[1], int, text)
-        return None, wireless.generate_topology(cfg, seed).graph
+        if seed < 0:
+            raise ParameterError(f"negative seed {parts[1]!r} in {text!r}")
+        return None, wireless.generate_topology(config, seed).graph
     raise ParameterError(f"bad graph descriptor {text!r}")
 
 
@@ -330,8 +331,7 @@ def _walk_validate_rows(args):
         cells.append({
             "analytic": (latency.expected_packet_delay(g) if spec is None else
                          spec.edges * latency.mean_latency_torus(spec)),
-            "oracle": (latency.expected_packet_delay(g, "linear-system")
-                       if args.oracle else None)})
+            "oracle": _oracle_epd(g) if args.oracle else None})
         return g
 
     ests = _mc_estimates(args, map(analysed, texts),
@@ -339,6 +339,13 @@ def _walk_validate_rows(args):
     for text, c, est in zip(texts, cells, ests):
         yield _row("walk-validate", text, **c, mc_mean=est.mean,
                    mc_ci=est.ci_halfwidth, trials=est.trials_used)
+
+
+def _oracle_epd(g) -> float:
+    """The fundamental-matrix EPD of g: the mean of its hitting times over
+    ordered pairs."""
+    n = g.n
+    return float(latency.hitting_times_linear_system(g).sum()) / (n * (n - 1))
 
 
 def run(args) -> str:

@@ -127,19 +127,38 @@ class Graph:
         return lap
 
     def is_connected(self) -> bool:
-        """Breadth-first sweep from node 0, one whole frontier per step,
-        run on the first call; the graph is immutable, so later calls
-        return the stored answer.  A dense graph takes one matrix-vector
-        product per step, which at wireless sizes costs less than deriving
-        its CSR rows; a CSR-built graph sweeps its rows, O(n + nnz) per
+        """Sweep from node 0: the reached set takes in all its neighbors
+        at each step until its count stops growing.  Run on the first call;
+        the graph is immutable, so later calls return the stored answer.
+        A dense graph finds the neighbors with one matrix-vector product,
+        which at wireless sizes costs less than deriving its CSR rows; a
+        CSR-built graph reads the slots of its reached rows, O(n + nnz) per
         step."""
         connected = self.__dict__.get("_connected")
         if connected is None:
             if self._dense is None:
-                connected = _sweep_csr(*self.csr)
+                indptr, indices = self.csr
+                rows = _row_of_slot(indptr)
+
+                def grow(seen):
+                    seen[indices[seen[rows]]] = True
             else:
-                connected = _sweep_dense(self._dense)
-            self.__dict__["_connected"] = connected
+                w = self._dense
+
+                def grow(seen):
+                    # w @ seen counts each node's reached neighbors;
+                    # integer sums below 2**53 are exact in float
+                    seen |= (w @ seen) > 0
+            seen = np.zeros(self.n, dtype=bool)
+            seen[0] = True
+            count = 1
+            while count < seen.size:
+                grow(seen)
+                grown = np.count_nonzero(seen)
+                if grown == count:
+                    break
+                count = grown
+            connected = self.__dict__["_connected"] = bool(count == seen.size)
         return connected
 
 
@@ -207,35 +226,6 @@ def _frozen_csr(indptr, indices) -> tuple[np.ndarray, np.ndarray]:
     indptr.setflags(write=False)
     indices.setflags(write=False)
     return indptr, indices
-
-
-def _sweep_dense(w: np.ndarray) -> bool:
-    # a node is reached when a reached node is its neighbor: w @ seen
-    # counts them, and integer sums below 2**53 are exact in float
-    seen = np.zeros(w.shape[0], dtype=bool)
-    seen[0] = True
-    count = 1
-    while count < seen.size:
-        seen |= (w @ seen) > 0
-        grown = np.count_nonzero(seen)
-        if grown == count:
-            break
-        count = grown
-    return bool(count == seen.size)
-
-
-def _sweep_csr(indptr: np.ndarray, indices: np.ndarray) -> bool:
-    rows = _row_of_slot(indptr)
-    seen = np.zeros(indptr.size - 1, dtype=bool)
-    frontier = seen.copy()
-    frontier[0] = True
-    while frontier.any():
-        seen |= frontier
-        # the nodes in the slots of the frontier rows
-        reached = np.zeros_like(seen)
-        reached[indices[frontier[rows]]] = True
-        frontier = reached & ~seen
-    return bool(seen.all())
 
 
 def _require_walkable(g: Graph, quantity: str) -> Graph:

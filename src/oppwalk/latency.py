@@ -26,8 +26,9 @@ from the eigendecomposition of the normalized Laplacian D^{-1/2} L D^{-1/2}
 
     H_st = 2m * sum_{lam_k > 0} (1/lam_k) * (v_kt^2 / d_t - v_ks v_kt / sqrt(d_s d_t))
 
-and, as the independent oracle for them and for EPD, from the fundamental
-matrix of the walk (Kemeny & Snell 1960, section 4.4)
+and, as the independent oracle for them and (by their mean over ordered
+pairs) for EPD, from the fundamental matrix of the walk (Kemeny & Snell
+1960, section 4.4)
 
     Z = (I - P + 1 pi^T)^{-1},   H_st = (Z_tt - Z_st) / pi_t,
 
@@ -159,43 +160,37 @@ def _reciprocal_leaves(spec: TorusSpec):
     Eigenvalue i is head[i // k] + last[i % k], with head the spectrum of
     every axis but the last (k long) and last that axis's spectrum, which
     is the order torus_laplacian_eigenvalues adds in, so every value is
-    the same double.  A last axis longer than _LEAF is evaluated per leaf
-    at the indices the leaf needs; a leaf then spans at most two rows.
+    the same double.  A leaf is part of a row, then whole rows, then part
+    of a row.  A last axis longer than _LEAF is never built whole: each
+    leaf evaluates it at the indices it needs, and spans at most two rows.
     """
     *head_dims, k = spec.dims
     r = spec.r
     head = (torus_laplacian_eigenvalues(TorusSpec(head_dims, r))
             if head_dims else np.zeros(1))
-
     if k > _LEAF:
-        def leaf(start: int, count: int) -> np.ndarray:
-            row, col = divmod(start, k)
-            out = cycle_laplacian_eigenvalues(
-                k, r, np.arange(col, col + count) % k)
-            split = k - col
-            out[:split] += head[row]
-            if split < count:
-                out[split:] += head[row + 1]
-            return np.reciprocal(out, out=out)
-        return leaf
+        def last(lo: int, hi: int) -> np.ndarray:
+            return cycle_laplacian_eigenvalues(k, r, np.arange(lo, hi))
+    else:
+        axis = cycle_laplacian_eigenvalues(k, r)
 
-    last = cycle_laplacian_eigenvalues(k, r)
+        def last(lo: int, hi: int) -> np.ndarray:
+            return axis[lo:hi]
     buf = np.empty(_LEAF)
 
     def leaf(start: int, count: int) -> np.ndarray:
         row, col = divmod(start, k)
         end_row, end_col = divmod(start + count, k)
         out = buf[:count]
-        if row == end_row:
-            np.add(head[row], last[col:end_col], out=out)
-        else:
-            first = k - col
-            tail = first + (end_row - row - 1) * k
-            np.add(head[row], last[col:], out=out[:first])
-            np.add(head[row + 1:end_row, None], last,
+        # row's part out[:first], whole rows, end_row's part out[tail:]
+        first = min(k - col, count)
+        tail = max(first, count - end_col)
+        np.add(head[row], last(col, col + first), out=out[:first])
+        if tail > first:
+            np.add(head[row + 1:end_row, None], last(0, k),
                    out=out[first:tail].reshape(-1, k))
-            if end_col:
-                np.add(head[end_row], last[:end_col], out=out[tail:])
+        if tail < count:
+            np.add(head[end_row], last(0, end_col), out=out[tail:])
         return np.reciprocal(out, out=out)
     return leaf
 
@@ -260,18 +255,10 @@ def hitting_times_linear_system(g: Graph) -> np.ndarray:
     return h
 
 
-def expected_packet_delay(g: Graph, method: str = "spectral") -> float:
-    """Average hitting time over all ordered pairs i != j (hops).
-
-    "spectral": vol * Tr(L+) / (n-1) from the Laplacian eigenvalues (the
-    commute-time identity).  "linear-system": the mean off-diagonal entry
-    of the fundamental-matrix hitting times, the oracle.
-    """
-    n = g.n
-    if method == "linear-system":
-        return float(hitting_times_linear_system(g).sum()) / (n * (n - 1))
-    if method != "spectral":
-        raise ParameterError(f"unknown hitting-time method {method!r}")
+def expected_packet_delay(g: Graph) -> float:
+    """Average hitting time over all ordered pairs i != j (hops), as
+    vol * Tr(L+) / (n-1) from the Laplacian eigenvalues (the commute-time
+    identity).  hitting_times_linear_system is its oracle."""
     _require_walkable(g, "expected packet delay")
     vol = float(g.degrees.sum())
-    return vol * pinv_trace(symmetric_eigendecomposition(g.laplacian())) / (n - 1)
+    return vol * pinv_trace(symmetric_eigendecomposition(g.laplacian())) / (g.n - 1)

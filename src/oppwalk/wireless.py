@@ -236,8 +236,8 @@ def load_config(path) -> WirelessConfig:
 
     Lines starting with '#' and blank lines are ignored; keys mirror the
     WirelessConfig field names.  A malformed line, an unknown or repeated
-    key and an unparsable or non-finite value raise ValidationError naming
-    path:line.
+    key, an unparsable or non-finite value and an n beyond int64 raise
+    ValidationError naming path:line.
     """
     values = {}
     with open(path) as f:
@@ -256,7 +256,9 @@ def load_config(path) -> WirelessConfig:
                 raise ValidationError(f"{path}:{lineno}: repeated key {key!r}")
             try:
                 values[key] = _CONFIG_FIELDS[key](raw)
-                if not math.isfinite(values[key]):
+                # numpy takes n as an int64; a float takes any finite value
+                if not (abs(values[key]) <= np.iinfo(np.int64).max
+                        if key == "n" else math.isfinite(values[key])):
                     raise ValueError
             except ValueError:
                 raise ValidationError(

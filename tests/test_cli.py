@@ -175,6 +175,8 @@ class TestUsageErrors:
         ["walk-validate", "--graphs", f"wireless:{BEYOND_INT64}"],
         ["walk-validate", "--graphs", f"torus:4x{BEYOND_INT64}:1"],
         ["spectrum-export", "--dims", BEYOND_INT64, "--r", "1"],
+        # a negative wireless seed
+        ["walk-validate", "--graphs", "wireless:-1"],
     ])
     def test_bad_number_exit_2(self, capsys, argv):
         code, _, err = run_cli(argv, capsys)
@@ -257,14 +259,16 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("text", [
         None, "n=20\neta=nan\n", "n=abc\n", "n=20\nradius=3\n", "eta=2\n",
-        "n=20\nn=10\n",
+        "n=20\nn=10\n", f"n={BEYOND_INT64}\n",
     ], ids=["missing-file", "nan", "bad-int", "unknown-key", "no-n",
-            "repeated-key"])
+            "repeated-key", "n-beyond-int64"])
     @pytest.mark.parametrize("argv", [
         ["epd-eta-sweep", "--etas", "2", "--seeds", "1"],
         ["wireless-export", "--out-prefix", "unused"],
     ], ids=["sweep", "export"])
-    def test_bad_config_file_exit_2(self, tmp_path, capsys, argv, text):
+    def test_bad_config_file_exit_2(self, tmp_path, monkeypatch, capsys,
+                                    argv, text):
+        monkeypatch.chdir(tmp_path)
         path = tmp_path / "w.cfg"
         if text is not None:
             path.write_text(text)
@@ -272,6 +276,7 @@ class TestUsageErrors:
         assert code == 2
         assert err.startswith("usage error: bad --config file:"), err
         assert out == ""
+        assert list(tmp_path.iterdir()) == ([] if text is None else [path])
 
     @pytest.mark.parametrize("n", ["0", "1"])
     def test_too_few_wireless_nodes_exit_2(self, capsys, n):
@@ -346,14 +351,15 @@ class TestWalkValidate:
             assert abs(mc - analytic) <= ci
 
     def test_graph_descriptor_parsing(self):
-        spec, g = parse_graph_spec("torus:4x4:1")
+        config = cli._wireless_base(None)
+        spec, g = parse_graph_spec("torus:4x4:1", config)
         assert spec == TorusSpec((4, 4), 1) and g.n == 16
-        spec, g = parse_graph_spec("cycle:9:2")
+        spec, g = parse_graph_spec("cycle:9:2", config)
         assert spec == TorusSpec((9,), 2) and g.n == 9
-        spec, g = parse_graph_spec("wireless:3")
+        spec, g = parse_graph_spec("wireless:3", config)
         assert spec is None and g.n == 30
         with pytest.raises(ParameterError):
-            parse_graph_spec("hypercube:4")
+            parse_graph_spec("hypercube:4", config)
 
     def test_lattice_analytic_is_edges_times_closed_form(self, capsys):
         # the paper's closed form, cross-checked by the dense
@@ -371,8 +377,8 @@ class TestWalkValidate:
             assert float(row["oracle"]) == pytest.approx(epd, rel=1e-11)
 
     def test_lattice_analytic_uses_no_dense_route(self, capsys, monkeypatch):
-        def dense(g, method="spectral"):
-            raise AssertionError(f"dense {method} EPD on a lattice")
+        def dense(g):
+            raise AssertionError("dense EPD on a lattice")
         monkeypatch.setattr(latency, "expected_packet_delay", dense)
         # a 64 x 64 torus: one dense matrix is 134 MB
         peak = traced_peak(["walk-validate", "--graphs", "torus:64x64:1",

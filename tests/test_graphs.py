@@ -15,7 +15,6 @@ from oppwalk.spectral import cycle_laplacian_eigenvalues
 from oppwalk.graphs import (
     Graph,
     TorusSpec,
-    _sweep_dense,
     build_cycle,
     build_torus,
     cartesian_product,
@@ -110,7 +109,9 @@ def test_dense_sweep_matches_scipy(n, density, seed):
     block = np.triu(np.random.default_rng(seed).random((n, n)) < density, 1)
     w = (block | block.T).astype(float)
     expected = bool(connected_components(w, directed=False)[0] == 1)
-    assert _sweep_dense(w) is expected
+    # the dense matrix-vector step and its CSR-built twin's row step
+    assert Graph(w).is_connected() is expected
+    assert Graph.from_csr(*Graph(w).csr).is_connected() is expected
 
 
 @settings(max_examples=60, deadline=None)

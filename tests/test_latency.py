@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from oppwalk import latency, walker
+from oppwalk import cli, latency, walker
 from oppwalk.errors import DisconnectedGraphError, ParameterError, ValidationError
 from oppwalk.graphs import Graph, TorusSpec, build_cycle, build_torus
 from oppwalk.latency import (
@@ -36,6 +36,13 @@ def two_component_graph():
 
 def complete_graph(n):
     return Graph(np.ones((n, n)) - np.eye(n))
+
+
+def linear_system_epd(g):
+    """EPD as the mean off-diagonal fundamental-matrix hitting time."""
+    h = hitting_times_linear_system(g)
+    n = g.n
+    return h.sum() / (n * (n - 1))
 
 
 def mean_latency_spectral(g):
@@ -301,8 +308,9 @@ class TestExpectedPacketDelay:
 
     def test_linear_system_route(self):
         g = build_cycle(4, 1)
-        assert expected_packet_delay(g, "linear-system") == pytest.approx(
-            10 / 3, abs=1e-10)
+        assert linear_system_epd(g) == pytest.approx(10 / 3, abs=1e-10)
+        # the CLI's oracle column is the same double
+        assert cli._oracle_epd(g) == linear_system_epd(g)
 
     @pytest.mark.parametrize("builder", [
         lambda: build_cycle(3, 1),
@@ -317,10 +325,6 @@ class TestExpectedPacketDelay:
         two_m = g.degrees.sum()
         expected = two_m * mean_latency_spectral(g) / 2
         assert expected_packet_delay(g) == pytest.approx(expected, rel=1e-9)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ParameterError):
-            expected_packet_delay(build_cycle(4, 1), "guesswork")
 
 
 def pinv_trace_reference(g):
@@ -428,7 +432,7 @@ class TestFundamentalMatrixBuffers:
         h = hitting_times_linear_system(g)
         assert h.tobytes() == fundamental_matrix_reference(g).tobytes()
         n = g.n
-        assert expected_packet_delay(g, "linear-system") == (
+        assert cli._oracle_epd(g) == (
             float(fundamental_matrix_reference(g).sum()) / (n * (n - 1)))
 
     def test_two_matrices_at_most(self):
@@ -446,7 +450,6 @@ WALK_ROUTES = {
     "hitting_times": hitting_times,
     "hitting_times_linear_system": hitting_times_linear_system,
     "epd-spectral": expected_packet_delay,
-    "epd-linear-system": lambda g: expected_packet_delay(g, "linear-system"),
     "estimate_mean_latency": lambda g: walker.estimate_mean_latency([g], 10, 0),
 }
 
@@ -564,8 +567,7 @@ class TestCommuteTimeIdentity:
         epd = expected_packet_delay(g)
         per_pair = hitting_times(g).sum() / (n * (n - 1))
         assert epd == pytest.approx(per_pair, rel=1e-10)
-        assert epd == pytest.approx(expected_packet_delay(g, "linear-system"),
-                                    rel=1e-10)
+        assert epd == pytest.approx(linear_system_epd(g), rel=1e-10)
 
     @pytest.mark.parametrize("n,r", [(3, 1), (10, 2), (64, 1), (101, 7),
                                      (300, 5)])
@@ -581,10 +583,12 @@ class TestCommuteTimeIdentity:
         assert expected_packet_delay(build_torus(spec)) == pytest.approx(
             expected, rel=1e-11)
 
-    @pytest.mark.parametrize("method", ["spectral", "linear-system"])
-    def test_disconnected_rejected(self, method):
+    @pytest.mark.parametrize("route", [expected_packet_delay,
+                                       linear_system_epd],
+                             ids=["spectral", "linear-system"])
+    def test_disconnected_rejected(self, route):
         with pytest.raises(DisconnectedGraphError):
-            expected_packet_delay(two_component_graph(), method)
+            route(two_component_graph())
 
     def test_single_node_rejected(self):
         with pytest.raises(ParameterError):

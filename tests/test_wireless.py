@@ -557,13 +557,26 @@ class TestConfigFile:
         ("n=10\npower = inf\n", "w.cfg:2: bad value for power: 'inf'"),
         ("n=10\n# c\nradius=3\n", "w.cfg:3: unknown key 'radius'"),
         ("eta=2\nn=10\neta=3\n", "w.cfg:3: repeated key 'eta'"),
+        ("n = 9223372036854775808\n",
+         "w.cfg:1: bad value for n: '9223372036854775808'"),
+        ("n = -9223372036854775809\n",
+         "w.cfg:1: bad value for n: '-9223372036854775809'"),
+        (f"n = {10 ** 400}\n", f"w.cfg:1: bad value for n: '{10 ** 400}'"),
     ], ids=["repeated-key", "float-n", "text-eta", "inf-power", "unknown-key",
-            "repeated-float-key"])
+            "repeated-float-key", "n-beyond-int64", "negative-n-beyond-int64",
+            "n-beyond-float"])
     def test_bad_line_names_path_and_line(self, tmp_path, text, error):
         path = tmp_path / "w.cfg"
         path.write_text(text)
         with pytest.raises(ValidationError, match=re.escape(error)):
             load_config(str(path))
+
+    def test_int64_bound_on_n_only(self, tmp_path):
+        # n is a count numpy takes as int64; a float takes any finite value
+        path = tmp_path / "w.cfg"
+        path.write_text("n = 9223372036854775807\npower = 1e19\n")
+        cfg = load_config(path)
+        assert (cfg.n, cfg.power) == (2 ** 63 - 1, 1e19)
 
 
 def test_save_positions_csv(tmp_path):
