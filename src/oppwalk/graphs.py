@@ -1,13 +1,13 @@
 """Graph families used by the latency analysis.
 
 A Graph is built one of two ways.  Graph(weights) takes a dense square,
-symmetric 0/1 matrix with zero diagonal and keeps a frozen copy; its CSR
-rows (Graph.csr) are derived on first use.  Graph.from_csr(indptr,
-indices) takes the CSR rows alone and keeps only those; cycles, tori and
-loaded edge lists are built this way, so they never allocate an n x n
-matrix.  On a CSR-built graph, weights and laplacian() build a new dense
-matrix on every call, for the dense consumers (eigvalsh, the
-fundamental-matrix oracle); nothing dense is cached beside the rows.
+symmetric 0/1 matrix with zero diagonal, checks it and keeps a frozen copy;
+its CSR rows (Graph.csr) are derived on first use.  build_torus builds
+cycles and tori from their CSR rows alone, which are valid and connected by
+construction, so they never allocate an n x n matrix.  On such a graph,
+weights and laplacian() build a new dense matrix on every call, for the
+dense consumers (eigvalsh, the fundamental-matrix oracle); nothing dense is
+cached beside the rows.
 
 Nodes are indexed 0..n-1. Torus nodes are indexed row-major over their
 coordinate tuples (numpy ravel order), so for dims [k_1, ..., k_m] the node
@@ -34,34 +34,34 @@ __all__ = [
     "build_cycle",
     "cartesian_product",
     "build_torus",
-    "torus_neighbors",
     "save_edge_list",
-    "load_edge_list",
 ]
 
 
 class Graph:
     """Undirected simple graph: symmetric 0/1 adjacency with zero diagonal,
-    held as a dense matrix (Graph(weights)) or as CSR rows
-    (Graph.from_csr).  Immutable; every construction runs __post_init__,
-    which checks the input and freezes a copy of it."""
+    held as a dense matrix (Graph(weights)) or as CSR rows (a lattice of
+    build_torus).  Immutable; every construction runs __post_init__, which
+    freezes a copy of its input."""
 
     def __init__(self, weights):
         self.__dict__["_dense"] = weights
         self.__post_init__()
 
     @classmethod
-    def from_csr(cls, indptr, indices) -> Graph:
-        """The graph whose neighbors of u are indices[indptr[u]:indptr[u+1]]:
-        every row strictly increasing, no self-loops, and v in the row of u
-        exactly when u is in the row of v.  Checked in O(nnz log nnz)."""
+    def _from_csr(cls, indptr, indices) -> Graph:
+        """The graph whose neighbors of u are indices[indptr[u]:indptr[u+1]].
+        The caller's rows must be simple and undirected: every row strictly
+        increasing, no self-loops, and v in the row of u exactly when u is
+        in the row of v.  They are not checked."""
         g = cls.__new__(cls)
         g.__dict__.update(_dense=None, csr=(indptr, indices))
         g.__post_init__()
         return g
 
     def __post_init__(self):
-        """Check the input of either constructor and freeze a copy of it."""
+        """Freeze a copy of the input of either constructor; a dense matrix
+        is checked first."""
         if self._dense is None:
             self.__dict__["csr"] = _frozen_csr(*self.csr)
         else:
@@ -127,33 +127,21 @@ class Graph:
         return lap
 
     def is_connected(self) -> bool:
-        """Sweep from node 0: the reached set takes in all its neighbors
-        at each step until its count stops growing.  Run on the first call;
-        the graph is immutable, so later calls return the stored answer.
-        A dense graph finds the neighbors with one matrix-vector product,
-        which at wireless sizes costs less than deriving its CSR rows; a
-        CSR-built graph reads the slots of its reached rows, O(n + nnz) per
-        step."""
+        """Sweep from node 0: the reached set takes in all its neighbors,
+        found with one matrix-vector product, at each step until its count
+        stops growing.  Run on the first call; the graph is immutable, so
+        later calls return the stored answer.  build_torus stores True on
+        every lattice it makes, so the sweep runs on dense graphs."""
         connected = self.__dict__.get("_connected")
         if connected is None:
-            if self._dense is None:
-                indptr, indices = self.csr
-                rows = _row_of_slot(indptr)
-
-                def grow(seen):
-                    seen[indices[seen[rows]]] = True
-            else:
-                w = self._dense
-
-                def grow(seen):
-                    # w @ seen counts each node's reached neighbors;
-                    # integer sums below 2**53 are exact in float
-                    seen |= (w @ seen) > 0
+            w = self.weights
             seen = np.zeros(self.n, dtype=bool)
             seen[0] = True
             count = 1
             while count < seen.size:
-                grow(seen)
+                # w @ seen counts each node's reached neighbors; integer
+                # sums below 2**53 are exact in float
+                seen |= (w @ seen) > 0
                 grown = np.count_nonzero(seen)
                 if grown == count:
                     break
@@ -192,40 +180,11 @@ def _frozen_dense(weights) -> np.ndarray:
 
 
 def _frozen_csr(indptr, indices) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only intp copies of the CSR rows of a simple undirected graph;
-    anything else raises a ValidationError that names the fault."""
-    out = []
-    for name, a in (("indptr", indptr), ("indices", indices)):
-        a = np.asarray(a)
-        if a.ndim != 1 or (a.size and a.dtype.kind not in "iu"):
-            raise ValidationError(f"CSR {name} must be a 1-D integer array")
-        out.append(a)
-    indptr, indices = out
-    n = indptr.size - 1
-    if (n < 1 or indptr[0] != 0 or indptr[-1] != indices.size
-            or np.any(indptr[1:] < indptr[:-1])):
-        raise ValidationError(
-            "CSR indptr must start at 0, never decrease and end at the "
-            "number of indices")
-    bad = indices[(indices < 0) | (indices >= n)]
-    if bad.size:
-        raise ValidationError(f"CSR index {bad[0]} out of range for n={n}")
-    indptr, indices = indptr.astype(np.intp), indices.astype(np.intp)
-    rows = _row_of_slot(indptr)
-    step = np.diff(indices)[rows[1:] == rows[:-1]]  # within one row
-    if np.any(step < 0):
-        raise ValidationError("CSR rows must be sorted in ascending order")
-    if np.any(step == 0):
-        raise ValidationError("CSR row lists a neighbor twice")
-    if np.any(indices == rows):
-        raise ValidationError("CSR rows must have no self-loops")
-    # (row, col) slots are in ascending row * n + col order; the graph is
-    # symmetric exactly when the transposed slots sort to the same keys
-    if not np.array_equal(np.sort(indices * n + rows), rows * n + indices):
-        raise ValidationError("CSR rows must be symmetric")
-    indptr.setflags(write=False)
-    indices.setflags(write=False)
-    return indptr, indices
+    """Read-only intp copies of CSR rows, as they are."""
+    out = np.array(indptr, dtype=np.intp), np.array(indices, dtype=np.intp)
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def _require_walkable(g: Graph, quantity: str) -> Graph:
@@ -305,23 +264,16 @@ def cartesian_product(g1: Graph, g2: Graph) -> Graph:
 
 def build_torus(spec: TorusSpec) -> Graph:
     """m-dimensional r-nearest-neighbor torus, the Cartesian product of
-    r-nearest-neighbor cycles, built from the CSR rows torus_neighbors
-    gives: every node has 2mr neighbors, so no n x n matrix is made."""
-    rows = torus_neighbors(spec, np.arange(spec.n))
-    width = rows.shape[1]
-    return Graph.from_csr(np.arange(0, rows.size + 1, width), rows.ravel())
+    r-nearest-neighbor cycles, built from CSR rows by coordinate
+    arithmetic: along each axis the neighbors of a node are the nodes at
+    circular distance 1..r, so every node has 2mr neighbors and no n x n
+    matrix is made.
 
-
-def torus_neighbors(spec: TorusSpec, index) -> np.ndarray:
-    """Neighbor indices of torus nodes from coordinate arithmetic, without
-    materializing the adjacency matrix: along each axis the neighbors are
-    the nodes at circular distance 1..r.  For an int index, the 2mr sorted
-    distinct neighbors; for an index array, one such row per node."""
-    index = np.asarray(index)
-    bad = index[(index < 0) | (index >= spec.n)]
-    if bad.size:
-        raise ParameterError(
-            f"node index {bad[0]} out of range for n={spec.n}")
+    The torus is connected by construction: r >= 1 and every k >= 3, so
+    the +-1 steps along every axis reach every coordinate tuple.  The graph
+    stores that answer, and is_connected never sweeps it.
+    """
+    index = np.arange(spec.n)
     coords = np.unravel_index(index, spec.dims)
     stride = spec.n
     out = []
@@ -331,7 +283,11 @@ def torus_neighbors(spec: TorusSpec, index) -> np.ndarray:
         for step in range(1, spec.r + 1):
             for shift in (step, -step):
                 out.append(index + ((c + shift) % k - c) * stride)
-    return np.sort(np.stack(out, axis=-1), axis=-1)
+    rows = np.sort(np.stack(out, axis=-1), axis=-1)
+    g = Graph._from_csr(np.arange(0, rows.size + 1, rows.shape[1]),
+                        rows.ravel())
+    g.__dict__["_connected"] = True
+    return g
 
 
 @contextmanager
@@ -355,45 +311,3 @@ def save_edge_list(g: Graph, path_or_buf) -> None:
         buf.write(f"n {g.n}\n")
         for i, j in zip(rows[upper], indices[upper]):
             buf.write(f"{i} {j} 1\n")
-
-
-def _fields(no: int, line: str, kinds) -> list:
-    """The whitespace-separated fields of one edge-list line, one per type
-    in kinds; a wrong count or an unparsable field names the line."""
-    parts = line.split()
-    try:
-        if len(parts) != len(kinds):
-            raise ValueError
-        return [kind(p) for kind, p in zip(kinds, parts)]
-    except ValueError:
-        raise ValidationError(f"malformed line {no}: {line!r}") from None
-
-
-def load_edge_list(path_or_buf) -> Graph:
-    """Read a graph from the edge-list format written by save_edge_list.
-    Every line is checked before the graph is built from its CSR rows, in
-    O(n + edges) memory."""
-    with _text_file(path_or_buf, "r") as f:
-        lines = [(no, ln.strip()) for no, ln in enumerate(f, 1) if ln.strip()]
-    if not lines or lines[0][1].split()[0] != "n":
-        raise ValidationError("edge list must start with a 'n <count>' header")
-    _, n = _fields(*lines[0], (str, int))
-    if n < 1:
-        raise ValidationError("node count must be positive")
-    pairs = set()
-    for no, ln in lines[1:]:
-        i, j, w = _fields(no, ln, (int, int, float))
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValidationError(f"node index out of range on line {no}: {ln!r}")
-        if i == j:
-            raise ValidationError(f"self-loop on line {no}: {ln!r}")
-        if w != 1.0:
-            raise ValidationError(f"weight must be 1 on line {no}: {ln!r}")
-        pair = (min(i, j), max(i, j))
-        if pair in pairs:
-            raise ValidationError(f"pair listed twice on line {no}: {ln!r}")
-        pairs.add(pair)
-    # both slots of every edge, sorted by (row, column): the CSR rows
-    i, j = np.array(list(pairs), dtype=np.intp).reshape(-1, 2).T
-    rows, cols = np.divmod(np.sort(np.concatenate([i * n + j, j * n + i])), n)
-    return Graph.from_csr(np.searchsorted(rows, np.arange(n + 1)), cols)

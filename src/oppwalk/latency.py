@@ -40,13 +40,11 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError, ValidationError
+from .errors import ValidationError
 from .graphs import Graph, TorusSpec, _integer, _require_walkable
 from .spectral import (
-    ZERO_EIGENVALUE_RTOL,
     circulant_eigenvalues,
     cycle_laplacian_eigenvalues,
-    pinv_trace,
     symmetric_eigendecomposition,
     torus_laplacian_eigenvalues,
 )
@@ -87,15 +85,15 @@ def mean_latency_circulant(g: Graph, dims) -> float:
     node order): the neighbors of every node u are row 0's neighbor
     coordinates shifted by the coordinates of u, modulo dims.  This is
     checked in O(n * degree) and a graph that fails it raises
-    ValidationError; a disconnected one raises DisconnectedGraphError from
-    its extra zero modes.
+    ValidationError.  g must be walkable (graphs._require_walkable), so
+    the zero mode is element 0 of the FFT, the all-zero frequency, and the
+    sum of 1/lambda leaves out that element alone.
     """
     dims = tuple(_integer(k, "axis size") for k in dims)
     n = g.n
     if math.prod(dims) != n:
         raise ValidationError(f"axis sizes {dims} do not multiply to n={n}")
-    if n < 2:
-        raise ParameterError("mean latency needs n >= 2")
+    _require_walkable(g, "mean latency")
     indptr, indices = g.csr
     width = int(indptr[1])
     if np.any(np.diff(indptr) != width):
@@ -111,7 +109,7 @@ def mean_latency_circulant(g: Graph, dims) -> float:
     row[indices[:width]] = -1.0
     row[0] = width
     vals = circulant_eigenvalues(row.reshape(dims)).real.ravel()
-    return 2.0 / (n - 1) * pinv_trace(vals)
+    return 2.0 / (n - 1) * float(np.sum(1.0 / vals[1:]))
 
 
 def mean_latency_cycle(n: int, r: int) -> float:
@@ -212,16 +210,17 @@ def torus_latency_bounds(spec: TorusSpec) -> tuple[float, float]:
 
 def hitting_times(g: Graph) -> np.ndarray:
     """All-pairs expected hitting times h[s, t] (read-only, zero diagonal)
-    from the eigendecomposition of the normalized Laplacian."""
+    from the eigendecomposition of the normalized Laplacian.  The graph is
+    connected, so its one zero mode is the first of eigh's ascending
+    eigenvalues."""
     _require_walkable(g, "hitting-time matrix")
     d = g.degrees
     inv_sqrt = 1.0 / np.sqrt(d)
     vals, vecs = np.linalg.eigh(
         np.eye(g.n) - inv_sqrt[:, None] * g.weights * inv_sqrt[None, :])
-    keep = vals > ZERO_EIGENVALUE_RTOL * np.abs(vals).max()
-    w = 1.0 / vals[keep]
+    w = 1.0 / vals[1:]
     # U[i, k] = v_k(i) / sqrt(d_i); H[s, t] = 2m * (q_t - (U W U^T)[s, t])
-    U = vecs[:, keep] * inv_sqrt[:, None]
+    U = vecs[:, 1:] * inv_sqrt[:, None]
     M = (U * w) @ U.T
     q = np.einsum("ik,k,ik->i", U, w, U)
     h = float(d.sum()) * (q[None, :] - M)
@@ -258,7 +257,10 @@ def hitting_times_linear_system(g: Graph) -> np.ndarray:
 def expected_packet_delay(g: Graph) -> float:
     """Average hitting time over all ordered pairs i != j (hops), as
     vol * Tr(L+) / (n-1) from the Laplacian eigenvalues (the commute-time
-    identity).  hitting_times_linear_system is its oracle."""
+    identity).  The graph is connected, so Tr(L+) sums 1/lambda over every
+    ascending eigenvalue but the first, the zero mode.
+    hitting_times_linear_system is its oracle."""
     _require_walkable(g, "expected packet delay")
     vol = float(g.degrees.sum())
-    return vol * pinv_trace(symmetric_eigendecomposition(g.laplacian())) / (g.n - 1)
+    vals = symmetric_eigendecomposition(g.laplacian())
+    return vol * float(np.sum(1.0 / vals[1:])) / (g.n - 1)

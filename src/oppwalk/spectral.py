@@ -1,6 +1,7 @@
 """Laplacian spectra: closed forms for cycle/torus families, the eigenvalues
 of a multi-level circulant from its first row, and the numeric eigenvalues
-of a symmetric matrix, from which pinv_trace gives Tr(L+) on any graph.
+of a symmetric matrix, ascending, so that on a connected graph's Laplacian
+the zero mode is element 0.
 
 The closed form for the r-nearest-neighbor cycle Laplacian is
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DisconnectedGraphError, ParameterError, ValidationError
+from .errors import ParameterError, ValidationError
 from .graphs import TorusSpec
 
 __all__ = [
@@ -25,11 +26,7 @@ __all__ = [
     "cycle_laplacian_eigenvalues",
     "torus_laplacian_eigenvalues",
     "symmetric_eigendecomposition",
-    "pinv_trace",
 ]
-
-# Relative threshold below which an eigenvalue counts as the zero mode.
-ZERO_EIGENVALUE_RTOL = 1e-9
 
 
 def circulant_eigenvalues(first_row) -> np.ndarray:
@@ -89,19 +86,3 @@ def symmetric_eigendecomposition(M) -> np.ndarray:
     vals = np.linalg.eigvalsh(M)
     vals.setflags(write=False)
     return vals
-
-
-def pinv_trace(vals) -> float:
-    """Trace of the Laplacian pseudoinverse from its eigenvalues: the sum
-    of reciprocal nonzero eigenvalues.  Requires exactly one zero mode
-    (connected graph)."""
-    vals = np.asarray(vals, dtype=float)
-    size = np.abs(vals)
-    zero = size <= ZERO_EIGENVALUE_RTOL * size.max()
-    nzero = np.count_nonzero(zero)
-    if nzero > 1:
-        raise DisconnectedGraphError(
-            f"{nzero} near-zero eigenvalues: graph is disconnected")
-    if nzero == 0:
-        raise ValidationError("no zero eigenvalue: not a Laplacian spectrum")
-    return float(np.sum(1.0 / vals[~zero]))

@@ -7,6 +7,7 @@ that layer from the tracer.  Each workload runs one tiny traced pass per
 seed in a subprocess, so the tracer's patches never reach the other tests.
 """
 import csv
+import hashlib
 import importlib.util
 import json
 import subprocess
@@ -17,8 +18,9 @@ from pathlib import Path
 import pytest
 
 import oppwalk
-from oppwalk import walker
+from oppwalk import cli, graphs, walker
 from oppwalk.graphs import TorusSpec, build_cycle, build_torus
+from test_graphs import assert_valid_lattice
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -71,7 +73,7 @@ def test_tiny_traced_pass(traced_pass, workload):
 
 def test_each_built_lattice_counted_once(traced_pass):
     # the tracer counts graph builds in Graph.__post_init__, so every
-    # construction, Graph.from_csr included, must run it exactly once; a
+    # construction, Graph._from_csr included, must run it exactly once; a
     # lattice is built for each row with an oracle cell
     out = traced_pass("lattice-oracle")
     result = json.loads((out / "result.json").read_text())
@@ -109,6 +111,61 @@ def test_wireless_builds_follow_the_sparsest_first_schedule(traced_pass):
     assert layers["spectral.eig_calls"] == graphs
     assert layers["wireless.build_calls"] == graphs + (placed - accepted)
     assert layers["wireless.accept_ratio"] == pytest.approx(accepted / placed)
+
+
+# sha256 of the family,params,analytic,lower,upper,oracle columns of each
+# tiny step's CSV at seed 7, one "a,b,...\n" line per row.  These columns
+# must not move by a byte; the Monte-Carlo columns may change on purpose
+# and are left out.
+FROZEN_COLUMNS = ("family", "params", "analytic", "lower", "upper", "oracle")
+GOLDEN = {
+    "fig4": "c68ce5d74289403ec53740fa565f8c910b84a6851f02751cd96b574a003b0ce3",
+    "fig6": "7eb8cd95b9b4e2528448edc841cc4cdc3dfd06fefd944bfff5661315c1a2cd0f",
+    "fig7": "a39ded40e6ffcecc358d1d9c62ed63718e477da6e4269be75f8cd4c32a795056",
+    "bounds-check": "55f4dda1a5109e8df59f75b4d821e60f08e4132cb82464b70eb5807b0857878e",
+    "fig10": "8ba0e26734675587fc9463070b61ffda3ccae631dc7fedda67f9d1e091a223d0",
+    "fig11": "eace12ac82010e89673582c5c06702e852de62c524769b7dcfe5898b6d0b87af",
+    "fig12": "cbffc31e9113a9274b78f133e2861823deceecc8e7562a3134b7013165b5f733",
+    "walk-validate": "a5af24f2158357f8c3fecad42e2c988fc820b3642733b17423285c94a290d808",
+    "eta-mc": "83ceb1f53982f1c51656497eaca86d173d9e28df77ccbf03484784d2509361e5",
+    "cycle-sweep-mc": "0502b8eee93d1016fa2fcc235a2603fc6532ae2fe6c3d34a3aeb3724e7a42de4",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(LAYERS))
+def test_frozen_columns_match_golden_digests(tmp_path, workload):
+    steps = bench_module("workloads").steps(workload, 7, tiny=True)
+    assert steps
+    for label, argv in steps:
+        out = tmp_path / f"{label}.csv"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        with open(out, newline="") as f:
+            text = "".join(",".join(row[c] for c in FROZEN_COLUMNS) + "\n"
+                           for row in csv.DictReader(f))
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[label], label
+
+
+def test_every_lattice_oracle_graph_is_valid(monkeypatch, tmp_path):
+    # build_torus's rows are trusted unchecked and stored as connected;
+    # every lattice the full lattice-oracle pass builds (one per row with
+    # an oracle cell) passes the row checks and scipy's component count
+    built = []
+
+    def checked(spec):
+        g = build_torus(spec)
+        assert_valid_lattice(g)
+        built.append(spec)
+        return g
+
+    monkeypatch.setattr(graphs, "build_torus", checked)
+    oracle_rows = 0
+    for label, argv in bench_module("workloads").steps("lattice-oracle", 7):
+        out = tmp_path / f"{label}.csv"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        with open(out, newline="") as f:
+            oracle_rows += sum(row["oracle"] not in ("", "skipped")
+                               for row in csv.DictReader(f))
+    assert len(built) == oracle_rows == 46
 
 
 def test_traced_names_exist():

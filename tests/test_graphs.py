@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from oppwalk.errors import ParameterError, ValidationError
@@ -18,9 +19,7 @@ from oppwalk.graphs import (
     build_cycle,
     build_torus,
     cartesian_product,
-    load_edge_list,
     save_edge_list,
-    torus_neighbors,
 )
 
 
@@ -109,9 +108,9 @@ def test_dense_sweep_matches_scipy(n, density, seed):
     block = np.triu(np.random.default_rng(seed).random((n, n)) < density, 1)
     w = (block | block.T).astype(float)
     expected = bool(connected_components(w, directed=False)[0] == 1)
-    # the dense matrix-vector step and its CSR-built twin's row step
+    # the dense matrix-vector step, also on the dense view of a CSR twin
     assert Graph(w).is_connected() is expected
-    assert Graph.from_csr(*Graph(w).csr).is_connected() is expected
+    assert Graph._from_csr(*Graph(w).csr).is_connected() is expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -144,7 +143,7 @@ class TestCsr:
     @pytest.mark.parametrize("make", [
         lambda: Graph(reference_cycle(7, 2).weights),
         lambda: build_torus(TorusSpec([3, 4], 1)),
-        lambda: load_edge_list(io.StringIO("n 3\n0 2 1\n")),
+        lambda: read_edge_list(io.StringIO("n 3\n0 2 1\n")),
     ], ids=["dense", "lattice", "edge-list"])
     def test_rows_compact_and_frozen(self, make):
         # np.nonzero's column array is a strided view of one (nnz, 2) array
@@ -161,11 +160,61 @@ def csr_of(w):
             np.concatenate([np.zeros(0, dtype=int), *rows]))
 
 
+def assert_simple_csr(indptr, indices):
+    """The CSR rows (indptr, indices) are those of a simple undirected
+    graph: indptr starts at 0, never decreases and ends at the number of
+    indices; every index is in range; every row is strictly increasing and
+    free of self-loops; and v is in the row of u exactly when u is in the
+    row of v.  Graph._from_csr trusts build_torus for all of this."""
+    indptr, indices = np.asarray(indptr), np.asarray(indices)
+    for name, a in (("indptr", indptr), ("indices", indices)):
+        assert a.ndim == 1 and (a.size == 0 or a.dtype.kind in "iu"), (
+            f"CSR {name} must be a 1-D integer array")
+    n = indptr.size - 1
+    assert (n >= 1 and indptr[0] == 0 and indptr[-1] == indices.size
+            and np.all(indptr[1:] >= indptr[:-1])), (
+        "CSR indptr must start at 0, never decrease and end at the number "
+        "of indices")
+    bad = indices[(indices < 0) | (indices >= n)]
+    assert not bad.size, f"CSR index {bad[0]} out of range for n={n}"
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    step = np.diff(indices)[rows[1:] == rows[:-1]]  # within one row
+    assert np.all(step > 0), "CSR rows must be strictly increasing"
+    assert not np.any(indices == rows), "CSR rows must have no self-loops"
+    # (row, col) slots are in ascending row * n + col order; the graph is
+    # symmetric exactly when the transposed slots sort to the same keys
+    assert np.array_equal(np.sort(indices * n + rows), rows * n + indices), (
+        "CSR rows must be symmetric")
+
+
+def assert_valid_lattice(g):
+    """g's rows pass assert_simple_csr, and scipy finds the one component
+    that build_torus stores as g.is_connected() without a sweep."""
+    indptr, indices = g.csr
+    assert_simple_csr(indptr, indices)
+    ones = np.ones(indices.size)
+    assert connected_components(csr_matrix((ones, indices, indptr)),
+                                directed=False)[0] == 1
+    assert g.is_connected() is True
+
+
+@settings(max_examples=150, deadline=None)
+@given(dims=st.lists(st.integers(min_value=3, max_value=12),
+                     min_size=1, max_size=3),
+       data=st.data())
+def test_built_lattices_are_simple_and_connected(dims, data):
+    r = data.draw(st.integers(min_value=1, max_value=(min(dims) - 1) // 2))
+    assert_valid_lattice(build_torus(TorusSpec(dims, r)))
+
+
 class TestFromCsr:
+    """Graph._from_csr, and the row checks it leaves to its caller."""
+
     GOOD = (np.array([0, 2, 4, 6]), np.array([1, 2, 0, 2, 0, 1]))  # K3
 
     def test_triangle(self):
-        g = Graph.from_csr(*self.GOOD)
+        assert_simple_csr(*self.GOOD)
+        g = Graph._from_csr(*self.GOOD)
         assert g.n == 3
         assert np.array_equal(g.weights, 1.0 - np.eye(3))
         assert np.array_equal(g.degrees, [2.0, 2.0, 2.0])
@@ -180,8 +229,8 @@ class TestFromCsr:
         ([0, 2, 4, 6], [1.0, 2, 0, 2, 0, 1], "indices must be a 1-D integer"),
         ([0, 2, 4, 6], [1, 3, 0, 2, 0, 1], "index 3 out of range for n=3"),
         ([0, 2, 4, 6], [1, -1, 0, 2, 0, 1], "index -1 out of range"),
-        ([0, 2, 4, 6], [2, 1, 0, 2, 0, 1], "sorted in ascending order"),
-        ([0, 2, 4, 6], [1, 1, 0, 2, 0, 1], "lists a neighbor twice"),
+        ([0, 2, 4, 6], [2, 1, 0, 2, 0, 1], "strictly increasing"),
+        ([0, 2, 4, 6], [1, 1, 0, 2, 0, 1], "strictly increasing"),
         ([0, 2, 4, 6], [0, 1, 0, 2, 0, 1], "no self-loops"),
         ([0, 2, 3, 5], [1, 2, 0, 0, 1], "symmetric"),
         ([0, 1, 1], [1], "symmetric"),
@@ -190,12 +239,13 @@ class TestFromCsr:
             "index-negative", "unsorted-row", "duplicate", "self-loop",
             "asymmetric", "one-way-edge"])
     def test_rejects_malformed_rows(self, indptr, indices, message):
-        with pytest.raises(ValidationError, match=message):
-            Graph.from_csr(np.array(indptr), np.array(indices))
+        # the checks that guard every lattice's rows catch each fault
+        with pytest.raises(AssertionError, match=message):
+            assert_simple_csr(np.array(indptr), np.array(indices))
 
     def test_rows_are_copied(self):
         indptr, indices = (a.copy() for a in self.GOOD)
-        g = Graph.from_csr(indptr, indices)
+        g = Graph._from_csr(indptr, indices)
         indices[:] = 0
         assert indptr.flags.writeable and indices.flags.writeable
         assert np.array_equal(g.csr[1], self.GOOD[1])
@@ -218,7 +268,7 @@ class TestFromCsr:
             Graph(np.zeros((2, 2))).weights = np.zeros((2, 2))
 
     def test_single_node(self):
-        g = Graph.from_csr(np.zeros(2, dtype=int), np.zeros(0, dtype=int))
+        g = Graph._from_csr(np.zeros(2, dtype=int), np.zeros(0, dtype=int))
         assert g.n == 1 and g.is_connected()
         assert np.array_equal(g.weights, [[0.0]])
 
@@ -231,7 +281,7 @@ def test_csr_construction_matches_dense(n, density, seed):
     block = np.triu(np.random.default_rng(seed).random((n, n)) < density, 1)
     w = (block | block.T).astype(float)
     dense = Graph(w)
-    sparse = Graph.from_csr(*dense.csr)
+    sparse = Graph._from_csr(*dense.csr)
     assert np.array_equal(sparse.weights, dense.weights)
     assert np.array_equal(sparse.degrees, dense.degrees)
     assert np.array_equal(sparse.laplacian(), dense.laplacian())
@@ -244,7 +294,7 @@ def test_csr_construction_matches_dense(n, density, seed):
 @pytest.mark.parametrize("make", [
     lambda: build_cycle(7, 2),
     lambda: build_torus(TorusSpec([3, 4], 1)),
-    lambda: Graph.from_csr(*TestFromCsr.GOOD),
+    lambda: Graph._from_csr(*TestFromCsr.GOOD),
     lambda: Graph(np.array([[0.0, 1, 1, 0], [1, 0, 0, 0], [1, 0, 0, 1],
                             [0, 0, 1, 0]])),
     lambda: Graph(np.zeros((3, 3))),
@@ -409,29 +459,36 @@ class TestTorus:
 
     def test_neighbor_enumeration_matches_dense(self):
         spec = TorusSpec([4, 5, 6], 1)
-        g = build_torus(spec)
-        for idx in [0, 7, 59, 100]:
-            assert np.array_equal(torus_neighbors(spec, idx),
-                                  np.flatnonzero(g.weights[idx]))
-        rows = torus_neighbors(spec, np.arange(spec.n))
-        assert rows.shape == (spec.n, 2 * spec.m * spec.r)
+        indptr, indices = build_torus(spec).csr
+        rows = indices.reshape(spec.n, 2 * spec.m * spec.r)
+        assert np.array_equal(indptr, np.arange(0, indices.size + 1, 6))
         for idx, row in enumerate(rows):
-            assert np.array_equal(row, np.flatnonzero(g.weights[idx]))
-        assert np.array_equal(torus_neighbors(spec, [100, 7]),
-                              rows[[100, 7]])
-
-    @pytest.mark.parametrize("index", [-1, 120, [0, 120]])
-    def test_neighbor_index_out_of_range(self, index):
-        with pytest.raises(ParameterError, match="out of range"):
-            torus_neighbors(TorusSpec([4, 5, 6], 1), index)
+            assert np.array_equal(row, coordinate_neighbors(spec, idx))
 
     def test_large_4d_torus_degrees(self):
-        # 126720-node case: spot-check degrees via neighbor enumeration
+        # 126720-node case: every degree, and a spot-check of rows
         spec = TorusSpec([16, 18, 20, 22], 4)
         assert spec.n == 126720
+        indptr, indices = build_torus(spec).csr
+        assert np.all(np.diff(indptr) == 2 * 4 * 4)
         rng = np.random.default_rng(3)
         for idx in rng.integers(0, spec.n, size=25):
-            assert torus_neighbors(spec, int(idx)).size == 2 * 4 * 4
+            assert np.array_equal(indices[indptr[idx]:indptr[idx + 1]],
+                                  coordinate_neighbors(spec, idx))
+
+
+def coordinate_neighbors(spec, idx):
+    """The sorted nodes at circular distance 1..r from node idx along one
+    axis, from its coordinate tuple, one neighbor at a time."""
+    coords = np.unravel_index(idx, spec.dims)
+    out = []
+    for axis, k in enumerate(spec.dims):
+        for shift in range(-spec.r, spec.r + 1):
+            if shift:
+                c = list(coords)
+                c[axis] = (c[axis] + shift) % k
+                out.append(np.ravel_multi_index(c, spec.dims))
+    return np.sort(out)
 
 
 def reference_cycle(k, r):
@@ -498,14 +555,30 @@ class TestConnectivity:
         assert Graph(np.zeros((1, 1))).is_connected()
 
 
+def read_edge_list(buf):
+    """The graph in save_edge_list's format, a `n <count>` header then one
+    `i j 1` line per edge, rebuilt from a dense matrix."""
+    header, *lines = buf.read().splitlines()
+    tag, n = header.split()
+    assert tag == "n"
+    w = np.zeros((int(n), int(n)))
+    for line in lines:
+        i, j, weight = line.split()
+        assert weight == "1"
+        w[int(i), int(j)] = w[int(j), int(i)] = 1.0
+    return Graph(w)
+
+
 class TestEdgeListFormat:
     def test_round_trip(self, tmp_path):
         g = build_cycle(7, 2)
         for as_path in (str, pathlib.Path):
             path = as_path(tmp_path / f"g-{as_path.__name__}.edges")
             save_edge_list(g, path)
-            loaded = load_edge_list(path)
+            with open(path) as f:
+                loaded = read_edge_list(f)
             assert np.array_equal(loaded.weights, g.weights)
+            assert all(map(np.array_equal, loaded.csr, g.csr))
 
     def test_header_and_rows(self):
         g = Graph(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -514,54 +587,3 @@ class TestEdgeListFormat:
         lines = buf.getvalue().strip().split("\n")
         assert lines[0] == "n 2"
         assert lines[1].split() == ["0", "1", "1"]
-
-    def test_rejects_missing_header(self):
-        with pytest.raises(ValidationError):
-            load_edge_list(io.StringIO("0 1 1.0\n"))
-
-    @pytest.mark.parametrize("text,line", [
-        ("n x\n", "line 1: 'n x'"),
-        ("n 3\n0 x 1\n", "line 2: '0 x 1'"),
-        ("n 3\n0 1 a\n", "line 2: '0 1 a'"),
-        ("n 3\n\n0 1\n", "line 3: '0 1'"),
-        ("n 2\n0 1 1\n0 1 1.0\n", "line 3: '0 1 1.0'"),
-        ("n 3\n0 1 1\n1 2 1\n1 0 1\n", "line 4: '1 0 1'"),
-        ("n 3\n0 1 1\n2 2 1\n", "self-loop on line 3: '2 2 1'"),
-        ("n 3\n0 1 -1\n", "line 2: '0 1 -1'"),
-        ("n 3\n0 1 nan\n", "line 2: '0 1 nan'"),
-        ("n 3\n1 2 inf\n", "line 2: '1 2 inf'"),
-        ("n 3\n0 1 1\n1 2 0\n", "weight must be 1 on line 3: '1 2 0'"),
-        ("n 3\n0 1 2.5\n", "weight must be 1 on line 2: '0 1 2.5'"),
-    ], ids=["bad-count", "bad-index", "bad-weight", "short-row",
-            "duplicate", "duplicate-reversed", "self-loop",
-            "negative-weight", "nan-weight", "inf-weight", "zero-weight",
-            "fractional-weight"])
-    def test_bad_line_names_the_line(self, text, line):
-        with pytest.raises(ValidationError, match=line):
-            load_edge_list(io.StringIO(text))
-
-    def test_large_node_count_loads_in_linear_memory(self):
-        # a dense matrix of this header would take 8 TB
-        tracemalloc.start()
-        try:
-            g = load_edge_list(io.StringIO("n 1000000\n0 999999 1\n5 3 1\n"))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64e6
-        assert g.n == 10**6
-        indptr, indices = g.csr
-        assert indices.tolist() == [999999, 5, 3, 0]
-        assert indptr[[0, 1, 3, 4, 5, 6, -1]].tolist() == [0, 1, 1, 2, 2, 3, 4]
-        assert not g.is_connected()
-
-    def test_bad_line_found_before_the_matrix_is_allocated(self):
-        # the header alone would size a 5000 x 5000 matrix (200 MB)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValidationError, match="line 2: '0 1 x'"):
-                load_edge_list(io.StringIO("n 5000\n0 1 x\n"))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 5e6

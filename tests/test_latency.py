@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -19,12 +20,34 @@ from oppwalk.latency import (
     torus_latency_bounds,
 )
 from oppwalk.spectral import (
+    circulant_eigenvalues,
     cycle_laplacian_eigenvalues,
-    pinv_trace,
+    symmetric_eigendecomposition,
     torus_laplacian_eigenvalues,
 )
 from oppwalk.wireless import WirelessConfig, generate_topology
 from test_acceptance import ORACLE_CYCLE_CASES, ORACLE_TORUS_CASES
+
+# Relative threshold below which pinv_trace counts an eigenvalue as the
+# zero mode.
+ZERO_EIGENVALUE_RTOL = 1e-9
+
+
+def pinv_trace(vals) -> float:
+    """Trace of the Laplacian pseudoinverse from its eigenvalues, by the
+    rule the program used before it took the zero mode by index: the sum
+    of reciprocal eigenvalues above a relative tolerance.  Requires exactly
+    one zero mode (connected graph)."""
+    vals = np.asarray(vals, dtype=float)
+    size = np.abs(vals)
+    zero = size <= ZERO_EIGENVALUE_RTOL * size.max()
+    nzero = np.count_nonzero(zero)
+    if nzero > 1:
+        raise DisconnectedGraphError(
+            f"{nzero} near-zero eigenvalues: graph is disconnected")
+    if nzero == 0:
+        raise ValidationError("no zero eigenvalue: not a Laplacian spectrum")
+    return float(np.sum(1.0 / vals[~zero]))
 
 
 def two_component_graph():
@@ -443,10 +466,10 @@ class TestFundamentalMatrixBuffers:
         assert units <= 2 + SLACK / (8 * n * n)
 
 
-# Every random-walk route but the lattice FFT oracle, which reads
-# connectivity from its zero modes.
+# Every random-walk route.
 WALK_ROUTES = {
     "mean_latency_pinv": mean_latency_pinv,
+    "mean_latency_circulant": lambda g: mean_latency_circulant(g, (g.n,)),
     "hitting_times": hitting_times,
     "hitting_times_linear_system": hitting_times_linear_system,
     "epd-spectral": expected_packet_delay,
@@ -534,6 +557,64 @@ class TestCirculantOracle:
         # offsets +-2 on 8 nodes: the even and the odd nodes
         with pytest.raises(DisconnectedGraphError):
             mean_latency_circulant(circulant_graph(8, [2]), (8,))
+
+    def test_long_cycle(self):
+        # lambda_1 = 4 sin^2(pi/n) = 2.7e-9 is below 1e-9 of the largest
+        # eigenvalue, so a relative tolerance found three zero modes on this
+        # connected cycle; the FFT's roundoff grows as n^2
+        n = 120000
+        spec = TorusSpec((n,), 1)
+        exact = (n + 1) / 6
+        t = mean_latency_circulant(build_torus(spec), (n,))
+        assert t == pytest.approx(exact, rel=1e-7)
+        assert mean_latency_torus(spec) == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("n", range(3, 65))
+    def test_exact_cycle_identity(self, n):
+        # T = (n + 1) / 6 for r = 1, in exact rational arithmetic
+        spec = TorusSpec((n,), 1)
+        exact = Fraction(n + 1, 6)
+        for t in (mean_latency_torus(spec),
+                  mean_latency_circulant(build_torus(spec), (n,))):
+            assert abs(Fraction(t) - exact) <= Fraction(1, 10**13) * exact
+
+
+def circulant_latency_reference(g, dims):
+    """mean_latency_circulant's FFT spectrum of row 0, summed by the
+    tolerance rule of pinv_trace."""
+    indptr, indices = g.csr
+    width = int(indptr[1])
+    row = np.zeros(g.n)
+    row[indices[:width]] = -1.0
+    row[0] = width
+    vals = circulant_eigenvalues(row.reshape(dims)).real.ravel()
+    return 2.0 / (g.n - 1) * pinv_trace(vals)
+
+
+class TestZeroModeByIndex:
+    """The zero mode taken as element 0 gives the same doubles as the
+    tolerance rule it replaced."""
+
+    @pytest.mark.parametrize("n", [30, 100])
+    @pytest.mark.parametrize("eta", [2, 3, 4, 5, 6])
+    def test_epd_on_wireless_graphs(self, n, eta):
+        for seed in range(10):
+            g = generate_topology(WirelessConfig(n=n, eta=eta), seed=seed).graph
+            vals = symmetric_eigendecomposition(g.laplacian())
+            vol = float(g.degrees.sum())
+            assert expected_packet_delay(g) == vol * pinv_trace(vals) / (g.n - 1)
+
+    @pytest.mark.parametrize("n,r", ORACLE_CYCLE_CASES)
+    def test_circulant_cycle(self, n, r):
+        g = build_cycle(n, r)
+        assert (mean_latency_circulant(g, (n,))
+                == circulant_latency_reference(g, (n,)))
+
+    @pytest.mark.parametrize("dims,r", ORACLE_TORUS_CASES)
+    def test_circulant_torus(self, dims, r):
+        g = build_torus(TorusSpec(dims, r))
+        assert (mean_latency_circulant(g, dims)
+                == circulant_latency_reference(g, dims))
 
 
 def irregular_weighted_graph():

