@@ -20,7 +20,9 @@ torus and dimension sweeps is the mean latency from the FFT of the built
 graph (latency.mean_latency_circulant), not from the closed forms.  It and
 the Monte-Carlo columns are skipped (marker "skipped") for graphs above
 _NODE_CAP nodes, so large closed-form sweeps stay honest about what was
-cross-checked.
+cross-checked.  --oracle takes a lattice's EPD from the same FFT in
+walk-validate, and the fundamental-matrix EPD (a dense n x n inverse) of
+wireless graphs only, so no lattice is ever made dense.
 The Monte-Carlo columns of one command come from one walker batch over
 every graph it walks, at --seed; the graphs are built as the walker takes
 them, after their analytic and oracle cells are computed.
@@ -319,8 +321,9 @@ def parse_graph_spec(text: str, config):
 def _walk_validate_rows(args):
     """EPD rows of the --graphs descriptors.  A lattice's analytic EPD is
     its edge count n*m*r times the closed-form mean latency; a wireless
-    graph's comes from its Laplacian eigenvalues.  --oracle adds the
-    fundamental-matrix EPD of every graph."""
+    graph's comes from its Laplacian eigenvalues.  --oracle adds an
+    independent EPD: the edge count times the FFT mean latency of a built
+    lattice, the fundamental-matrix EPD of a wireless graph."""
     texts = args.graphs.split(",")
     config = _wireless_base(args.config)
     cells = []
@@ -331,7 +334,7 @@ def _walk_validate_rows(args):
         cells.append({
             "analytic": (latency.expected_packet_delay(g) if spec is None else
                          spec.edges * latency.mean_latency_torus(spec)),
-            "oracle": _oracle_epd(g) if args.oracle else None})
+            "oracle": _oracle_epd(g, spec) if args.oracle else None})
         return g
 
     ests = _mc_estimates(args, map(analysed, texts),
@@ -341,9 +344,13 @@ def _walk_validate_rows(args):
                    mc_ci=est.ci_halfwidth, trials=est.trials_used)
 
 
-def _oracle_epd(g) -> float:
-    """The fundamental-matrix EPD of g: the mean of its hitting times over
-    ordered pairs."""
+def _oracle_epd(g, spec=None) -> float:
+    """An EPD of g computed without its analytic route: for the lattice
+    spec, the edge count times the FFT mean latency of g; else the
+    fundamental-matrix EPD, the mean of g's hitting times over ordered
+    pairs."""
+    if spec is not None:
+        return spec.edges * latency.mean_latency_circulant(g, spec.dims)
     n = g.n
     return float(latency.hitting_times_linear_system(g).sum()) / (n * (n - 1))
 
@@ -392,13 +399,14 @@ def _sweep(sub, kind: str, rows, help: str):
 
 
 def _add_trials(p, default=None) -> None:
-    p.add_argument("--trials", type=_count(1), default=default,
-                   help="Monte-Carlo walks per sweep point")
+    p.add_argument("--trials", type=_count(2), default=default,
+                   help="Monte-Carlo walks per sweep point (at least 2)")
 
 
 def _add_oracle(p) -> None:
     p.add_argument("--oracle", action="store_true",
-                   help="write the fundamental-matrix EPD oracle column")
+                   help="write the EPD oracle column: the FFT of a built "
+                   "lattice, the fundamental matrix of a wireless graph")
 
 
 def build_parser() -> argparse.ArgumentParser:

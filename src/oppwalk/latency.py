@@ -61,7 +61,8 @@ __all__ = [
     "expected_packet_delay",
 ]
 
-# Most torus eigenvalues mean_latency_torus builds at once: 512 KB.
+# Most torus eigenvalues mean_latency_torus builds at once (512 KB), and
+# most rows mean_latency_circulant checks at once.
 _LEAF = 1 << 16
 
 
@@ -84,10 +85,12 @@ def mean_latency_circulant(g: Graph, dims) -> float:
     g must be the m-level circulant over the axis sizes dims (row-major
     node order): the neighbors of every node u are row 0's neighbor
     coordinates shifted by the coordinates of u, modulo dims.  This is
-    checked in O(n * degree) and a graph that fails it raises
-    ValidationError.  g must be walkable (graphs._require_walkable), so
-    the zero mode is element 0 of the FFT, the all-zero frequency, and the
-    sum of 1/lambda leaves out that element alone.
+    checked in O(n * degree) time, _LEAF rows at a time so that the check
+    holds O(_LEAF * degree) memory beside the graph, and a graph that
+    fails it raises ValidationError.  g must be walkable
+    (graphs._require_walkable), so the zero mode is element 0 of the FFT,
+    the all-zero frequency, and the sum of 1/lambda leaves out that element
+    alone.
     """
     dims = tuple(_integer(k, "axis size") for k in dims)
     n = g.n
@@ -98,13 +101,17 @@ def mean_latency_circulant(g: Graph, dims) -> float:
     width = int(indptr[1])
     if np.any(np.diff(indptr) != width):
         raise ValidationError("not circulant: row lengths differ")
-    coords = np.unravel_index(np.arange(n), dims)
     offsets = np.unravel_index(indices[:width], dims)
-    shifted = np.ravel_multi_index(
-        [(c[:, None] + o) % k for c, o, k in zip(coords, offsets, dims)], dims)
-    if not np.array_equal(np.sort(shifted, axis=1), indices.reshape(n, width)):
-        raise ValidationError(
-            f"graph is not circulant over axis sizes {dims}")
+    rows = indices.reshape(n, width)
+    for lo in range(0, n, _LEAF):
+        coords = np.unravel_index(np.arange(lo, min(lo + _LEAF, n)), dims)
+        shifted = np.ravel_multi_index(
+            [(c[:, None] + o) % k for c, o, k in zip(coords, offsets, dims)],
+            dims)
+        shifted.sort(axis=1)
+        if not np.array_equal(shifted, rows[lo:lo + _LEAF]):
+            raise ValidationError(
+                f"graph is not circulant over axis sizes {dims}")
     row = np.zeros(n)
     row[indices[:width]] = -1.0
     row[0] = width

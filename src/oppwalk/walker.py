@@ -22,7 +22,11 @@ c - t) steps, c the smallest step cap above t, on one rng.random((k, m)):
 row i holds step t + i + 1, column j the j-th active walk.  A walk stops
 at its first arrival, the rest of its column unused, and the walks that
 arrived leave after the block.  Up to each block's first arrival this is
-the stream of one uniform per active walk per step.
+the stream of one uniform per active walk per step.  The blocks of a
+batch share one draw buffer and one buffer of arrival marks, each of
+max(32768, walks) entries, allocated once: a block fills a (k, m) view
+with rng.random(out=...), the same numbers as rng.random((k, m)), so a
+long batch does not grow the heap block by block.
 
 The kernel holds each walk as its node's row start in the union, its slot,
 so a hop is two gathers: the row length at the slot, and the slot of the
@@ -114,13 +118,15 @@ def _run_walks(indptr, indices, starts, targets, caps, rng):
     deg[slot] is the row's length.  After t steps with m walks active
     (ids, cur, tgt), the next block runs k = min(_BLOCK, max(1, _DRAWS //
     m), c - t) steps, c the smallest cap above t, on u = rng.random((k, m)):
-    walk j takes u[i, j] for step t + i + 1 until it arrives.  With more
-    than _TAIL walks, numpy moves them all a row at a time, arrived walks
-    too, and hits marks each step's arrivals; with fewer, Python walks each
-    column up to its walk's arrival and marks that alone.  The first mark
-    of a column is its walk's arrival, and the walks that arrived leave
-    the active set after the block.  At a cap, the walks still active with
-    that cap are cut.
+    walk j takes u[i, j] for step t + i + 1 until it arrives.  u and the
+    marks hits are (k, m) views of buffers allocated once for the batch;
+    rng.random(out=...) fills u with the numbers rng.random((k, m))
+    returns.  With more than _TAIL walks, numpy moves them all a row at a
+    time, arrived walks too, and hits marks each step's arrivals; with
+    fewer, Python walks each column up to its walk's arrival and marks
+    that alone.  The first mark of a column is its walk's arrival, and the
+    walks that arrived leave the active set after the block.  At a cap,
+    the walks still active with that cap are cut.
     """
     nxt = indptr[indices]
     deg = np.zeros(indices.size)
@@ -132,16 +138,22 @@ def _run_walks(indptr, indices, starts, targets, caps, rng):
     cut = np.zeros(steps.shape, dtype=bool)
     ids = np.flatnonzero(starts != targets)
     cur, tgt = indptr[starts[ids]], indptr[targets[ids]]
+    # one buffer each for the batch: a block draws k * m <= size uniforms
+    size = max(_DRAWS, ids.size)
+    draws = np.empty(size)
+    marks = np.empty(size, dtype=bool)
+    offs = np.empty(ids.size, dtype=np.intp)
     step = 0
     # np.unique would import numpy.ma, 1.3 MB of resident memory
     for cap in sorted(set(steps[ids].tolist())):
         while ids.size and step < cap:
             m = ids.size
             k = min(_BLOCK, max(1, _DRAWS // m), cap - step)
-            u = rng.random((k, m))
-            hits = np.zeros((k, m), dtype=bool)
+            u = rng.random(out=draws[:k * m].reshape(k, m))
+            hits = marks[:k * m].reshape(k, m)
+            hits.fill(False)
             if m > _TAIL:
-                off = np.empty(m, dtype=np.intp)
+                off = offs[:m]
                 for x, h in zip(u, hits):
                     x *= deg[cur]
                     off[...] = x
@@ -173,13 +185,11 @@ def _run_walks(indptr, indices, starts, targets, caps, rng):
 
 
 def _estimate(steps: np.ndarray, truncated: int) -> WalkEstimate:
+    """Mean and CI halfwidth of at least 2 walks' steps."""
     if truncated == steps.size:
         raise EstimationError("every walk was truncated at the step cap")
     mean = float(steps.mean())
-    if steps.size > 1:
-        ci = _Z95 * float(steps.std(ddof=1)) / math.sqrt(steps.size)
-    else:
-        ci = 0.0
+    ci = _Z95 * float(steps.std(ddof=1)) / math.sqrt(steps.size)
     return WalkEstimate(mean=mean, ci_halfwidth=ci,
                         trials_used=int(steps.size), truncated=truncated)
 
@@ -228,15 +238,15 @@ def _union(blocks):
 
 def estimate_mean_latency(graphs, trials: int, seed: int) -> WalkBatch:
     """Monte-Carlo mean latency in hops of each graph of the iterable
-    graphs: trials walks per graph, spread over its ordered pairs (each
-    pair in turn when trials >= n(n-1), else distinct pairs drawn
-    uniformly), all simulated in one vectorized batch.  Comparable to the
-    analytic expected packet delay.  Every graph must be connected and have
-    n >= 2 nodes; each is checked before any walk, and only its CSR rows
-    are kept, so an iterable that builds its graphs lazily holds at most
-    one dense matrix at a time."""
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
+    graphs: trials >= 2 walks per graph (one walk has no CI), spread over
+    its ordered pairs (each pair in turn when trials >= n(n-1), else
+    distinct pairs drawn uniformly), all simulated in one vectorized batch.
+    Comparable to the analytic expected packet delay.  Every graph must be
+    connected and have n >= 2 nodes; each is checked before any walk, and
+    only its CSR rows are kept, so an iterable that builds its graphs
+    lazily holds at most one dense matrix at a time."""
+    if trials < 2:
+        raise ParameterError("trials must be >= 2: one walk has no CI")
     blocks = list(map(_checked_csr, graphs))
     if not blocks:
         raise ParameterError("estimate_mean_latency needs at least one graph")

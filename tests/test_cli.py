@@ -225,6 +225,10 @@ class TestUsageErrors:
         (["wireless-export", "--n", BEYOND_INT64, "--out-prefix", "unused"],
          "--n"),
         (["epd-eta-sweep", "--n", BEYOND_INT64], "--n"),
+        # one walk has no CI
+        (["cycle-sweep", "--n", "10", "--r", "1", "--trials", "1"], "--trials"),
+        (["epd-eta-sweep", "--etas", "2", "--trials", "1"], "--trials"),
+        (["walk-validate", "--graphs", "cycle:4:1", "--trials", "1"], "--trials"),
     ])
     def test_bad_count_or_flag_exit_2(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
@@ -362,8 +366,7 @@ class TestWalkValidate:
             parse_graph_spec("hypercube:4", config)
 
     def test_lattice_analytic_is_edges_times_closed_form(self, capsys):
-        # the paper's closed form, cross-checked by the dense
-        # fundamental-matrix oracle
+        # the paper's closed form, cross-checked by the FFT oracle
         code, out, _ = run_cli(
             ["walk-validate", "--graphs",
              "cycle:64:1,torus:16x16:1,cycle:11:5,torus:3x4x5:1",
@@ -380,10 +383,24 @@ class TestWalkValidate:
         def dense(g):
             raise AssertionError("dense EPD on a lattice")
         monkeypatch.setattr(latency, "expected_packet_delay", dense)
+        monkeypatch.setattr(latency, "hitting_times_linear_system", dense)
         # a 64 x 64 torus: one dense matrix is 134 MB
-        peak = traced_peak(["walk-validate", "--graphs", "torus:64x64:1",
-                            "--trials", "1"], capsys)
-        assert peak < 8 * 4096 ** 2 / 16
+        for oracle in [], ["--oracle"]:
+            peak = traced_peak(["walk-validate", "--graphs", "torus:64x64:1",
+                                "--trials", "2", *oracle], capsys)
+            assert peak < 8 * 4096 ** 2 / 16
+
+    def test_lattice_oracle_is_the_fundamental_matrix_epd(self, capsys):
+        # the FFT oracle of a lattice row against the dense oracle of
+        # wireless rows: the commute-time identity EPD = (vol/2) * T
+        texts = ["cycle:4:1", "cycle:12:3", "torus:4x5:1", "torus:3x4x5:1"]
+        code, out, _ = run_cli(["walk-validate", "--graphs", ",".join(texts),
+                                "--trials", "2", "--oracle"], capsys)
+        assert code == 0
+        for row, text in zip(csv_rows(out), texts, strict=True):
+            _, g = parse_graph_spec(text, None)
+            assert float(row["oracle"]) == pytest.approx(cli._oracle_epd(g),
+                                                         rel=1e-9)
 
 
 class TestMonteCarloAgreesWithAnalytic:

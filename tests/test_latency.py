@@ -522,6 +522,24 @@ def cycle_without_edge(n, u):
     return Graph(w)
 
 
+def relabeled_cycle(n, a, b):
+    """The n-cycle with nodes a and b swapped: the same graph, not
+    circulant in its node order."""
+    perm = np.arange(n)
+    perm[[a, b]] = b, a
+    return Graph(build_cycle(n, 1).weights[np.ix_(perm, perm)])
+
+
+NOT_CIRCULANT = [
+    lambda: (cycle_without_edge(10, 3), (10,)),
+    lambda: (generate_topology(WirelessConfig(n=20), seed=9).graph, (20,)),
+    lambda: (build_torus(TorusSpec((10, 8), 1)), (8, 10)),
+    lambda: (build_cycle(10, 1), (5, 3)),
+]
+NOT_CIRCULANT_IDS = ["edge-removed", "wireless", "swapped-axes",
+                     "size-mismatch"]
+
+
 class TestCirculantOracle:
     """The FFT of the built graph against the closed forms and the dense
     inverse."""
@@ -541,17 +559,31 @@ class TestCirculantOracle:
         assert t == pytest.approx(mean_latency_torus(spec), rel=1e-12)
         assert t == pytest.approx(mean_latency_pinv(g), rel=1e-12)
 
-    @pytest.mark.parametrize("make", [
-        lambda: (cycle_without_edge(10, 3), (10,)),
-        lambda: (generate_topology(WirelessConfig(n=20), seed=9).graph, (20,)),
-        lambda: (build_torus(TorusSpec((10, 8), 1)), (8, 10)),
-        lambda: (build_cycle(10, 1), (5, 3)),
-    ], ids=["edge-removed", "wireless", "swapped-axes",
-            "size-mismatch"])
+    @pytest.mark.parametrize("make", NOT_CIRCULANT, ids=NOT_CIRCULANT_IDS)
     def test_not_circulant_rejected(self, make):
         g, dims = make()
         with pytest.raises(ValidationError):
             mean_latency_circulant(g, dims)
+
+    @pytest.mark.parametrize("make", [
+        *NOT_CIRCULANT,
+        # rows 0-6 are those of the circulant 12-cycle
+        lambda: (relabeled_cycle(12, 8, 10), (12,))],
+        ids=[*NOT_CIRCULANT_IDS, "late-rows"])
+    def test_not_circulant_rejected_in_chunks(self, monkeypatch, make):
+        # rows are checked latency._LEAF at a time
+        monkeypatch.setattr(latency, "_LEAF", 3)
+        g, dims = make()
+        with pytest.raises(ValidationError):
+            mean_latency_circulant(g, dims)
+
+    def test_check_memory_in_chunks(self):
+        # 512 x 512, r = 2: four chunks.  Checked whole, the shifted rows
+        # and their temporaries took three n x degree int64 arrays (50 MB).
+        g = build_torus(TorusSpec((512, 512), 2))
+        table = 8 * g.csr[1].size
+        assert g.n > 3 * latency._LEAF
+        assert traced_peak(mean_latency_circulant, g, (512, 512)) < 1.5 * table
 
     def test_disconnected_rejected(self):
         # offsets +-2 on 8 nodes: the even and the odd nodes

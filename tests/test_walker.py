@@ -57,8 +57,10 @@ class TestWalkConfig:
     """The walk's settings: trials and seed, and the step cap."""
 
     def test_rejects_bad_trials(self):
-        with pytest.raises(ParameterError):
-            estimate_mean_latency([build_cycle(5, 1)], 0, 0)
+        # one walk has no CI
+        for trials in 0, 1:
+            with pytest.raises(ParameterError):
+                estimate_mean_latency([build_cycle(5, 1)], trials, 0)
 
     def test_default_cap(self):
         assert _step_cap(30) == 90_000
@@ -377,14 +379,15 @@ class TestGoldenStream:
 
 
 class CountingRng:
-    """A generator that records the shape of every random() call."""
+    """A generator that records the shape of every random() call, given as
+    a size or as the shape of an out array."""
 
     def __init__(self, rng):
         self.rng, self.shapes = rng, []
 
-    def random(self, shape):
-        self.shapes.append(shape)
-        return self.rng.random(shape)
+    def random(self, size=None, out=None):
+        self.shapes.append(size if out is None else out.shape)
+        return self.rng.random(size, out=out)
 
 
 class TestGoldenBatch:
@@ -413,6 +416,28 @@ class TestGoldenBatch:
         # walk takes
         (rng,) = rngs
         assert len(rng.shapes) == 130
+
+
+class TestDrawBuffer:
+    """The blocks of a batch draw into buffers allocated once per batch."""
+
+    def test_memory_does_not_grow_with_blocks(self):
+        # 128 walks on a 1000-node cycle draw 256 x 128 uniforms a block
+        # (256 KB).  Fresh arrays per block would hold two blocks' draws
+        # and marks at every change of block.
+        indptr, indices = build_cycle(1000, 1).csr
+        starts = np.arange(128)
+        peaks = []
+        for cap in 256, 40 * 256:
+            rng = CountingRng(np.random.default_rng(0))
+            tracemalloc.start()
+            try:
+                _run_walks(indptr, indices, starts, starts + 500, cap, rng)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(rng.shapes) == 40
+        assert peaks[1] - peaks[0] < 16_000
 
 
 def reference_walks(indptr, indices, starts, targets, caps, rng):
