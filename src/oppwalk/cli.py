@@ -42,6 +42,7 @@ import numpy as np
 
 from . import graphs, latency, spectral, walker, wireless
 from .errors import ParameterError
+from .graphs import _INT_MAX  # largest integer argument but --seed
 
 CSV_HEADER = "family,params,analytic,lower,upper,oracle,mc_mean,mc_ci,trials"
 
@@ -50,9 +51,6 @@ _EXPORT_LINES = 4096
 
 # Lattice sweeps build, FFT-check and walk graphs of at most this many nodes.
 _NODE_CAP = 4096
-
-# Largest integer argument but --seed: numpy takes counts as int64.
-_INT_MAX = np.iinfo(np.int64).max
 
 # Wireless ensemble sweeps: subcommand -> (family, axes).  Each axis is
 # (flag, default range, WirelessConfig field, label key); rows run over the

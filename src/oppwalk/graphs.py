@@ -28,6 +28,10 @@ import numpy as np
 
 from .errors import DisconnectedGraphError, ParameterError, ValidationError
 
+# Largest integer numpy takes as a count or an index (int64): the bound on
+# integer arguments, config values and torus node counts.
+_INT_MAX = np.iinfo(np.int64).max
+
 __all__ = [
     "Graph",
     "TorusSpec",
@@ -42,7 +46,8 @@ class Graph:
     """Undirected simple graph: symmetric 0/1 adjacency with zero diagonal,
     held as a dense matrix (Graph(weights)) or as CSR rows (a lattice of
     build_torus).  Immutable; every construction runs __post_init__, which
-    freezes a copy of its input."""
+    freezes its input: a checked copy of a dense matrix, the CSR arrays
+    themselves."""
 
     def __init__(self, weights):
         self.__dict__["_dense"] = weights
@@ -51,7 +56,9 @@ class Graph:
     @classmethod
     def _from_csr(cls, indptr, indices) -> Graph:
         """The graph whose neighbors of u are indices[indptr[u]:indptr[u+1]].
-        The caller's rows must be simple and undirected: every row strictly
+        It takes over the two intp arrays as they are, without a copy, and
+        makes them read-only, so the caller hands it arrays of its own.
+        The rows must be simple and undirected: every row strictly
         increasing, no self-loops, and v in the row of u exactly when u is
         in the row of v.  They are not checked."""
         g = cls.__new__(cls)
@@ -60,10 +67,11 @@ class Graph:
         return g
 
     def __post_init__(self):
-        """Freeze a copy of the input of either constructor; a dense matrix
-        is checked first."""
+        """Freeze the input of either constructor: a dense matrix is checked
+        and copied, CSR arrays are made read-only in place."""
         if self._dense is None:
-            self.__dict__["csr"] = _frozen_csr(*self.csr)
+            for a in self.csr:
+                a.setflags(write=False)
         else:
             self.__dict__["_dense"] = _frozen_dense(self._dense)
 
@@ -179,14 +187,6 @@ def _frozen_dense(weights) -> np.ndarray:
     return w
 
 
-def _frozen_csr(indptr, indices) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only intp copies of CSR rows, as they are."""
-    out = np.array(indptr, dtype=np.intp), np.array(indices, dtype=np.intp)
-    for a in out:
-        a.setflags(write=False)
-    return out
-
-
 def _require_walkable(g: Graph, quantity: str) -> Graph:
     """g, once it is connected with n >= 2 nodes, as every random-walk
     quantity needs; else an error naming quantity."""
@@ -230,6 +230,8 @@ class TorusSpec:
         if 2 * self.r + 1 > k:
             raise ParameterError(
                 f"2r+1 must not exceed the smallest axis size {got}")
+        if self.n > _INT_MAX:
+            raise ParameterError(f"node count n={self.n} is beyond int64")
 
     @property
     def m(self) -> int:
@@ -269,23 +271,29 @@ def build_torus(spec: TorusSpec) -> Graph:
     circular distance 1..r, so every node has 2mr neighbors and no n x n
     matrix is made.
 
+    The 2mr shifted columns are written into one flat intp buffer viewed
+    as (n, 2mr), each row sorted in place, and the graph takes that buffer
+    over as its indices: the rows are made once.
+
     The torus is connected by construction: r >= 1 and every k >= 3, so
     the +-1 steps along every axis reach every coordinate tuple.  The graph
     stores that answer, and is_connected never sweeps it.
     """
+    width = 2 * spec.m * spec.r
+    flat = np.empty(spec.n * width, dtype=np.intp)
+    rows = flat.reshape(spec.n, width)
     index = np.arange(spec.n)
     coords = np.unravel_index(index, spec.dims)
     stride = spec.n
-    out = []
+    column = iter(rows.T)
     for c, k in zip(coords, spec.dims):
         stride //= k
         # 2r+1 <= k, so the 2r shifts along one axis reach distinct nodes
         for step in range(1, spec.r + 1):
             for shift in (step, -step):
-                out.append(index + ((c + shift) % k - c) * stride)
-    rows = np.sort(np.stack(out, axis=-1), axis=-1)
-    g = Graph._from_csr(np.arange(0, rows.size + 1, rows.shape[1]),
-                        rows.ravel())
+                np.add(index, ((c + shift) % k - c) * stride, out=next(column))
+    rows.sort(axis=-1)
+    g = Graph._from_csr(np.arange(0, flat.size + 1, width), flat)
     g.__dict__["_connected"] = True
     return g
 

@@ -43,7 +43,6 @@ import numpy as np
 from .errors import ValidationError
 from .graphs import Graph, TorusSpec, _integer, _require_walkable
 from .spectral import (
-    circulant_eigenvalues,
     cycle_laplacian_eigenvalues,
     symmetric_eigendecomposition,
     torus_laplacian_eigenvalues,
@@ -115,8 +114,12 @@ def mean_latency_circulant(g: Graph, dims) -> float:
     row = np.zeros(n)
     row[indices[:width]] = -1.0
     row[0] = width
-    vals = circulant_eigenvalues(row.reshape(dims)).real.ravel()
-    return 2.0 / (n - 1) * float(np.sum(1.0 / vals[1:]))
+    # lam_j = n * ifftn(row)[j], real as row 0 is even; the real parts
+    # are copied once, then scaled and inverted in place
+    vals = np.fft.ifftn(row.reshape(dims)).real.ravel()
+    vals *= n
+    inv = np.divide(1.0, vals[1:], out=vals[1:])
+    return 2.0 / (n - 1) * float(np.sum(inv))
 
 
 def mean_latency_cycle(n: int, r: int) -> float:

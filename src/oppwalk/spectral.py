@@ -1,7 +1,7 @@
-"""Laplacian spectra: closed forms for cycle/torus families, the eigenvalues
-of a multi-level circulant from its first row, and the numeric eigenvalues
-of a symmetric matrix, ascending, so that on a connected graph's Laplacian
-the zero mode is element 0.
+"""Laplacian spectra: closed forms for cycle/torus families and the numeric
+eigenvalues of a symmetric matrix, ascending, so that on a connected
+graph's Laplacian the zero mode is element 0.  (The FFT spectrum of a
+built lattice is latency.mean_latency_circulant's own.)
 
 The closed form for the r-nearest-neighbor cycle Laplacian is
 
@@ -18,32 +18,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError, ValidationError
+from .errors import ValidationError
 from .graphs import TorusSpec
 
 __all__ = [
-    "circulant_eigenvalues",
     "cycle_laplacian_eigenvalues",
     "torus_laplacian_eigenvalues",
     "symmetric_eigendecomposition",
 ]
-
-
-def circulant_eigenvalues(first_row) -> np.ndarray:
-    """Eigenvalues of the (multi-level) circulant matrix with the given
-    first row.
-
-    lam_j = sum_k row[k] * w^(k j) with w = exp(2 pi i / n), j = 0..n-1;
-    this is exactly n * ifft(row).  An m-dimensional first_row is row 0 of
-    an m-level circulant reshaped to its axis sizes (row-major node order);
-    its eigenvalue at frequency tuple j is n * ifftn(row)[j], from one
-    transform over all axes.  Complex in general; for symmetric rows the
-    imaginary parts vanish up to roundoff.
-    """
-    row = np.asarray(first_row, dtype=complex)
-    if row.ndim < 1 or row.size < 1:
-        raise ParameterError("first_row must be a nonempty array")
-    return np.fft.ifftn(row) * row.size
 
 
 def cycle_laplacian_eigenvalues(n: int, r: int, j=None) -> np.ndarray:

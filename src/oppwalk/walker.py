@@ -242,15 +242,17 @@ def estimate_mean_latency(graphs, trials: int, seed: int) -> WalkBatch:
     its ordered pairs (each pair in turn when trials >= n(n-1), else
     distinct pairs drawn uniformly), all simulated in one vectorized batch.
     Comparable to the analytic expected packet delay.  Every graph must be
-    connected and have n >= 2 nodes; each is checked before any walk, and
-    only its CSR rows are kept, so an iterable that builds its graphs
-    lazily holds at most one dense matrix at a time."""
+    connected and have n >= 2 nodes; each is checked before any walk.
+    Only its CSR rows are kept, and only until the union is built, so an
+    iterable that builds its graphs lazily holds at most one dense matrix
+    at a time, and the walks hold one copy of the rows."""
     if trials < 2:
         raise ParameterError("trials must be >= 2: one walk has no CI")
     blocks = list(map(_checked_csr, graphs))
     if not blocks:
         raise ParameterError("estimate_mean_latency needs at least one graph")
     indptr, indices, nodes = _union(blocks)
+    del blocks  # the union holds the rows now
     sizes = np.diff(nodes).tolist()
     pair_rng = _pair_rng(seed, int(nodes[-1]) ** 2)
     starts, targets = [], []

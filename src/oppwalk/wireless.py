@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DisconnectedGraphError, ParameterError, ValidationError
-from .graphs import Graph, _integer, _text_file
+from .graphs import Graph, _INT_MAX, _integer, _text_file
 
 __all__ = [
     "WirelessConfig",
@@ -257,7 +257,7 @@ def load_config(path) -> WirelessConfig:
             try:
                 values[key] = _CONFIG_FIELDS[key](raw)
                 # numpy takes n as an int64; a float takes any finite value
-                if not (abs(values[key]) <= np.iinfo(np.int64).max
+                if not (abs(values[key]) <= _INT_MAX
                         if key == "n" else math.isfinite(values[key])):
                     raise ValueError
             except ValueError:

@@ -177,6 +177,9 @@ class TestUsageErrors:
         ["spectrum-export", "--dims", BEYOND_INT64, "--r", "1"],
         # a negative wireless seed
         ["walk-validate", "--graphs", "wireless:-1"],
+        # a torus of more nodes than int64 holds, each axis within it
+        ["walk-validate", "--graphs", "torus:4000000000x4000000000:1",
+         "--trials", "2"],
     ])
     def test_bad_number_exit_2(self, capsys, argv):
         code, _, err = run_cli(argv, capsys)
@@ -530,6 +533,18 @@ class TestMemory:
                                 "--trials", "10"], capsys)
         assert code == 0
         assert csv_rows(out)[0]["mc_mean"] == "skipped"
+
+    def test_walk_validate_holds_one_copy_of_the_rows(self, capsys):
+        # 512 x 512, r = 2: the built rows take 18.9 MB.  The walker joins
+        # them into its union and drops them, and the FFT oracle scales
+        # and inverts its eigenvalues in place, so the peak is the union
+        # beside the walker's slot tables, 2.9 times the rows (3.9 times
+        # while the walker also held the graph's own rows).
+        spec = graphs.TorusSpec((512, 512), 2)
+        rows = 8 * (spec.n + 1 + 2 * spec.edges)
+        peak = traced_peak(["walk-validate", "--graphs", "torus:512x512:2",
+                            "--trials", "2", "--oracle"], capsys)
+        assert peak < 3.4 * rows
 
     def test_ensemble_memory_does_not_grow_with_seeds(self, capsys):
         # n=200: one seed's graphs of the 9 sweep points take 2.9 MB, and

@@ -243,12 +243,15 @@ class TestFromCsr:
         with pytest.raises(AssertionError, match=message):
             assert_simple_csr(np.array(indptr), np.array(indices))
 
-    def test_rows_are_copied(self):
+    def test_rows_are_taken_over_and_frozen(self):
+        # the graph keeps the very arrays it is handed, made read-only,
+        # with no copy beside them
         indptr, indices = (a.copy() for a in self.GOOD)
         g = Graph._from_csr(indptr, indices)
-        indices[:] = 0
-        assert indptr.flags.writeable and indices.flags.writeable
-        assert np.array_equal(g.csr[1], self.GOOD[1])
+        assert g.csr[0] is indptr and g.csr[1] is indices
+        assert not (indptr.flags.writeable or indices.flags.writeable)
+        with pytest.raises(ValueError):
+            indices[0] = 0
 
     def test_dense_views_are_new_read_only_matrices(self):
         g = build_cycle(6, 1)
@@ -322,6 +325,21 @@ def test_csr_laplacian_takes_one_matrix():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * lap.nbytes
+
+
+def test_torus_build_makes_its_rows_once():
+    # 512 x 512, r = 2: the rows (indptr and indices) take 18.9 MB.  Built
+    # as a list of columns, stacked, sorted into a copy and copied into the
+    # graph, they peaked at 3.2 times that; written into one buffer that is
+    # sorted in place and taken over by the graph, at 1.4 times.
+    tracemalloc.start()
+    try:
+        g = build_torus(TorusSpec((512, 512), 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = sum(a.nbytes for a in g.csr)
+    assert peak < 2 * rows
 
 
 def test_lattice_build_allocates_no_dense_matrix():
@@ -432,6 +450,16 @@ class TestTorus:
             TorusSpec([2, 4], 1)
         with pytest.raises(ParameterError):
             TorusSpec([4, 4], 2)  # 2r+1 > min k
+
+    def test_node_count_within_int64(self):
+        # numpy counts and indexes nodes in int64: 2**63 - 1 nodes (7 * 7 *
+        # 73 * 127 * 337 * 92737 * 649657) is a spec, 2**63 nodes is not
+        top = TorusSpec([7, 7, 73, 127, 337, 92737, 649657], 1)
+        assert top.n == np.iinfo(np.int64).max
+        for dims, n in (([8] * 21, 2 ** 63), ([4 * 10**9] * 2, 16 * 10**18)):
+            with pytest.raises(ParameterError,
+                               match=f"n={n} is beyond int64"):
+                TorusSpec(dims, 1)
 
     @pytest.mark.parametrize("dims,r", [
         ((3,), 1), ((11,), 5), ((64,), 3), ((4, 4), 1), ((3, 4, 5), 1),

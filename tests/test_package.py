@@ -1,9 +1,12 @@
+import importlib
 import os
 import subprocess
 import sys
 import textwrap
 import types
 from pathlib import Path
+
+import pytest
 
 import oppwalk
 from oppwalk import errors, graphs, latency, spectral, walker, wireless
@@ -59,3 +62,12 @@ def test_runtime_imports_only_numpy():
              if m.split(".")[0] in ("scipy", "hypothesis", "pytest")}
     assert tools == set()
     assert "numpy.ma" not in loaded
+
+
+@pytest.mark.parametrize("name", sorted(
+    path.stem for path in Path(__file__).parent.glob("test_*.py")))
+def test_test_module_imports(name):
+    # the suite runs with --continue-on-collection-errors, so a test module
+    # that cannot be imported would lose its tests without a failure; this
+    # names it as one
+    importlib.import_module(name)

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oppwalk.errors import DisconnectedGraphError, ParameterError, ValidationError
+from oppwalk.errors import DisconnectedGraphError, ValidationError
 from oppwalk.graphs import Graph, TorusSpec, build_cycle, build_torus
 from oppwalk.latency import hitting_times
 from oppwalk.spectral import (
-    circulant_eigenvalues,
     cycle_laplacian_eigenvalues,
     symmetric_eigendecomposition,
     torus_laplacian_eigenvalues,
@@ -34,37 +33,15 @@ def numeric_spectrum(g):
 
 
 class TestCirculantEigenvalues:
-    def test_c4_adjacency_row(self):
-        vals = circulant_eigenvalues([0, 1, 0, 1])
-        assert sorted(np.real(vals)) == pytest.approx([-2, 0, 0, 2], abs=1e-12)
-        assert np.abs(np.imag(vals)).max() < 1e-12
-
-    def test_scaled_identity(self):
-        vals = circulant_eigenvalues([3.5, 0, 0, 0, 0])
-        assert np.allclose(vals, 3.5)
-
-    def test_matches_numeric_eigensolver(self):
-        rng = np.random.default_rng(5)
-        n = 8
-        a0, b1, b2, b3, c4 = rng.random(5)
-        # symmetric circulant needs row[k] == row[n-k]
-        row = np.array([a0, b1, b2, b3, c4, b3, b2, b1])
-        mat = np.array([np.roll(row, k) for k in range(n)])
-        assert np.abs(mat - mat.T).max() < 1e-12
-        closed = np.sort(np.real(circulant_eigenvalues(row)))
-        numeric = np.linalg.eigvalsh(mat)
-        assert np.abs(closed - numeric).max() < 1e-9
-
-    def test_rejects_empty(self):
-        with pytest.raises(ParameterError):
-            circulant_eigenvalues([])
+    """The eigenvalues mean_latency_circulant takes from the FFT of a built
+    lattice's row 0."""
 
     @pytest.mark.parametrize("dims,r", TORUS_CASES_2D3D)
     def test_multilevel_matches_torus_closed_form(self, dims, r):
         # row 0 of the built torus Laplacian, reshaped to the axis sizes
         spec = TorusSpec(dims, r)
         row = build_torus(spec).laplacian()[0].reshape(dims)
-        vals = np.sort(np.real(circulant_eigenvalues(row)).ravel())
+        vals = np.sort(np.fft.ifftn(row).real.ravel() * spec.n)
         closed = np.sort(torus_laplacian_eigenvalues(spec))
         assert np.abs(vals - closed).max() < 1e-12 * closed.max()
 
