@@ -35,6 +35,7 @@ import collections
 import functools
 import itertools
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -387,11 +388,20 @@ def _count(minimum=-_INT_MAX, maximum=_INT_MAX):
     return parse
 
 
+def _out_path(text: str) -> str:
+    """argparse type: '-' (stdout) or a path in an existing directory."""
+    if text != "-" and not os.path.isdir(os.path.dirname(text) or "."):
+        raise argparse.ArgumentTypeError(
+            f"no such directory: {os.path.dirname(text)!r}")
+    return text
+
+
 def _sweep(sub, kind: str, rows, help: str):
     """Subparser of a CSV sweep whose rows come from rows(args)."""
     p = sub.add_parser(kind, help=help)
     p.set_defaults(command=run, rows=rows)
-    p.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
+    p.add_argument("--out", type=_out_path, default="-",
+                   help="output CSV path ('-' = stdout)")
     p.add_argument("--seed", type=_count(0, math.inf), default=0)
     return p
 
@@ -464,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", required=True,
                    help="axis sizes K1[xK2..]; one axis is a cycle")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--out", default="-")
+    p.add_argument("--out", type=_out_path, default="-")
 
     p = sub.add_parser("wireless-export",
                        help="generate one topology; write edge list + positions")
@@ -473,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_count(), default=None,
                    help="node count (default: the --config file, else 30)")
     p.add_argument("--seed", type=_count(0, math.inf), default=0)
-    p.add_argument("--out-prefix", required=True)
+    p.add_argument("--out-prefix", type=_out_path, required=True)
 
     return ap
 

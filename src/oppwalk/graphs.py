@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -298,24 +296,13 @@ def build_torus(spec: TorusSpec) -> Graph:
     return g
 
 
-@contextmanager
-def _text_file(path_or_buf, mode: str):
-    """A path (str, bytes or os.PathLike) opened in mode for the body of
-    the with block, or an open text buffer as it is."""
-    if isinstance(path_or_buf, (str, bytes, os.PathLike)):
-        with open(path_or_buf, mode) as f:
-            yield f
-    else:
-        yield path_or_buf
-
-
-def save_edge_list(g: Graph, path_or_buf) -> None:
+def save_edge_list(g: Graph, path) -> None:
     """Write the plain-text edge list: `n <count>` header then `i j 1` rows,
     one per edge i < j in row-major order, from the CSR rows."""
     indptr, indices = g.csr
     rows = _row_of_slot(indptr)
     upper = rows < indices
-    with _text_file(path_or_buf, "w") as buf:
-        buf.write(f"n {g.n}\n")
+    with open(path, "w") as f:
+        f.write(f"n {g.n}\n")
         for i, j in zip(rows[upper], indices[upper]):
-            buf.write(f"{i} {j} 1\n")
+            f.write(f"{i} {j} 1\n")

@@ -1,10 +1,9 @@
 """Analytic latency quantities for uniform random-walk routing.
 
 Mean latency of a connected graph is T = 2/(n-1) * Tr(L+), the trace of the
-Laplacian pseudoinverse scaled over node pairs.  For cycle and torus
-families T evaluates through the closed-form spectra.  The oracle route
-uses no eigensolver: on a connected graph L+ = (L + J/n)^{-1} - J/n with J
-the all-ones matrix, so
+Laplacian pseudoinverse scaled over node pairs.  For cycles and tori T
+sums the closed-form spectra in bounded memory.  The oracle route uses no
+eigensolver: on a connected graph L+ = (L + J/n)^{-1} - J/n, J all ones, so
 
     Tr(L+) = Tr((L + J/n)^{-1}) - 1
 
@@ -42,6 +41,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .graphs import Graph, TorusSpec, _integer, _require_walkable
+# torus_laplacian_eigenvalues is not called here; it stays importable as
+# latency.torus_laplacian_eigenvalues, a name the benchmark tracer wraps
 from .spectral import (
     cycle_laplacian_eigenvalues,
     symmetric_eigendecomposition,
@@ -60,7 +61,7 @@ __all__ = [
     "expected_packet_delay",
 ]
 
-# Most torus eigenvalues mean_latency_torus builds at once (512 KB), and
+# Most torus eigenvalues mean_latency_torus sums at once (512 KB), and
 # most rows mean_latency_circulant checks at once.
 _LEAF = 1 << 16
 
@@ -133,9 +134,9 @@ def mean_latency_torus(spec: TorusSpec) -> float:
 
     Sums 1/lambda over every index tuple except the all-zero one and scales
     by 2/(n-1) with n = prod(k_i).  The sum is np.sum over the raveled
-    spectrum, element 0 dropped, but no more than _LEAF eigenvalues are
-    built at once (see _pairwise_sum), so memory is O(_LEAF + n/k_m) for
-    any n: under 1 MB for a 1000 x 1000 torus, whose spectrum takes 8 MB.
+    spectrum, element 0 dropped, taken leaf by leaf (_pairwise_sum), so
+    memory is O(m * _LEAF) for any n and axis order: under 2 MB for a
+    1000 x 1000 torus, whose spectrum takes 8 MB, or for 2,000,000 x 3.
     The result is the same double as the whole-array sum.
     """
     total = _pairwise_sum(_reciprocal_leaves(spec), 1, spec.n - 1)
@@ -163,44 +164,44 @@ def _pairwise_sum(leaf, start: int, count: int) -> float:
 
 def _reciprocal_leaves(spec: TorusSpec):
     """leaf(start, count) for _pairwise_sum: 1/lambda of the raveled torus
-    eigenvalues start..start+count-1, count <= _LEAF.
-
-    Eigenvalue i is head[i // k] + last[i % k], with head the spectrum of
-    every axis but the last (k long) and last that axis's spectrum, which
-    is the order torus_laplacian_eigenvalues adds in, so every value is
-    the same double.  A leaf is part of a row, then whole rows, then part
-    of a row.  A last axis longer than _LEAF is never built whole: each
-    leaf evaluates it at the indices it needs, and spans at most two rows.
-    """
-    *head_dims, k = spec.dims
+    eigenvalues start..start+count-1, count <= _LEAF, from _axis_sums with
+    each axis of at most _LEAF values built once and one buffer reused."""
     r = spec.r
-    head = (torus_laplacian_eigenvalues(TorusSpec(head_dims, r))
-            if head_dims else np.zeros(1))
-    if k > _LEAF:
-        def last(lo: int, hi: int) -> np.ndarray:
-            return cycle_laplacian_eigenvalues(k, r, np.arange(lo, hi))
-    else:
-        axis = cycle_laplacian_eigenvalues(k, r)
-
-        def last(lo: int, hi: int) -> np.ndarray:
-            return axis[lo:hi]
-    buf = np.empty(_LEAF)
+    axes = [(k, cycle_laplacian_eigenvalues(k, r) if k <= _LEAF else None)
+            for k in spec.dims]
+    k, last = axes[-1]
+    # a leaf's whole rows of the last axis hold at most count + 2k - 2 values
+    buf = np.empty(_LEAF + 2 * k) if last is not None else None
 
     def leaf(start: int, count: int) -> np.ndarray:
-        row, col = divmod(start, k)
-        end_row, end_col = divmod(start + count, k)
-        out = buf[:count]
-        # row's part out[:first], whole rows, end_row's part out[tail:]
-        first = min(k - col, count)
-        tail = max(first, count - end_col)
-        np.add(head[row], last(col, col + first), out=out[:first])
-        if tail > first:
-            np.add(head[row + 1:end_row, None], last(0, k),
-                   out=out[first:tail].reshape(-1, k))
-        if tail < count:
-            np.add(head[end_row], last(0, end_col), out=out[tail:])
+        out = _axis_sums(axes, r, start, start + count, buf)
         return np.reciprocal(out, out=out)
     return leaf
+
+
+def _axis_sums(axes, r: int, lo: int, hi: int, out=None) -> np.ndarray:
+    """Torus eigenvalues lo..hi-1 (hi - lo <= _LEAF) over axes, (k, its
+    spectrum or None if k > _LEAF) pairs, in out if given: the values over
+    all axes but the last at rows lo // k .. (hi-1) // k, each plus the
+    last axis's spectrum; over no axes the one value 0.  That is the order
+    torus_laplacian_eigenvalues adds in, so every value is the same double.
+    A long axis is evaluated where needed, in at most two rows."""
+    if not axes:
+        return np.zeros(1)
+    *head, (k, axis) = axes
+    row, col = divmod(lo, k)
+    rows = _axis_sums(head, r, row, (hi - 1) // k + 1)
+    if axis is None:
+        # the spectrum reduces an index j >= k to j - k itself
+        j = np.arange(col, col + hi - lo)
+        block = cycle_laplacian_eigenvalues(k, r, j)
+        block[:k - col] += rows[0]
+        block[k - col:] += rows[-1]
+        return block
+    if out is None:
+        out = np.empty(rows.size * k)
+    np.add(rows[:, None], axis, out=out[:rows.size * k].reshape(-1, k))
+    return out[col:col + hi - lo]
 
 
 def cycle_latency_bounds(n: int, r: int) -> tuple[float, float]:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DisconnectedGraphError, ParameterError, ValidationError
-from .graphs import Graph, _INT_MAX, _integer, _text_file
+from .graphs import Graph, _INT_MAX, _integer
 
 __all__ = [
     "WirelessConfig",
@@ -269,9 +269,9 @@ def load_config(path) -> WirelessConfig:
     return WirelessConfig(**values)
 
 
-def save_positions(placement: Placement, path_or_buf) -> None:
+def save_positions(placement: Placement, path) -> None:
     """Write positions as CSV rows `i,x,y`."""
-    with _text_file(path_or_buf, "w") as buf:
-        buf.write("i,x,y\n")
+    with open(path, "w") as f:
+        f.write("i,x,y\n")
         for i, (x, y) in enumerate(placement.positions):
-            buf.write(f"{i},{x:.17g},{y:.17g}\n")
+            f.write(f"{i},{x:.17g},{y:.17g}\n")

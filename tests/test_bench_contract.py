@@ -130,6 +130,24 @@ GOLDEN = {
     "eta-mc": "83ceb1f53982f1c51656497eaca86d173d9e28df77ccbf03484784d2509361e5",
     "cycle-sweep-mc": "0502b8eee93d1016fa2fcc235a2603fc6532ae2fe6c3d34a3aeb3724e7a42de4",
 }
+# The same digests of the full lattice-oracle steps at seed 7, whose fig6
+# torus of 10**6 nodes sums its spectrum over many leaves.
+GOLDEN_FULL = {
+    "fig4": "6941ad32aa7d25c598848087c92ae0fcf873f2dde08b07aa8f933a348b179c13",
+    "fig5": "7b89532c8b1d62e5cef67ddc998ba7598f9f24793c488913045ceb6579216c0e",
+    "fig6": "2ad4b0c4ddc314e02d3d4506c8cdb7c27fb09e1e57cf5319e9e6c14d945a0cea",
+    "fig7": "457e444f36ca6889bf0c76fd21ddafb993d0106c054c25d8df258390680d24c6",
+    "fig8": "6f8bb3b950b2a9e2f9b4aa58e89b0b0c93ac5ceba4b4b9e753f9340a53a4df54",
+    "bounds-check": "666f24b766a610305f9d0f7acbb7d139879fe9dcc579b150fa9c38229a1e46b0",
+}
+
+
+def frozen_digest(path) -> str:
+    """sha256 of the FROZEN_COLUMNS of the CSV at path."""
+    with open(path, newline="") as f:
+        text = "".join(",".join(row[c] for c in FROZEN_COLUMNS) + "\n"
+                       for row in csv.DictReader(f))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("workload", sorted(LAYERS))
@@ -139,16 +157,14 @@ def test_frozen_columns_match_golden_digests(tmp_path, workload):
     for label, argv in steps:
         out = tmp_path / f"{label}.csv"
         assert cli.main([*argv, "--out", str(out)]) == 0
-        with open(out, newline="") as f:
-            text = "".join(",".join(row[c] for c in FROZEN_COLUMNS) + "\n"
-                           for row in csv.DictReader(f))
-        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[label], label
+        assert frozen_digest(out) == GOLDEN[label], label
 
 
 def test_every_lattice_oracle_graph_is_valid(monkeypatch, tmp_path):
     # build_torus's rows are trusted unchecked and stored as connected;
     # every lattice the full lattice-oracle pass builds (one per row with
-    # an oracle cell) passes the row checks and scipy's component count
+    # an oracle cell) passes the row checks and scipy's component count.
+    # The same pass checks each step's frozen columns against GOLDEN_FULL.
     built = []
 
     def checked(spec):
@@ -162,6 +178,7 @@ def test_every_lattice_oracle_graph_is_valid(monkeypatch, tmp_path):
     for label, argv in bench_module("workloads").steps("lattice-oracle", 7):
         out = tmp_path / f"{label}.csv"
         assert cli.main([*argv, "--out", str(out)]) == 0
+        assert frozen_digest(out) == GOLDEN_FULL[label], label
         with open(out, newline="") as f:
             oracle_rows += sum(row["oracle"] not in ("", "skipped")
                                for row in csv.DictReader(f))

@@ -129,6 +129,8 @@ class TestCycleSweep:
 
 # 10**20, an integer numpy's int64 cannot hold
 BEYOND_INT64 = "100000000000000000000"
+# a directory that no test creates
+MISSING_DIR = "/nonexistent-oppwalk-dir"
 
 
 class TestUsageErrors:
@@ -232,12 +234,33 @@ class TestUsageErrors:
         (["cycle-sweep", "--n", "10", "--r", "1", "--trials", "1"], "--trials"),
         (["epd-eta-sweep", "--etas", "2", "--trials", "1"], "--trials"),
         (["walk-validate", "--graphs", "cycle:4:1", "--trials", "1"], "--trials"),
+        # an output path in a missing directory, refused before any row
+        (["torus-sweep", "--dims", "4x5", "--r", "1",
+          "--out", f"{MISSING_DIR}/t.csv"], "--out"),
+        (["walk-validate", "--graphs", "cycle:4:1",
+          "--out", f"{MISSING_DIR}/w.csv"], "--out"),
+        (["spectrum-export", "--dims", "5", "--r", "1",
+          "--out", f"{MISSING_DIR}/s.csv"], "--out"),
+        (["wireless-export", "--n", "10",
+          "--out-prefix", f"{MISSING_DIR}/topo"], "--out-prefix"),
     ])
     def test_bad_count_or_flag_exit_2(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
             run_cli(argv, capsys)
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    def test_missing_out_directory_runs_no_walk(self, monkeypatch, tmp_path,
+                                                capsys):
+        def walked(*args, **kwargs):
+            raise AssertionError("a walk ran")
+
+        monkeypatch.setattr(walker, "estimate_mean_latency", walked)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["walk-validate", "--graphs", "cycle:64:1,torus:16x16:1",
+                     "--out", str(tmp_path / "missing" / "x.csv")], capsys)
+        assert exc.value.code == 2
+        assert "--out: no such directory" in capsys.readouterr().err
 
     def test_int64_bounds(self):
         # an integer argument may be any int64; --seed any integer >= 0
@@ -733,9 +756,9 @@ class TestExports:
              "--out-prefix", prefix], capsys)
         assert code == 0
         _, g = parse_graph_spec("wireless:1", wireless.load_config(cfg))
-        want = io.StringIO()
+        want = tmp_path / "want.edges"
         graphs.save_edge_list(g, want)
-        assert (tmp_path / "topo.edges").read_text() == want.getvalue()
+        assert (tmp_path / "topo.edges").read_text() == want.read_text()
 
 
 class TestNoConnectedPlacement:

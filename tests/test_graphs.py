@@ -608,10 +608,10 @@ class TestEdgeListFormat:
             assert np.array_equal(loaded.weights, g.weights)
             assert all(map(np.array_equal, loaded.csr, g.csr))
 
-    def test_header_and_rows(self):
+    def test_header_and_rows(self, tmp_path):
         g = Graph(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        buf = io.StringIO()
-        save_edge_list(g, buf)
-        lines = buf.getvalue().strip().split("\n")
+        path = tmp_path / "g.edges"
+        save_edge_list(g, path)
+        lines = path.read_text().strip().split("\n")
         assert lines[0] == "n 2"
         assert lines[1].split() == ["0", "1", "1"]

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 from fractions import Fraction
 
@@ -177,7 +178,7 @@ def traced_peak(f, *args):
 class TestLeafByLeafSum:
     """mean_latency_torus sums at most latency._LEAF eigenvalues at a time,
     in np.sum's own pairwise order, so its result is the whole-array sum's
-    double in O(_LEAF + n/k_m) memory."""
+    double in O(m * _LEAF) memory."""
 
     @pytest.mark.parametrize("leaf", [128, latency._LEAF])
     def test_leaf_replay_is_numpy_sum(self, monkeypatch, leaf):
@@ -208,6 +209,8 @@ class TestLeafByLeafSum:
         ((256, 256), 1),         # n - 1 = 65535 on a torus
         ((3, 21846), 1),         # n - 1 = 65537 on a torus
         ((1024, 128), 1),        # leaves end on row boundaries
+        ((70001, 3, 4), 1),      # a long axis first in 3-D
+        ((3, 70001, 4), 1),      # ... and in the middle
     ])
     def test_bit_identical_across_leaves(self, dims, r):
         spec = TorusSpec(dims, r)
@@ -215,7 +218,8 @@ class TestLeafByLeafSum:
 
     @pytest.mark.parametrize("dims,r", [
         ((129,), 1), ((1000,), 4), ((5, 200), 2), ((200, 5), 1),
-        ((13, 17), 1), ((3, 5, 7, 11), 1), ((9, 9, 9), 4)])
+        ((13, 17), 1), ((3, 5, 7, 11), 1), ((9, 9, 9), 4),
+        ((300, 3, 4), 1)])
     def test_bit_identical_with_small_leaves(self, monkeypatch, dims, r):
         # a 128-value leaf puts many leaf boundaries into small tori
         monkeypatch.setattr(latency, "_LEAF", 128)
@@ -230,6 +234,19 @@ class TestLeafByLeafSum:
     def test_long_cycle_memory(self):
         # 4e6 eigenvalues would take 32 MB
         assert traced_peak(mean_latency_cycle, 4 * 10**6, 1) < 4e6
+
+    def test_no_cyclic_garbage(self):
+        # a reference cycle per call (a self-recursive closure) waits for
+        # the cyclic collector, whose extra full passes slowed the
+        # bounds-check step of a fresh process by over a millisecond
+        gc.collect()
+        mean_latency_torus(TorusSpec((5, 6, 7), 1))
+        assert gc.collect() == 0
+
+    def test_long_first_axis_memory(self):
+        # the first axis's spectrum alone is 16 MB, the whole one 48 MB
+        spec = TorusSpec((2_000_000, 3), 1)
+        assert traced_peak(mean_latency_torus, spec) < 2e6
 
     @pytest.mark.parametrize("n", [4 * 10**6, 10**7])
     def test_long_cycle_is_n_plus_1_over_6(self, n):
@@ -671,6 +688,35 @@ class TestExactReference:
         exact = Fraction(2, spec.n - 1) * exact_pinv_trace(g)
         for t in (mean_latency_torus(spec), mean_latency_circulant(g, dims)):
             assert abs(Fraction(t) - exact) <= Fraction(1, 10**13) * exact
+
+
+def assert_dense_routes_exact(g):
+    """The eigvalsh EPD and the fundamental-matrix EPD against
+    vol * Tr(L+) / (n-1), and pinv against T = 2 * Tr(L+) / (n-1), each
+    within 1e-13 of the exact value."""
+    trace = exact_pinv_trace(g)
+    epd = int(g.degrees.sum()) * trace / (g.n - 1)
+    for got, exact in ((expected_packet_delay(g), epd),
+                       (cli._oracle_epd(g), epd),
+                       (mean_latency_pinv(g), 2 * trace / (g.n - 1))):
+        assert abs(Fraction(got) - exact) <= Fraction(1, 10**13) * exact
+
+
+class TestExactDenseRoutes:
+    """The dense routes against exact rational arithmetic.  The largest
+    relative errors, in eps = 2**-52, are 11.3 (eigvalsh EPD), 1.1 (LU
+    EPD) and 8.8 (pinv) on the wireless graphs, and 131.9, 18.8 and 16.0
+    over EXACT_CASES; the bound 1e-13 is 450 eps."""
+
+    @pytest.mark.parametrize("eta", [2, 4, 6])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_wireless_graphs(self, seed, eta):
+        assert_dense_routes_exact(
+            generate_topology(WirelessConfig(n=30, eta=eta), seed=seed).graph)
+
+    @pytest.mark.parametrize("dims,r", EXACT_CASES)
+    def test_lattices(self, dims, r):
+        assert_dense_routes_exact(build_torus(TorusSpec(dims, r)))
 
 
 def circulant_latency_reference(g, dims):
