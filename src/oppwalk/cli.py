@@ -247,9 +247,10 @@ def _epd_rows(args):
     """Ensemble mean EPD per sweep point.  Each ensemble seed places its
     nodes once for the whole sweep, so nested sweep points stay comparable;
     the placement is redrawn until the graph of every point is connected.
-    Each seed's EPD (and oracle) values are taken as its graphs are built;
-    with --trials the walker then keeps only each graph's CSR rows, so the
-    sweep holds one seed's graphs at a time, whatever --seeds."""
+    Each graph's EPD (and oracle) is taken as it is built; with --trials
+    the walker then keeps only its CSR rows.  So the sweep holds one graph
+    at a time beside the seed's sparsest, whatever --seeds and however many
+    sweep points."""
     family, axes = _EPD_SWEEPS[args.kind]
     base = _wireless_base(args.config, args.n)
     ranges = [parse_range(getattr(args, flag[2:]), float)
@@ -260,28 +261,29 @@ def _epd_rows(args):
     for values in itertools.product(*ranges):
         configs.append(replace(base, **dict(zip(fields, values))))
         labels.append(";".join(f"{k}={_fmt(v)}" for k, v in zip(keys, values)))
-    epd = [[] for _ in configs]  # epd[j][s]: point j, ensemble seed s
-    oracle = [[] for _ in configs]
+    epd, oracle = [], []  # epd[s][j]: ensemble seed s, point j
 
     def seed_graphs(s):
-        """Ensemble seed s's graph of every point, its EPD (and oracle)
-        noted."""
-        topos = wireless.generate_topologies(base, configs, args.seed,
-                                             prefix=(s,))
-        for j, topo in enumerate(topos):
-            epd[j].append(latency.expected_packet_delay(topo.graph))
+        """Ensemble seed s's graph of every point in turn, its EPD (and
+        oracle) noted."""
+        epd.append([])
+        oracle.append([])
+        for topo in wireless.generate_topologies(base, configs, args.seed,
+                                                 prefix=(s,)):
+            epd[s].append(latency.expected_packet_delay(topo.graph))
             if args.oracle:
-                oracle[j].append(_oracle_epd(topo.graph))
-        return [topo.graph for topo in topos]
+                oracle[s].append(_oracle_epd(topo.graph))
+            yield topo.graph
+            del topo  # dead before the next graph is built
 
     seeds = range(args.seeds)
     ests = _mc_estimates(
         args, itertools.chain.from_iterable(map(seed_graphs, seeds)),
         [f"{family} {label} seed {s}" for s in seeds for label in labels])
     for j, label in enumerate(labels):
-        cells = {"analytic": float(np.mean(epd[j]))}
+        cells = {"analytic": float(np.mean([row[j] for row in epd]))}
         if args.oracle:
-            cells["oracle"] = float(np.mean(oracle[j]))
+            cells["oracle"] = float(np.mean([row[j] for row in oracle]))
         if args.trials:
             point = ests[j::len(labels)]  # the batch is seed-major
             cells["mc_mean"] = float(np.mean([e.mean for e in point]))
@@ -388,12 +390,22 @@ def _count(minimum=-_INT_MAX, maximum=_INT_MAX):
     return parse
 
 
-def _out_path(text: str) -> str:
-    """argparse type: '-' (stdout) or a path in an existing directory."""
-    if text != "-" and not os.path.isdir(os.path.dirname(text) or "."):
+def _out_prefix(text: str) -> str:
+    """argparse type: a path prefix in an existing directory."""
+    if not os.path.isdir(os.path.dirname(text) or "."):
         raise argparse.ArgumentTypeError(
             f"no such directory: {os.path.dirname(text)!r}")
     return text
+
+
+def _out_path(text: str) -> str:
+    """argparse type: '-' (stdout) or a file path in an existing directory,
+    not a directory itself."""
+    if text == "-":
+        return text
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    return _out_prefix(text)
 
 
 def _sweep(sub, kind: str, rows, help: str):
@@ -483,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_count(), default=None,
                    help="node count (default: the --config file, else 30)")
     p.add_argument("--seed", type=_count(0, math.inf), default=0)
-    p.add_argument("--out-prefix", type=_out_path, required=True)
+    p.add_argument("--out-prefix", type=_out_prefix, required=True)
 
     return ap
 

@@ -18,12 +18,16 @@ Every graph on one placement compares the same distance matrix with its
 own radius, so a larger radius gives a supergraph, and the graphs of a
 sweep are all connected exactly when the one with the smallest radius is.
 generate_topologies therefore judges a placement by that graph alone; a
-seed's topology is its first connected placement of _ATTEMPTS.
+seed's topology is its first connected placement of _ATTEMPTS.  It builds
+the other graphs of that placement one at a time, as its caller takes
+them, so a sweep of any number of points holds the placement's distances,
+the sparsest graph and the graph in hand.
 """
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -194,19 +198,23 @@ _ATTEMPTS = 100
 
 
 def generate_topologies(base: WirelessConfig, configs, seed: int,
-                        prefix: tuple[int, ...] = ()) -> list[WirelessTopology]:
+                        prefix: tuple[int, ...] = ()
+                        ) -> Iterator[WirelessTopology]:
     """One connected topology per config, in config order, all built on one
     placement of `base`.
 
     Attempt k places the nodes from SeedSequence(seed, spawn_key=(*prefix,
-    k)); the first of _ATTEMPTS attempts that connects is returned.  Each
+    k)); the first of _ATTEMPTS attempts that connects is taken.  Each
     attempt builds the graph of the smallest link radius first: every other
     graph is a supergraph of it, so all are connected exactly when it is,
-    and a disconnected one rejects the attempt.  Raises
-    DisconnectedGraphError if none connects.
+    and a disconnected one rejects the attempt.  The search runs when this
+    is called, and raises DisconnectedGraphError if no attempt connects.
+    The returned iterator then builds each config's graph as it is taken,
+    and gives the sparsest graph, already built and held until then, in its
+    own config's turn; no graph is built twice.
     """
     if not configs:
-        return []
+        return iter(())
     radii = [_link_radius(cfg) for cfg in configs]
     sparsest = radii.index(min(radii))
     for attempt in range(_ATTEMPTS):
@@ -214,8 +222,10 @@ def generate_topologies(base: WirelessConfig, configs, seed: int,
         placement = place_nodes(base, np.random.Generator(np.random.PCG64(ss)))
         first = build_wireless_graph(configs[sparsest], placement)
         if first.connected:
-            return [first if j == sparsest else build_wireless_graph(cfg, placement)
-                    for j, cfg in enumerate(configs)]
+            return (first if j == sparsest
+                    else build_wireless_graph(cfg, placement)
+                    for j, cfg in enumerate(configs))
+        del first  # a rejected attempt's graph is dead before the redraw
     raise DisconnectedGraphError(
         f"no connected placement in {_ATTEMPTS} attempts for seed {seed}, "
         f"prefix {prefix}")
@@ -223,7 +233,7 @@ def generate_topologies(base: WirelessConfig, configs, seed: int,
 
 def generate_topology(config: WirelessConfig, seed: int) -> WirelessTopology:
     """The connected topology of one seed (see generate_topologies)."""
-    return generate_topologies(config, [config], seed)[0]
+    return next(generate_topologies(config, [config], seed))
 
 
 # The parser of each load_config key: a WirelessConfig field name.

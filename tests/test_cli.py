@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import os
 import subprocess
@@ -262,6 +263,36 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "--out: no such directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["cycle-sweep", "--n", "10", "--r", "1"],
+        ["epd-eta-sweep", "--etas", "2", "--seeds", "1"],
+        ["spectrum-export", "--dims", "5", "--r", "1"],
+    ])
+    def test_out_directory_exit_2_before_any_row(self, monkeypatch, tmp_path,
+                                                 capsys, argv):
+        # an --out naming a directory is refused when parsed, not after
+        # every row is computed
+        def computed(*args, **kwargs):
+            raise AssertionError("a row was computed")
+
+        for name in ("mean_latency_torus", "expected_packet_delay"):
+            monkeypatch.setattr(latency, name, computed)
+        monkeypatch.setattr(cli.spectral, "torus_laplacian_eigenvalues",
+                            computed)
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*argv, "--out", str(tmp_path)], capsys)
+        assert exc.value.code == 2
+        assert "--out: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_prefix_may_name_a_directory(self, tmp_path, capsys):
+        # an --out-prefix is a prefix: topo.edges beside the directory topo
+        (tmp_path / "topo").mkdir()
+        code, _, err = run_cli(["wireless-export", "--n", "10", "--out-prefix",
+                                str(tmp_path / "topo")], capsys)
+        assert (code, err) == (0, "")
+        assert (tmp_path / "topo.edges").is_file()
+
     def test_int64_bounds(self):
         # an integer argument may be any int64; --seed any integer >= 0
         top = 2 ** 63 - 1
@@ -496,7 +527,8 @@ def traced_peak(argv, capsys):
 
 
 class TestMemory:
-    """Sweeps hold one graph, or one ensemble seed's graphs, at a time."""
+    """Sweeps hold one graph at a time; a wireless ensemble seed also holds
+    its placement's sparsest graph until that graph's turn."""
 
     @pytest.mark.parametrize("mc", [[], ["--trials", "100"]])
     def test_lattice_sweep_holds_one_dense_graph(self, capsys, mc):
@@ -528,21 +560,27 @@ class TestMemory:
         assert "skipped" not in out
 
     @pytest.mark.parametrize("mc", [[], ["--trials", "10"]])
-    def test_seed_graphs_dropped_before_the_next_seed(self, capsys,
-                                                      monkeypatch, mc):
-        alive = []
-        generate = wireless.generate_topologies
+    def test_each_graph_dropped_before_the_next_is_built(self, capsys,
+                                                         monkeypatch, mc):
+        # eta 6 gives the smallest link radius, so each placement's first
+        # graph is the last sweep point's and is held until its turn.  Every
+        # other graph, a rejected placement's too, is dead before the next
+        # graph is built, with or without --trials.  3 of the 6 placements
+        # are rejected.
+        built = []  # (placement, graph) weak references, in build order
+        build = wireless.build_wireless_graph
 
-        def spy(*args, **kwargs):
-            assert all(ref() is None for ref in alive)
-            topos = generate(*args, **kwargs)
-            alive.extend(weakref.ref(t.graph) for t in topos)
-            return topos
+        def spy(cfg, placement):
+            held = next((g for p, g in built if p() is placement), None)
+            assert all(g() is None or g is held for _, g in built)
+            topo = build(cfg, placement)
+            built.append((weakref.ref(placement), weakref.ref(topo.graph)))
+            return topo
 
-        monkeypatch.setattr(wireless, "generate_topologies", spy)
-        code, _, _ = run_cli(["epd-eta-sweep", "--etas", "2,4", "--n", "12",
+        monkeypatch.setattr(wireless, "build_wireless_graph", spy)
+        code, _, _ = run_cli(["epd-eta-sweep", "--etas", "2,4,6", "--n", "12",
                               "--seeds", "3", *mc], capsys)
-        assert code == 0 and len(alive) == 6
+        assert code == 0 and len(built) == 3 * 3 + 3
 
     def test_no_walk_above_the_cap(self, capsys, monkeypatch):
         # --trials on a sweep whose every graph is above the node cap walks
@@ -568,6 +606,24 @@ class TestMemory:
         peak = traced_peak(["walk-validate", "--graphs", "torus:512x512:2",
                             "--trials", "2", "--oracle"], capsys)
         assert peak < 3.4 * rows
+
+    def test_ensemble_memory_does_not_grow_with_points(self, capsys):
+        # n=400: one dense n x n matrix takes 1.28 MB.  A seed holds its
+        # placement's distances and sparsest graph, and the graph in hand
+        # and its Laplacian while its EPD is taken, however many points
+        # (before, the 12 graphs of the default pmin sweep were alive at
+        # once: 18.2 MB).  A 1-point sweep's only graph is its sparsest,
+        # so 12 points may peak one matrix above it.  The 1-point sweep
+        # runs first, so one-time allocations land in its peak, not in the
+        # others'.
+        matrix = 8 * 400 ** 2
+        argv = ["epd-pmin-sweep", "--n", "400", "--seeds", "1"]
+        one = traced_peak([*argv, "--etas", "2", "--pmins", "0.05"], capsys)
+        two = traced_peak([*argv, "--etas", "4", "--pmins", "0.25,0.3"],
+                          capsys)
+        twelve = traced_peak(argv, capsys)
+        assert twelve < two + matrix / 8
+        assert twelve < one + 1.25 * matrix
 
     def test_ensemble_memory_does_not_grow_with_seeds(self, capsys):
         # n=200: one seed's graphs of the 9 sweep points take 2.9 MB, and
@@ -650,6 +706,22 @@ class TestDeterminism:
         _, out1, _ = run_cli(argv, capsys)
         _, out2, _ = run_cli(argv, capsys)
         assert out1 == out2
+
+    # sha256 of the whole CSV at seed 7, Monte-Carlo and oracle columns
+    # included: the walker batch takes each ensemble's graphs one at a time,
+    # seed-major, and its draws follow that order.  The first command is
+    # the benchmark's tiny eta-mc step.
+    @pytest.mark.parametrize("argv,digest", [
+        (["epd-eta-sweep", "--etas", "2,4", "--seeds", "2", "--trials", "200"],
+         "f2ffb7810a507fbc9d515466f6d0639a2b2e616fb7fe94abfa44294be3a85626"),
+        (["epd-threshold-sweep", "--n", "30", "--seeds", "2", "--trials", "20",
+          "--oracle"],
+         "5b75482d097268c42f636fd877ec647bd1d724a9a77b5db1d9da01fb85c801ca"),
+    ], ids=["eta-mc", "threshold-oracle"])
+    def test_golden_ensemble_csv(self, capsys, argv, digest):
+        code, out, err = run_cli([*argv, "--seed", "7"], capsys)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestWirelessSweepsSmall:

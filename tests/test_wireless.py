@@ -306,7 +306,7 @@ class TestBuildWirelessGraph:
     def test_generate_topologies_share_one_placement(self):
         base = WirelessConfig(n=30)
         configs = [base, dataclasses.replace(base, eta=4.0)]
-        topos = generate_topologies(base, configs, seed=3, prefix=(1,))
+        topos = list(generate_topologies(base, configs, seed=3, prefix=(1,)))
         assert all(t.connected for t in topos)
         assert topos[0].placement is topos[1].placement
 
@@ -355,7 +355,7 @@ class TestBuildWirelessGraph:
 
         monkeypatch.setattr(wireless, "_ATTEMPTS", 3)
         monkeypatch.setattr(wireless, "build_wireless_graph", spy)
-        topos = generate_topologies(base, [base, hard, base], seed=4)
+        topos = list(generate_topologies(base, [base, hard, base], seed=4))
         # built keeps every placement alive, so their ids are distinct
         attempts = list(dict.fromkeys(id(p) for p, *_ in built))
         assert len(attempts) == 3
@@ -403,7 +403,7 @@ def test_sparsest_first_matches_in_order_rule(n, seed, points, attempts,
                for eta, tau, p_min in points]
     with mock.patch.object(wireless, "_ATTEMPTS", attempts):
         try:
-            got = generate_topologies(base, configs, seed, prefix)
+            got = list(generate_topologies(base, configs, seed, prefix))
         except DisconnectedGraphError:
             got = None
     want = reference_topologies(base, configs, seed, attempts, prefix)
