@@ -103,26 +103,28 @@ def _parse_dims(sizes: str, text: str) -> list:
     return [_parse_value(k, int, text) for k in sizes.split("x")]
 
 
-def parse_range(text: str, kind=float) -> list:
+def parse_range(text: str, kind=float, whole=None) -> list:
     """Inclusive start:stop[:step] range, or comma list of values; an
-    empty item is a bad value."""
+    empty item is a bad value.  Errors quote whole, the argument text that
+    text is a part of (default text itself)."""
+    whole = text if whole is None else whole
     if ":" in text:
         parts = text.split(":")
         if len(parts) not in (2, 3):
-            raise ParameterError(f"bad range {text!r}; use start:stop[:step]")
-        start, stop = (_parse_value(v, kind, text) for v in parts[:2])
+            raise ParameterError(f"bad range {whole!r}; use start:stop[:step]")
+        start, stop = (_parse_value(v, kind, whole) for v in parts[:2])
         step = kind(1)
         if len(parts) == 3:
-            step = _parse_value(parts[2], kind, text)
+            step = _parse_value(parts[2], kind, whole)
         if step == 0 or (stop - start) * step < 0:
             raise ParameterError(
-                f"range {text!r} is empty or step sign inconsistent")
+                f"range {whole!r} is empty or step sign inconsistent")
         count = np.floor((stop - start) / step + 1e-9) + 1
         if not count <= 10**6:  # also an infinite or NaN count
-            raise ParameterError(f"range {text!r} has over 10**6 values")
+            raise ParameterError(f"range {whole!r} has over 10**6 values")
         vals = [start + i * step for i in range(int(count))]
     else:
-        vals = [_parse_value(v, kind, text) for v in text.split(",")]
+        vals = [_parse_value(v, kind, whole) for v in text.split(",")]
     return [int(v) if kind is int else round(float(v), 12) for v in vals]
 
 
@@ -214,7 +216,7 @@ def _torus_point(dims, r):
 
 
 def _torus_rows(args):
-    axes = [parse_range(part, int) for part in args.dims.split("x")]
+    axes = [parse_range(part, int, args.dims) for part in args.dims.split("x")]
     return _lattice_rows(args, (
         _torus_point(dims, r)
         for *dims, r in itertools.product(*axes, parse_range(args.r, int))))

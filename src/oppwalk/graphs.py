@@ -1,13 +1,13 @@
 """Graph families used by the latency analysis.
 
 A Graph is built one of two ways.  Graph(weights) takes a dense square,
-symmetric 0/1 matrix with zero diagonal, checks it and keeps a frozen copy;
-its CSR rows (Graph.csr) are derived on first use.  build_torus builds
-cycles and tori from their CSR rows alone, which are valid and connected by
-construction, so they never allocate an n x n matrix.  On such a graph,
-weights and laplacian() build a new dense matrix on every call, for the
-dense consumers (eigvalsh, the fundamental-matrix oracle); nothing dense is
-cached beside the rows.
+symmetric 0/1 matrix with zero diagonal of any dtype, checks it as it is
+and keeps a frozen bool copy, one byte per entry; its CSR rows (Graph.csr)
+are derived on first use.  build_torus builds cycles and tori from their
+CSR rows alone, which are valid and connected by construction, so they
+never allocate an n x n matrix.  On either graph, weights and laplacian()
+build a new float64 matrix on every call, for the dense consumers
+(eigvalsh, the fundamental-matrix oracle); no float matrix is cached.
 
 Nodes are indexed 0..n-1. Torus nodes are indexed row-major over their
 coordinate tuples (numpy ravel order), so for dims [k_1, ..., k_m] the node
@@ -42,10 +42,10 @@ __all__ = [
 
 class Graph:
     """Undirected simple graph: symmetric 0/1 adjacency with zero diagonal,
-    held as a dense matrix (Graph(weights)) or as CSR rows (a lattice of
-    build_torus).  Immutable; every construction runs __post_init__, which
-    freezes its input: a checked copy of a dense matrix, the CSR arrays
-    themselves."""
+    held as a dense bool matrix (Graph(weights)) or as CSR rows (a lattice
+    of build_torus).  Immutable; every construction runs __post_init__,
+    which freezes its input: a checked bool copy of a dense matrix, the CSR
+    arrays themselves."""
 
     def __init__(self, weights):
         self.__dict__["_dense"] = weights
@@ -66,7 +66,7 @@ class Graph:
 
     def __post_init__(self):
         """Freeze the input of either constructor: a dense matrix is checked
-        and copied, CSR arrays are made read-only in place."""
+        and copied as bool, CSR arrays are made read-only in place."""
         if self._dense is None:
             for a in self.csr:
                 a.setflags(write=False)
@@ -84,11 +84,10 @@ class Graph:
 
     @property
     def weights(self) -> np.ndarray:
-        """The dense 0/1 matrix, read-only: Graph(weights)'s own copy, or a
-        new matrix per call for a CSR-built graph."""
-        if self._dense is not None:
-            return self._dense
-        w = self._fill_csr(1.0)
+        """The 0/1 adjacency as a new, read-only float64 matrix on every
+        call, whichever the storage."""
+        w = (self._fill_csr(1.0) if self._dense is None
+             else self._dense.astype(float))
         w.setflags(write=False)
         return w
 
@@ -104,7 +103,7 @@ class Graph:
         if self._dense is None:
             d = np.diff(self.csr[0]).astype(float)
         else:
-            d = self._dense.sum(axis=1)
+            d = self._dense.sum(axis=1, dtype=float)
         d.setflags(write=False)
         return d
 
@@ -123,8 +122,9 @@ class Graph:
 
     def laplacian(self) -> np.ndarray:
         """L = D - W as a new, writable dense matrix, built in one buffer:
-        0 - W (a CSR-built graph writes -1.0 at its slots of a zeroed
-        matrix), then the degrees on the diagonal; bit for bit diag(D) - W."""
+        0 - W from the bool store (a CSR-built graph writes -1.0 at its
+        slots of a zeroed matrix), then the degrees on the diagonal; bit
+        for bit diag(D) - W."""
         if self._dense is None:
             lap = self._fill_csr(-1.0)
         else:
@@ -162,27 +162,23 @@ def _row_of_slot(indptr: np.ndarray) -> np.ndarray:
 
 
 def _frozen_dense(weights) -> np.ndarray:
-    """A read-only float copy of a symmetric 0/1 matrix with zero
-    diagonal; anything else raises a ValidationError.  A bool matrix is
-    0/1 by its type: it is checked as it is and converted once."""
+    """A read-only bool copy of a symmetric 0/1 matrix with zero diagonal;
+    anything else raises a ValidationError.  An entry is 0/1 when it
+    equals its bool copy in its own dtype; after that check the copy's
+    symmetry and diagonal are the input's."""
     w = np.asarray(weights)
-    binary = w.dtype == bool
-    if not binary:
-        w = w.astype(float)
     if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 1:
         raise ValidationError("weights must be a square matrix")
-    if not binary:
-        bad = w[(w != 0.0) & (w != 1.0)]
-        if bad.size:
-            raise ValidationError(f"weights must be finite 0/1, not {bad[0]:g}")
-    if not np.array_equal(w, w.T):
+    adj = w.astype(bool)
+    bad = w[w != adj]
+    if bad.size:
+        raise ValidationError(f"weights must be finite 0/1, not {bad[0]:g}")
+    if not np.array_equal(adj, adj.T):
         raise ValidationError("weight matrix must be symmetric")
-    if w.diagonal().any():
+    if adj.diagonal().any():
         raise ValidationError("weight matrix must have zero diagonal")
-    if binary:
-        w = w.astype(float)
-    w.setflags(write=False)
-    return w
+    adj.setflags(write=False)
+    return adj
 
 
 def _require_walkable(g: Graph, quantity: str) -> Graph:

@@ -170,8 +170,9 @@ def _reciprocal_leaves(spec: TorusSpec):
     axes = [(k, cycle_laplacian_eigenvalues(k, r) if k <= _LEAF else None)
             for k in spec.dims]
     k, last = axes[-1]
-    # a leaf's whole rows of the last axis hold at most count + 2k - 2 values
-    buf = np.empty(_LEAF + 2 * k) if last is not None else None
+    # a leaf's whole rows of the last axis hold at most count + 2k - 2
+    # values, and a leaf at most min(_LEAF, n - 1)
+    buf = np.empty(min(_LEAF, spec.n) + 2 * k) if last is not None else None
 
     def leaf(start: int, count: int) -> np.ndarray:
         out = _axis_sums(axes, r, start, start + count, buf)

@@ -189,6 +189,18 @@ class TestUsageErrors:
         assert code == 2
         assert err.startswith("usage error:")
 
+    @pytest.mark.parametrize("argv,message", [
+        (["torus-sweep", "--dims", "4x", "--r", "1"], "bad value '' in '4x'"),
+        (["torus-sweep", "--dims", "4xa", "--r", "1"],
+         "bad value 'a' in '4xa'"),
+        (["walk-validate", "--graphs", "torus:4x:1"],
+         "bad value '' in 'torus:4x:1'"),
+    ])
+    def test_bad_axis_quotes_the_whole_argument(self, capsys, argv, message):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err == f"usage error: {message}\n"
+
     @pytest.mark.parametrize("argv,flag", [
         (["epd-eta-sweep", "--etas", "2", "--seeds", "0"], "--seeds"),
         (["cycle-sweep", "--n", "10", "--r", "1", "--trials", "0"], "--trials"),
@@ -625,9 +637,26 @@ class TestMemory:
         assert twelve < two + matrix / 8
         assert twelve < one + 1.25 * matrix
 
+    @pytest.mark.parametrize("oracle,bound", [([], 2.6), (["--oracle"], 3.5)])
+    def test_wireless_sweep_peak_in_float_matrices(self, capsys, oracle,
+                                                   bound):
+        # n=400, in units of one n x n float64 matrix (1.28 MB): the
+        # distances, the Laplacian and eigvalsh's copy, beside the sparsest
+        # and the current graph, n^2 bytes each as bool (2.44; 3.27 with
+        # the fundamental-matrix buffers of --oracle).  With each graph
+        # held as float64 the sweep peaked at 4.19 (5.02 with --oracle).
+        # A small sweep runs first, so that one-time allocations (1.3 MB)
+        # land in its peak.
+        argv = ["epd-pmin-sweep", "--seeds", "1", *oracle]
+        traced_peak([*argv, "--n", "30"], capsys)
+        peak = traced_peak([*argv, "--n", "400"], capsys)
+        assert peak <= bound * 8 * 400 ** 2
+
     def test_ensemble_memory_does_not_grow_with_seeds(self, capsys):
-        # n=200: one seed's graphs of the 9 sweep points take 2.9 MB, and
-        # keeping every seed's would add 17 MB from 2 seeds to 8.  One of
+        # n=200: one seed's graphs of the 9 sweep points would take 2.9 MB
+        # as float64 and take 0.36 MB as the bool each graph keeps, so
+        # keeping every seed's would add 2.2 MB from 2 seeds to 8, three
+        # times the margin below (17 MB while graphs were float64).  One of
         # the 8 seeds redraws its placement; the rejected attempt stops at
         # its first disconnected graph and is released before the redraw,
         # so its graphs are never alive beside the new ones.
@@ -710,14 +739,19 @@ class TestDeterminism:
     # sha256 of the whole CSV at seed 7, Monte-Carlo and oracle columns
     # included: the walker batch takes each ensemble's graphs one at a time,
     # seed-major, and its draws follow that order.  The first command is
-    # the benchmark's tiny eta-mc step.
+    # the benchmark's tiny eta-mc step.  The third was pinned on the
+    # float64 dense store, so it checks that the bool store writes the
+    # same bytes.
     @pytest.mark.parametrize("argv,digest", [
         (["epd-eta-sweep", "--etas", "2,4", "--seeds", "2", "--trials", "200"],
          "f2ffb7810a507fbc9d515466f6d0639a2b2e616fb7fe94abfa44294be3a85626"),
         (["epd-threshold-sweep", "--n", "30", "--seeds", "2", "--trials", "20",
           "--oracle"],
          "5b75482d097268c42f636fd877ec647bd1d724a9a77b5db1d9da01fb85c801ca"),
-    ], ids=["eta-mc", "threshold-oracle"])
+        (["epd-pmin-sweep", "--n", "120", "--seeds", "2", "--trials", "50",
+          "--oracle"],
+         "17c4e05a967261b49787b99d88120203caa5dbc4bb4b8ef3e37ce08032355d9d"),
+    ], ids=["eta-mc", "threshold-oracle", "pmin-oracle"])
     def test_golden_ensemble_csv(self, capsys, argv, digest):
         code, out, err = run_cli([*argv, "--seed", "7"], capsys)
         assert (code, err) == (0, "")

@@ -62,7 +62,8 @@ class TestGraphInvariants:
 
 
 class TestBoolWeights:
-    """A bool matrix is 0/1 by its type: Graph checks it as it is."""
+    """Graph checks a 0/1 matrix of any dtype and keeps it as bool; every
+    float64 view it builds is the same whatever the input's dtype."""
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(min_value=1, max_value=24),
@@ -78,6 +79,21 @@ class TestBoolWeights:
                      (a.laplacian(), b.laplacian()), *zip(a.csr, b.csr)):
             assert x.dtype == y.dtype and np.array_equal(x, y)
             assert np.array_equal(np.signbit(x), np.signbit(y))
+
+    @pytest.mark.parametrize("dtype", [bool, np.int64, np.uint8, float])
+    def test_weights_is_a_new_float_matrix_per_call(self, dtype):
+        w = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=dtype)
+        g = Graph(w)
+        a, b = g.weights, g.weights
+        assert a is not b and not np.shares_memory(a, b)
+        for x in (a, b):
+            assert x.dtype == np.float64 and not x.flags.writeable
+            assert np.array_equal(x, w)
+
+    def test_negative_zero_comes_back_positive(self):
+        # the store is bool, so an input -0.0 is read back as +0.0
+        w = np.array([[0.0, -0.0], [-0.0, 0.0]])
+        assert not np.signbit(Graph(w).weights).any()
 
     def test_bool_input_is_copied(self):
         mask = np.array([[False, True], [True, False]])

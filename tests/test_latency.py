@@ -235,6 +235,11 @@ class TestLeafByLeafSum:
         # 4e6 eigenvalues would take 32 MB
         assert traced_peak(mean_latency_cycle, 4 * 10**6, 1) < 4e6
 
+    def test_small_cycle_memory(self):
+        # a leaf holds at most n - 1 values, so a 10-node cycle's buffer is
+        # sized by n, not by _LEAF (a 512 KB buffer for 9 values)
+        assert traced_peak(mean_latency_cycle, 10, 1) < 64 * 1024
+
     def test_no_cyclic_garbage(self):
         # a reference cycle per call (a self-recursive closure) waits for
         # the cyclic collector, whose extra full passes slowed the
