@@ -5,9 +5,9 @@ symmetric 0/1 matrix with zero diagonal of any dtype, checks it as it is
 and keeps a frozen bool copy, one byte per entry; its CSR rows (Graph.csr)
 are derived on first use.  build_torus builds cycles and tori from their
 CSR rows alone, which are valid and connected by construction, so they
-never allocate an n x n matrix.  On either graph, weights and laplacian()
-build a new float64 matrix on every call, for the dense consumers
-(eigvalsh, the fundamental-matrix oracle); no float matrix is cached.
+never allocate an n x n matrix.  csr and is_connected read the bool store;
+laplacian() (for eigvalsh and the fundamental-matrix oracle) and weights
+(for library callers) build a new float64 matrix per call, none cached.
 
 Nodes are indexed 0..n-1. Torus nodes are indexed row-major over their
 coordinate tuples (numpy ravel order), so for dims [k_1, ..., k_m] the node
@@ -91,10 +91,10 @@ class Graph:
         w.setflags(write=False)
         return w
 
-    def _fill_csr(self, value: float) -> np.ndarray:
-        """A new n x n matrix of +0.0 with value at every CSR slot."""
+    def _fill_csr(self, value) -> np.ndarray:
+        """A new n x n matrix of value's type, value at every CSR slot."""
         indptr, indices = self.csr
-        m = np.zeros((self.n, self.n))
+        m = np.zeros((self.n, self.n), dtype=type(value))
         m[_row_of_slot(indptr), indices] = value
         return m
 
@@ -111,11 +111,10 @@ class Graph:
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Compressed sparse rows (indptr, indices): the neighbors of u are
         indices[indptr[u]:indptr[u+1]], in ascending order.  Derived once
-        from a dense graph's matrix; both arrays compact and read-only."""
-        rows, cols = np.nonzero(self._dense)
-        indptr = np.searchsorted(rows, np.arange(self.n + 1))
-        # nonzero's arrays are strided views of one (nnz, 2) array
-        indices = cols.copy()
+        from the flat indices u*n + v of a dense graph's store; read-only."""
+        flat = np.flatnonzero(self._dense)
+        indptr = np.searchsorted(flat, np.arange(self.n + 1) * self.n)
+        indices = flat % self.n
         indptr.setflags(write=False)
         indices.setflags(write=False)
         return indptr, indices
@@ -134,20 +133,18 @@ class Graph:
 
     def is_connected(self) -> bool:
         """Sweep from node 0: the reached set takes in all its neighbors,
-        found with one matrix-vector product, at each step until its count
-        stops growing.  Run on the first call; the graph is immutable, so
-        later calls return the stored answer.  build_torus stores True on
-        every lattice it makes, so the sweep runs on dense graphs."""
+        the union of its rows of the bool adjacency, at each step until its
+        count stops growing.  Run on the first call; the graph is immutable,
+        so later calls return the stored answer.  build_torus stores True
+        on every lattice it makes, so the sweep runs on dense graphs."""
         connected = self.__dict__.get("_connected")
         if connected is None:
-            w = self.weights
+            adj = self._fill_csr(True) if self._dense is None else self._dense
             seen = np.zeros(self.n, dtype=bool)
             seen[0] = True
             count = 1
             while count < seen.size:
-                # w @ seen counts each node's reached neighbors; integer
-                # sums below 2**53 are exact in float
-                seen |= (w @ seen) > 0
+                seen |= adj.compress(seen, axis=0).any(axis=0)
                 grown = np.count_nonzero(seen)
                 if grown == count:
                     break
@@ -166,13 +163,16 @@ def _frozen_dense(weights) -> np.ndarray:
     anything else raises a ValidationError.  An entry is 0/1 when it
     equals its bool copy in its own dtype; after that check the copy's
     symmetry and diagonal are the input's."""
-    w = np.asarray(weights)
+    try:
+        w = np.asarray(weights)
+    except ValueError:  # a ragged nesting of rows
+        w = np.empty(0)
     if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 1:
         raise ValidationError("weights must be a square matrix")
     adj = w.astype(bool)
     bad = w[w != adj]
     if bad.size:
-        raise ValidationError(f"weights must be finite 0/1, not {bad[0]:g}")
+        raise ValidationError(f"weights must be finite 0/1, not {bad.item(0)!r}")
     if not np.array_equal(adj, adj.T):
         raise ValidationError("weight matrix must be symmetric")
     if adj.diagonal().any():
@@ -200,6 +200,14 @@ def _integer(value, name: str) -> int:
     except TypeError:
         raise ParameterError(
             f"{name} must be an integer (got {value!r})") from None
+
+
+def _seed(value) -> int:
+    """value as a seed, any integer >= 0; None (fresh OS entropy) is not."""
+    seed = _integer(value, "seed")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0 (got {seed})")
+    return seed
 
 
 @dataclass(frozen=True)

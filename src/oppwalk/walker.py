@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError, ParameterError
-from .graphs import Graph, _require_walkable
+from .graphs import Graph, _integer, _require_walkable, _seed
 
 __all__ = [
     "WalkBatch",
@@ -246,6 +246,7 @@ def estimate_mean_latency(graphs, trials: int, seed: int) -> WalkBatch:
     Only its CSR rows are kept, and only until the union is built, so an
     iterable that builds its graphs lazily holds at most one dense matrix
     at a time, and the walks hold one copy of the rows."""
+    trials, seed = _integer(trials, "trials"), _seed(seed)
     if trials < 2:
         raise ParameterError("trials must be >= 2: one walk has no CI")
     blocks = list(map(_checked_csr, graphs))

@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DisconnectedGraphError, ParameterError, ValidationError
-from .graphs import Graph, _INT_MAX, _integer
+from .graphs import Graph, _INT_MAX, _integer, _seed
 
 __all__ = [
     "WirelessConfig",
@@ -92,9 +92,12 @@ class Placement:
     area_side: float = 1.0
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
+        try:
+            pos = np.asarray(self.positions, dtype=float)
+        except (TypeError, ValueError):  # a non-number or a ragged row
+            pos = np.empty(0)
         if pos.ndim != 2 or pos.shape[1] != 2:
-            raise ValidationError("positions must be an (n, 2) array")
+            raise ValidationError("positions must be an (n, 2) array of numbers")
         if not (math.isfinite(self.area_side) and self.area_side > 0):
             raise ValidationError(
                 f"area_side must be finite and positive, got {self.area_side}")
@@ -138,9 +141,9 @@ class WirelessTopology:
 
 def place_nodes(config: WirelessConfig, rng) -> Placement:
     """n i.i.d. uniform positions in the square; rng is a numpy Generator
-    or an integer seed."""
+    or an integer seed >= 0."""
     if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+        rng = np.random.default_rng(_seed(rng))
     pos = rng.random((config.n, 2)) * config.area_side
     return Placement(positions=pos, area_side=config.area_side)
 
@@ -211,8 +214,9 @@ def generate_topologies(base: WirelessConfig, configs, seed: int,
     is called, and raises DisconnectedGraphError if no attempt connects.
     The returned iterator then builds each config's graph as it is taken,
     and gives the sparsest graph, already built and held until then, in its
-    own config's turn; no graph is built twice.
+    own config's turn; no graph is built twice.  seed is an integer >= 0.
     """
+    seed = _seed(seed)
     if not configs:
         return iter(())
     radii = [_link_radius(cfg) for cfg in configs]

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -28,6 +29,7 @@ from oppwalk.spectral import (
     cycle_laplacian_eigenvalues,
     torus_laplacian_eigenvalues,
 )
+from test_bench_contract import bench_module
 
 
 def run_cli(argv, capsys):
@@ -667,6 +669,25 @@ class TestMemory:
         assert eight < two + one_seed / 4
 
 
+@pytest.mark.parametrize("argv", [
+    *(argv for workload in ("lattice-oracle", "wireless-ensemble", "walk-mc")
+      for _, argv in bench_module("workloads").steps(workload, 7, tiny=True)),
+    ["walk-validate", "--graphs", "wireless:0,cycle:8:1", "--trials", "50",
+     "--oracle"],
+    ["epd-eta-sweep", "--etas", "2,4", "--n", "20", "--seeds", "2",
+     "--trials", "10", "--oracle"],
+    ["wireless-export", "--n", "20", "--out-prefix", "topo"],
+], ids=shlex.join)
+def test_cli_reads_no_float_weights(capsys, monkeypatch, tmp_path, argv):
+    # a dense graph is read as its bool store: its connectivity sweep and
+    # its CSR rows make no float64 copy of the adjacency
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(graphs.Graph, "weights", property(
+        lambda g: pytest.fail("a CLI path read Graph.weights")))
+    code, _, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+
+
 class TestTruncationWarning:
     CASES = [
         (["cycle-sweep", "--n", "12", "--r", "1", "--trials", "200"],
@@ -741,7 +762,9 @@ class TestDeterminism:
     # seed-major, and its draws follow that order.  The first command is
     # the benchmark's tiny eta-mc step.  The third was pinned on the
     # float64 dense store, so it checks that the bool store writes the
-    # same bytes.
+    # same bytes.  The last two are the benchmark's other tiny walk-mc
+    # steps; its own digests leave the MC columns out, so only these catch
+    # a drift of the walker's stream.
     @pytest.mark.parametrize("argv,digest", [
         (["epd-eta-sweep", "--etas", "2,4", "--seeds", "2", "--trials", "200"],
          "f2ffb7810a507fbc9d515466f6d0639a2b2e616fb7fe94abfa44294be3a85626"),
@@ -751,7 +774,13 @@ class TestDeterminism:
         (["epd-pmin-sweep", "--n", "120", "--seeds", "2", "--trials", "50",
           "--oracle"],
          "17c4e05a967261b49787b99d88120203caa5dbc4bb4b8ef3e37ce08032355d9d"),
-    ], ids=["eta-mc", "threshold-oracle", "pmin-oracle"])
+        (["walk-validate", "--graphs", "cycle:16:1,torus:4x4:1,wireless:0",
+          "--trials", "2000", "--oracle"],
+         "364c44e126e1470fc7027e29c39aff5cc3f010c56abe776d313b7d137fc84b38"),
+        (["cycle-sweep", "--n", "16", "--r", "1", "--trials", "200"],
+         "6ab231e01f22be0e9056946e96fadd242e3ecd2ad2ed5bfcf3491c76f7f88c0c"),
+    ], ids=["eta-mc", "threshold-oracle", "pmin-oracle", "walk-validate",
+            "cycle-sweep-mc"])
     def test_golden_ensemble_csv(self, capsys, argv, digest):
         code, out, err = run_cli([*argv, "--seed", "7"], capsys)
         assert (code, err) == (0, "")

@@ -13,6 +13,7 @@ from scipy.sparse.csgraph import connected_components
 from oppwalk.errors import ParameterError, ValidationError
 from oppwalk.latency import mean_latency_circulant
 from oppwalk.spectral import cycle_laplacian_eigenvalues
+from oppwalk.wireless import WirelessConfig, generate_topology
 from oppwalk.graphs import (
     Graph,
     TorusSpec,
@@ -110,10 +111,14 @@ class TestBoolWeights:
         ([[0.0, np.inf], [np.inf, 0.0]], "finite 0/1, not inf"),
         ([[0.0, 1.0], [0.0, 0.0]], "must be symmetric"),
         ([[1.0, 0.0], [0.0, 0.0]], "zero diagonal"),
+        # outside arrays: the entry is named, not formatted as a number
+        ([["0", "1"], ["1", "0"]], "finite 0/1, not '0'"),
+        ([[0, None], [None, 0]], "finite 0/1, not None"),
+        ([[0, 1], [1]], "square matrix"),
     ])
     def test_messages(self, w, message):
         with pytest.raises(ValidationError, match=re.escape(message)):
-            Graph(np.array(w))
+            Graph(w)
 
 
 @settings(max_examples=200, deadline=None)
@@ -162,11 +167,18 @@ class TestCsr:
         lambda: read_edge_list(io.StringIO("n 3\n0 2 1\n")),
     ], ids=["dense", "lattice", "edge-list"])
     def test_rows_compact_and_frozen(self, make):
-        # np.nonzero's column array is a strided view of one (nnz, 2) array
-        # that holds the row numbers too; the graph keeps a compact copy
+        # no CSR array is a view of a wider index array, which would keep
+        # more memory alive than the rows need
         for a in make().csr:
             assert a.base is None or a.base.ndim == 1
             assert a.flags.c_contiguous and not a.flags.writeable
+
+    def test_dense_rows_from_one_flat_scan(self):
+        # one flat scan of the store: the flat indices and the columns
+        # made from them, two nnz-long index arrays at most
+        g = fresh_wireless_graph()
+        nnz = int(np.count_nonzero(g.weights))
+        assert traced_peak(lambda: g.csr) <= 2.3 * 8 * nnz
 
 
 def csr_of(w):
@@ -597,6 +609,29 @@ class TestConnectivity:
 
     def test_single_node(self):
         assert Graph(np.zeros((1, 1))).is_connected()
+
+    def test_dense_sweep_reads_the_bool_store(self):
+        # the reached set gathers bool rows of the store: no float copy
+        # of the matrix (8 n^2 bytes), at most one n^2 bool gather
+        g = fresh_wireless_graph()
+        assert traced_peak(g.is_connected) <= 2 * g.n ** 2
+        assert g.is_connected() is True
+
+
+def fresh_wireless_graph(n=400):
+    """A dense graph of a connected wireless topology, built anew so that
+    neither its CSR rows nor its connectivity are stored yet."""
+    return Graph(generate_topology(WirelessConfig(n=n), 1).graph.weights > 0)
+
+
+def traced_peak(call):
+    """tracemalloc peak in bytes of call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def read_edge_list(buf):

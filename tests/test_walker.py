@@ -58,9 +58,20 @@ class TestWalkConfig:
 
     def test_rejects_bad_trials(self):
         # one walk has no CI
-        for trials in 0, 1:
+        for trials in 0, 1, 2.5:
             with pytest.raises(ParameterError):
                 estimate_mean_latency([build_cycle(5, 1)], trials, 0)
+
+    @pytest.mark.parametrize("seed", [None, -1, 2.5, "3"])
+    def test_rejects_bad_seed(self, seed):
+        # None would draw fresh OS entropy: no two runs would agree
+        with pytest.raises(ParameterError, match="seed"):
+            estimate_mean_latency([build_cycle(12, 1)], 200, seed)
+
+    def test_seed_has_no_upper_bound(self):
+        g = build_cycle(5, 1)
+        big = estimate_mean_latency([g], 50, 2**70)
+        assert big == estimate_mean_latency([g], 50, 2**70)
 
     def test_default_cap(self):
         assert _step_cap(30) == 90_000

@@ -109,6 +109,16 @@ class TestPlaceNodes:
         assert np.array_equal(place_nodes(cfg, 9).positions,
                               place_nodes(cfg, 9).positions)
 
+    @pytest.mark.parametrize("seed", [None, -1, 2.5, "3"])
+    def test_rejects_bad_seed(self, seed):
+        # None would draw fresh OS entropy: no two runs would agree
+        cfg = WirelessConfig(n=20)
+        for place in (lambda: place_nodes(cfg, seed),
+                      lambda: generate_topology(cfg, seed),
+                      lambda: generate_topologies(cfg, [cfg], seed)):
+            with pytest.raises(ParameterError, match="seed"):
+                place()
+
     def test_quadrant_uniformity_chi_square(self):
         cfg = WirelessConfig(n=10000)
         pl = place_nodes(cfg, 12345)
@@ -128,6 +138,13 @@ class TestPlacementValidation:
         pos = np.array([[0.1, 0.5], [0.2, 0.3], [0.4, 0.4]])
         pos[row, col] = bad
         with pytest.raises(ValidationError, match="finite"):
+            Placement(pos)
+
+    @pytest.mark.parametrize("pos", [
+        [["a", "b"]], [[0.1, 0.2], [0.3]], [[{}, 0.1]], [0.1, 0.2],
+    ])
+    def test_rejects_non_numbers_and_bad_shapes(self, pos):
+        with pytest.raises(ValidationError, match=r"\(n, 2\) array"):
             Placement(pos)
 
     @pytest.mark.parametrize("side", [math.nan, math.inf, 0.0, -1.0])
