@@ -24,24 +24,35 @@ at its first arrival, the rest of its column unused, and the walks that
 arrived leave after the block.  Up to each block's first arrival this is
 the stream of one uniform per active walk per step.  The blocks of a
 batch share one draw buffer and one buffer of arrival marks, each of
-max(32768, walks) entries, allocated once: a block fills a (k, m) view
-with rng.random(out=...), the same numbers as rng.random((k, m)), so a
-long batch does not grow the heap block by block.
+max(32768, walks) entries, and one of the active walks' degrees,
+allocated once: a block fills a (k, m) view with rng.random(out=...), the
+same numbers as rng.random((k, m)), so a long batch does not grow the
+heap block by block.
 
 The kernel holds each walk as its node's row start in the union, its slot,
-so a hop is two gathers: the row length at the slot, and the slot of the
-neighbor drawn (a table of indptr[indices]).  No node of a connected graph
-with n >= 2 has an empty row, so slots are distinct and a walk arrives
-when its slot is its target's.  With more than _TAIL = 16 walks active,
-numpy moves all of them one row per step, arrived walks too, and scans
-the block for first arrivals once: in the benchmark's Monte-Carlo batches
-that simulates 3.3% more hops than the walks use.  With at most 16,
-Python walks each column in turn and stops a walk where it arrives.  A
-numpy row costs about 2 us however few walks it moves, a Python hop about
-0.2-0.3 us (2-core Xeon, Python 3.11, numpy 2.4): on walks that do not
-arrive within the block the two break even near 12 walks, and a walk
-that arrives early skips the rest of its column in Python, so 16 is about
-the break-even.  Both regimes give the same results.
+and a table of indptr[indices] gives the slot of each neighbor.  No node
+of a connected graph with n >= 2 has an empty row, so slots are distinct
+and a walk arrives when its slot is its target's.  On a graph whose nodes
+all have one degree d, as on every cycle and torus, a walk's column
+floor(x * d) does not depend on where it stands, so while every active
+walk is on such a graph a block takes all its columns at once: the draws
+times each walk's d, cast to intp in place in the draw buffer.  A hop is
+then one add and one gather.  While any active walk is on a graph whose
+degrees differ, as a wireless one, a hop first gathers its row's length
+from a slot table, which only a batch holding such a graph makes.
+
+With more than _TAIL = 16 walks active, numpy moves all of them one row
+per step, arrived walks too, and scans the block for first arrivals
+once: in the benchmark's Monte-Carlo batches that simulates 3.3% more
+hops than the walks use.  A step on precomputed columns is two numpy
+calls, about 0.7-1.4 us at m = 8-100 walks; a step that reads row
+lengths is six, about 1.8-2.7 us.  With at most 16, Python walks each
+column in turn and stops a walk where it arrives, about 0.07-0.08 us a
+hop on precomputed columns and 0.17 us on row lengths (2-core Xeon,
+Python 3.11, numpy 2.4).  On walks that do not arrive within the block
+numpy wins from about 10 walks in both loops, and a walk that arrives
+early skips the rest of its column in Python, so one _TAIL of 16 is
+about the break-even of both.  Every regime gives the same results.
 
 Each graph gets trials walks spread over its P = n(n-1) ordered pairs
 s != t by one rule: with trials >= P, walk i takes pair i mod P in
@@ -107,68 +118,100 @@ def _step_cap(n: int) -> int:
     return 100 * n * n
 
 
-def _run_walks(indptr, indices, starts, targets, caps, rng):
+def _run_walks(indptr, indices, starts, targets, caps, rng, degree=0):
     """Batch of independent walks on the CSR rows (indptr, indices), walk i
     cut after caps[i] steps (caps may be one number for all); returns
     (steps, cut), cut marking the walks that were cut.  Every node must
-    have a neighbor, as on a connected graph with n >= 2.
+    have a neighbor, as on a connected graph with n >= 2.  degree[i] is
+    the degree every node of walk i's graph has, or 0 where the degrees
+    differ (one number for all walks, 0 by default).
 
     A walk is held as its slot, its node's row start: slot j of row u hops
-    to nxt[j], the slot of u's neighbor in column j - indptr[u], and
-    deg[slot] is the row's length.  After t steps with m walks active
-    (ids, cur, tgt), the next block runs k = min(_BLOCK, max(1, _DRAWS //
-    m), c - t) steps, c the smallest cap above t, on u = rng.random((k, m)):
-    walk j takes u[i, j] for step t + i + 1 until it arrives.  u and the
-    marks hits are (k, m) views of buffers allocated once for the batch;
+    to nxt[j], the slot of u's neighbor in column j - indptr[u].  After t
+    steps with m walks active (ids, cur, tgt), the next block runs k =
+    min(_BLOCK, max(1, _DRAWS // m), c - t) steps, c the smallest cap
+    above t, on u = rng.random((k, m)): walk j takes u[i, j] for step t +
+    i + 1 until it arrives.  u, the marks hits and lat, the m walks'
+    degrees, are views of buffers allocated once for the batch;
     rng.random(out=...) fills u with the numbers rng.random((k, m))
-    returns.  With more than _TAIL walks, numpy moves them all a row at a
-    time, arrived walks too, and hits marks each step's arrivals; with
-    fewer, Python walks each column up to its walk's arrival and marks
-    that alone.  The first mark of a column is its walk's arrival, and the
+    returns.  path is the memory of u read as intp.
+
+    If every active walk has a degree, its column floor(x * d) does not
+    depend on where it stands: the block scales u by lat and casts it
+    onto path, each row then holding a step's columns.  Otherwise a hop
+    reads its row's length from deg, a slot table made only when some
+    walk has degree 0.  With more than _TAIL walks, numpy moves them all
+    a row at a time, arrived walks too: on columns, a step adds the
+    slots of the row before to its row and gathers nxt in place, and one
+    comparison of the block marks the arrivals in hits; on row lengths, a
+    step takes six calls and marks its own.  With _TAIL walks or fewer,
+    Python walks each column up to its walk's arrival and marks that
+    alone.  The first mark of a column is its walk's arrival, and the
     walks that arrived leave the active set after the block.  At a cap,
     the walks still active with that cap are cut.
     """
     nxt = indptr[indices]
-    deg = np.zeros(indices.size)
-    deg[indptr[:-1]] = np.diff(indptr)
-    nxt_v, deg_v = memoryview(nxt), memoryview(deg)
     starts = np.asarray(starts, dtype=np.intp)
     targets = np.asarray(targets, dtype=np.intp)
     steps = np.where(starts == targets, 0, caps)
     cut = np.zeros(steps.shape, dtype=bool)
     ids = np.flatnonzero(starts != targets)
     cur, tgt = indptr[starts[ids]], indptr[targets[ids]]
+    degree = np.ascontiguousarray(np.broadcast_to(degree, starts.shape),
+                                  dtype=float)
+    regular = False
+    if not degree.all():
+        deg = np.zeros(indices.size)
+        deg[indptr[:-1]] = np.diff(indptr)
+        deg_v = memoryview(deg)
+    nxt_v = memoryview(nxt)
     # one buffer each for the batch: a block draws k * m <= size uniforms
     size = max(_DRAWS, ids.size)
     draws = np.empty(size)
     marks = np.empty(size, dtype=bool)
-    offs = np.empty(ids.size, dtype=np.intp)
+    lats = np.empty(ids.size)
     step = 0
     # np.unique would import numpy.ma, 1.3 MB of resident memory
     for cap in sorted(set(steps[ids].tolist())):
         while ids.size and step < cap:
             m = ids.size
+            # take writes out in place in mode "wrap"; "raise" buffers it
+            lat = degree.take(ids, out=lats[:m], mode="wrap")
+            regular = regular or lat.all()
             k = min(_BLOCK, max(1, _DRAWS // m), cap - step)
-            u = rng.random(out=draws[:k * m].reshape(k, m))
+            flat = draws[:k * m]
+            u = rng.random(out=flat.reshape(k, m))
             hits = marks[:k * m].reshape(k, m)
-            hits.fill(False)
-            if m > _TAIL:
-                off = offs[:m]
-                for x, h in zip(u, hits):
+            cols = flat.view(np.intp)
+            path = cols.reshape(k, m)
+            if regular:
+                u *= lat
+                cols[...] = flat  # 1-D onto its own memory: no copy
+            if m <= _TAIL:
+                hits.fill(False)
+                for j, col in enumerate((path if regular else u).T.tolist()):
+                    c, t = int(cur[j]), int(tgt[j])
+                    for i, x in enumerate(col):
+                        c = nxt_v[c + (x if regular else int(x * deg_v[c]))]
+                        if c == t:
+                            hits[i, j] = True
+                            break
+                    cur[j] = c
+            elif regular:
+                prev = cur
+                for row in path:
+                    row += prev
+                    nxt.take(row, out=row, mode="wrap")
+                    prev = row
+                np.equal(path, tgt, out=hits)
+                cur[...] = prev  # path is refilled by the next block
+            else:
+                for x, off, h in zip(u, path, hits):
                     x *= deg[cur]
                     off[...] = x
                     off += cur
                     cur = nxt[off]
                     np.equal(cur, tgt, out=h)
-            else:
-                for j, col in enumerate(u.T.tolist()):
-                    c, t = int(cur[j]), int(tgt[j])
-                    for i, x in enumerate(col):
-                        c = nxt_v[c + int(x * deg_v[c])]
-                        if c == t:
-                            hits[i, j] = True
-                            break
-                    cur[j] = c
             hit = hits.any(axis=0)
             if hit.any():
                 # argmax along axis 0 runs column by column, so only over
@@ -227,13 +270,23 @@ def _union(blocks):
     """Block-diagonal union (indptr, indices, nodes) of the CSR rows of
     blocks: block i's rows are rows nodes[i]..nodes[i+1]-1 of the union,
     its indptr shifted by the slots of the blocks before it and its indices
-    by nodes[i]."""
+    by nodes[i], each written straight into the union's arrays."""
     nodes = np.cumsum([0, *(ip.size - 1 for ip, _ in blocks)])
     slots = np.cumsum([0, *(ix.size for _, ix in blocks)])
-    indptr = np.concatenate(
-        [[0], *(ip[1:] + e for (ip, _), e in zip(blocks, slots))])
-    indices = np.concatenate([ix + o for (_, ix), o in zip(blocks, nodes)])
+    indptr = np.zeros(nodes[-1] + 1, dtype=np.intp)
+    indices = np.empty(slots[-1], dtype=np.intp)
+    for (ip, ix), a, b, s in zip(blocks, nodes, nodes[1:], slots):
+        np.add(ip[1:], s, out=indptr[a + 1:b + 1])
+        np.add(ix, a, out=indices[s:s + ix.size])
     return indptr, indices, nodes
+
+
+def _one_degree(indptr) -> int:
+    """The degree every row of indptr has, or 0 if the rows differ."""
+    d = int(indptr[1])
+    if indptr[-1] != d * (indptr.size - 1) or (np.diff(indptr) != d).any():
+        return 0
+    return d
 
 
 def estimate_mean_latency(graphs, trials: int, seed: int) -> WalkBatch:
@@ -243,28 +296,32 @@ def estimate_mean_latency(graphs, trials: int, seed: int) -> WalkBatch:
     distinct pairs drawn uniformly), all simulated in one vectorized batch.
     Comparable to the analytic expected packet delay.  Every graph must be
     connected and have n >= 2 nodes; each is checked before any walk.
-    Only its CSR rows are kept, and only until the union is built, so an
-    iterable that builds its graphs lazily holds at most one dense matrix
-    at a time, and the walks hold one copy of the rows."""
+    Only its CSR rows are kept, and only until they are written into the
+    union, so an iterable that builds its graphs lazily holds at most one
+    dense matrix at a time, and the walks hold one copy of the rows, and
+    a slot table of neighbors beside it."""
     trials, seed = _integer(trials, "trials"), _seed(seed)
     if trials < 2:
         raise ParameterError("trials must be >= 2: one walk has no CI")
     blocks = list(map(_checked_csr, graphs))
     if not blocks:
         raise ParameterError("estimate_mean_latency needs at least one graph")
+    degrees = [_one_degree(ip) for ip, _ in blocks]
     indptr, indices, nodes = _union(blocks)
     del blocks  # the union holds the rows now
     sizes = np.diff(nodes).tolist()
     pair_rng = _pair_rng(seed, int(nodes[-1]) ** 2)
-    starts, targets = [], []
-    for n, o in zip(sizes, nodes):
-        s, t = _pair_schedule(n, trials, pair_rng)
-        starts.append(s + o)
-        targets.append(t + o)
+    starts = np.empty((len(sizes), trials), dtype=np.intp)
+    targets = np.empty_like(starts)
+    for n, o, s, t in zip(sizes, nodes, starts, targets):
+        first, last = _pair_schedule(n, trials, pair_rng)
+        np.add(first, o, out=s)
+        np.add(last, o, out=t)
     caps = np.repeat([_step_cap(n) for n in sizes], trials)
+    degree = np.repeat(np.array(degrees, dtype=float), trials)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    steps, cut = _run_walks(indptr, indices, np.concatenate(starts),
-                            np.concatenate(targets), caps, rng)
+    steps, cut = _run_walks(indptr, indices, starts.ravel(), targets.ravel(),
+                            caps, rng, degree=degree)
     steps, cut = steps.reshape(-1, trials), cut.reshape(-1, trials)
     estimates = tuple(_estimate(row, int(c))
                       for row, c in zip(steps, cut.sum(axis=1)))

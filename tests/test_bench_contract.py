@@ -204,8 +204,8 @@ def test_walk_batch_totals_are_what_the_tracer_counts(monkeypatch):
     kernel = walker._run_walks
     walked = []
 
-    def spy(*args):
-        steps, cut = kernel(*args)
+    def spy(*args, **kwargs):
+        steps, cut = kernel(*args, **kwargs)
         walked.append((int(steps.sum()), steps.size, int(cut.sum())))
         return steps, cut
 

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oppwalk.errors import DisconnectedGraphError, EstimationError, ParameterError
@@ -409,9 +409,9 @@ class TestGoldenBatch:
     def test_walk_validate_batch(self, monkeypatch):
         kernel, rngs = walker._run_walks, []
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             rngs.append(CountingRng(args[-1]))
-            return kernel(*args[:-1], rngs[-1])
+            return kernel(*args[:-1], rngs[-1], **kwargs)
 
         monkeypatch.setattr(walker, "_run_walks", spy)
         wireless_0 = generate_topology(WirelessConfig(n=30), seed=0).graph
@@ -501,50 +501,77 @@ def random_connected_csr(n, density, rng):
     return Graph((w | w.T).astype(float)).csr
 
 
-def assert_kernel_is_reference(indptr, indices, starts, targets, caps, seed):
+def one_degree(indptr):
+    """The degree of every row of indptr, or 0 where the rows differ."""
+    d = np.diff(indptr)
+    return float(d[0]) if (d == d[0]).all() else 0.0
+
+
+def assert_kernel_is_reference(indptr, indices, starts, targets, caps, seed,
+                               degree=0):
     """_run_walks gives the reference's steps and cut, and leaves the
     generator at the reference's next draw, whether it switches regime at
-    the default _TAIL or keeps one regime throughout."""
+    the default _TAIL or keeps one regime throughout, and whether it is
+    told the walks' degrees or reads every row's length."""
     args = (indptr, indices, starts, targets, caps)
     ref_rng = np.random.default_rng(seed)
     want = reference_walks(*args, ref_rng)
     after = ref_rng.random()
     for tail in (walker._TAIL, 0, len(starts) + 1):
-        rng = np.random.default_rng(seed)
-        with mock.patch.object(walker, "_TAIL", tail):
-            got = _run_walks(*args, rng)
-        assert np.array_equal(got[0], want[0]), tail
-        assert np.array_equal(got[1], want[1]), tail
-        assert rng.random() == after, tail
+        for told in (0, degree):
+            rng = np.random.default_rng(seed)
+            with mock.patch.object(walker, "_TAIL", tail):
+                got = _run_walks(*args, rng, degree=told)
+            assert np.array_equal(got[0], want[0]), tail
+            assert np.array_equal(got[1], want[1]), tail
+            assert rng.random() == after, tail
     return want
 
 
+LATTICES = st.one_of(
+    st.builds(lambda r, extra: TorusSpec((2 * r + 1 + extra,), r),
+              st.integers(min_value=1, max_value=3),
+              st.integers(min_value=0, max_value=3)),
+    st.builds(lambda a, b: TorusSpec((a, b), 1),
+              st.integers(min_value=3, max_value=5),
+              st.integers(min_value=3, max_value=5)))
+
+
 class TestBlockRule:
-    """_run_walks against reference_walks, bit for bit, in both regimes:
+    """_run_walks against reference_walks, bit for bit, in every regime:
     numpy blocks (_TAIL patched to 0), Python walks by column (_TAIL above
-    the walk count), and numpy blocks that hand over to Python ones."""
+    the walk count), and numpy blocks that hand over to Python ones; numpy
+    blocks on precomputed columns where every active walk's graph has one
+    degree, and on each node's row length otherwise."""
 
     @settings(max_examples=120, deadline=None)
     @given(sizes=st.lists(st.integers(min_value=2, max_value=12),
-                          min_size=1, max_size=4),
+                          max_size=4),
+           lattices=st.lists(LATTICES, max_size=3),
            density=st.floats(min_value=0.0, max_value=1.0),
            walks=st.integers(min_value=1, max_value=300),
            max_cap=st.integers(min_value=1, max_value=600),
            seed=st.integers(min_value=0, max_value=2**32 - 1))
-    def test_kernel_is_reference(self, sizes, density, walks, max_cap, seed):
-        # mixed-degree graphs in one union, one cap per graph (so caps end
-        # blocks early), walks that may start at their target, and more
+    def test_kernel_is_reference(self, sizes, lattices, density, walks,
+                                 max_cap, seed):
+        # mixed-degree graphs in one union, random ones and lattices (cycles
+        # at r = 1..3, 2-D tori) in any order, one cap per graph (so caps
+        # end blocks early), walks that may start at their target, and more
         # than 128 walks (blocks of 32768 // m steps) or fewer (256 steps)
+        assume(sizes or lattices)
         rng = np.random.default_rng(seed)
-        indptr, indices, nodes = _union(
-            [random_connected_csr(n, density, rng) for n in sizes])
-        block = rng.integers(0, len(sizes), walks)
+        blocks = [random_connected_csr(n, density, rng) for n in sizes]
+        blocks += [build_torus(spec).csr for spec in lattices]
+        blocks = [blocks[i] for i in rng.permutation(len(blocks))]
+        indptr, indices, nodes = _union(blocks)
+        block = rng.integers(0, len(blocks), walks)
         offset, size = nodes[block], np.diff(nodes)[block]
         starts = offset + rng.integers(0, size)
         targets = offset + rng.integers(0, size)
-        caps = rng.integers(1, max_cap + 1, len(sizes))[block]
+        caps = rng.integers(1, max_cap + 1, len(blocks))[block]
+        degree = np.array([one_degree(ip) for ip, _ in blocks])[block]
         assert_kernel_is_reference(indptr, indices, starts, targets, caps,
-                                   seed)
+                                   seed, degree)
 
     def test_walks_at_their_target(self):
         steps, cut = assert_kernel_is_reference(
@@ -584,6 +611,47 @@ class TestBlockRule:
         _run_walks(*build_cycle(5, 1).csr, s, t, 60, rng)
         assert rng.shapes[0] == (1, 40000)
         assert_kernel_is_reference(*build_cycle(5, 1).csr, s, t, 60, 2)
+
+    def test_one_step_blocks_past_32768_walks_on_a_torus(self):
+        indptr, indices = build_torus(TorusSpec((3, 4), 1)).csr
+        s, t = schedule(12, 40000, 6)
+        rng = CountingRng(np.random.default_rng(6))
+        _run_walks(indptr, indices, s, t, 60, rng, degree=4)
+        assert rng.shapes[0] == (1, 40000)
+        assert_kernel_is_reference(indptr, indices, s, t, 60, 6, degree=4)
+
+    def test_last_irregular_walk_leaves_mid_run(self):
+        # 40 walks between the ends of a 3-node path (degrees 1, 2, 1)
+        # beside 200 walks on a 30-cycle: the first block of 136 steps
+        # moves on row lengths until the path's walks have all arrived,
+        # and the next blocks, with more than _TAIL walks on the cycle
+        # alone, on precomputed columns
+        path3 = Graph(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
+        indptr, indices, _ = _union([path3.csr, build_cycle(30, 1).csr])
+        s, t = schedule(30, 200, 8)
+        starts = np.concatenate([np.zeros(40, dtype=int), s + 3])
+        targets = np.concatenate([np.full(40, 2), t + 3])
+        degree = np.repeat([0.0, 2.0], [40, 200])
+        rng = CountingRng(np.random.default_rng(8))
+        _run_walks(indptr, indices, starts, targets, _step_cap(30), rng,
+                   degree=degree)
+        (k, m), (_, later) = rng.shapes[:2]
+        steps, _ = assert_kernel_is_reference(indptr, indices, starts,
+                                              targets, _step_cap(30), 8,
+                                              degree)
+        assert (k, m) == (136, 240)
+        assert steps[:40].max() <= k and later > walker._TAIL
+        assert (steps[40:] > k).sum() == later
+
+    def test_lattice_block_without_arrivals(self):
+        # 20 walks 100 hops from their targets on a 200-cycle: none
+        # arrives in the first block of 256 steps, so the slots it ends on
+        # must outlive the draw buffer that the next block refills
+        indptr, indices = build_cycle(200, 1).csr
+        starts = np.arange(20)
+        steps, cut = assert_kernel_is_reference(indptr, indices, starts,
+                                                starts + 100, 2000, 9, 2)
+        assert steps.min() > 256 and not cut.all()
 
     def test_every_walk_arrives_in_one_block(self):
         # every walk on the 2-node path arrives at its first step; the
