@@ -274,26 +274,35 @@ def build_torus(spec: TorusSpec) -> Graph:
     matrix is made.
 
     The 2mr shifted columns are written into one flat intp buffer viewed
-    as (n, 2mr), each row sorted in place, and the graph takes that buffer
-    over as its indices: the rows are made once.
+    as (n, 2mr), each axis's 2r columns by one in-place whole-array step,
+    each row sorted in place, and the graph takes that buffer over as its
+    indices: the rows are made once.
 
     The torus is connected by construction: r >= 1 and every k >= 3, so
     the +-1 steps along every axis reach every coordinate tuple.  The graph
     stores that answer, and is_connected never sweeps it.
     """
-    width = 2 * spec.m * spec.r
+    r = spec.r
+    width = 2 * spec.m * r
     flat = np.empty(spec.n * width, dtype=np.intp)
     rows = flat.reshape(spec.n, width)
     index = np.arange(spec.n)
-    coords = np.unravel_index(index, spec.dims)
-    stride = spec.n
-    column = iter(rows.T)
-    for c, k in zip(coords, spec.dims):
+    # 2r+1 <= k, so the 2r shifts along one axis reach distinct nodes
+    shifts = np.array([[s] for i in range(1, r + 1) for s in (i, -i)])
+    outer, stride = 1, spec.n
+    for axis, k in enumerate(spec.dims):
         stride //= k
-        # 2r+1 <= k, so the 2r shifts along one axis reach distinct nodes
-        for step in range(1, spec.r + 1):
-            for shift in (step, -step):
-                np.add(index, ((c + shift) % k - c) * stride, out=next(column))
+        # node (q, c, s) of shape (outer, k, stride) moves by
+        # ((c + shift) % k - c) * stride, the same for every q and s
+        c = np.arange(k)
+        step = ((c + shifts) % k - c) * stride
+        # into the axis's 2r columns viewed as (2r, outer, k, stride):
+        # order="C" runs each inner loop over nodes, not over 2r shifts
+        block = rows.reshape(outer, k, stride, width)[
+            ..., 2 * r * axis:2 * r * (axis + 1)]
+        np.add(index.reshape(outer, k, stride), step[:, None, :, None],
+               out=block.transpose(3, 0, 1, 2), order="C")
+        outer *= k
     rows.sort(axis=-1)
     g = Graph._from_csr(np.arange(0, flat.size + 1, width), flat)
     g.__dict__["_connected"] = True

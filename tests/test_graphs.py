@@ -572,6 +572,41 @@ def test_builders_match_product_of_reference_cycles(dims):
                                   ref.weights)
 
 
+def per_shift_rows(spec):
+    """The torus rows as build_torus once made them, one shift column at a
+    time: node index + ((c + shift) % k - c) * stride along each axis, from
+    the coordinates c of every node, then each row sorted."""
+    width = 2 * spec.m * spec.r
+    rows = np.empty((spec.n, width), dtype=np.intp)
+    index = np.arange(spec.n)
+    coords = np.unravel_index(index, spec.dims)
+    stride = spec.n
+    column = iter(rows.T)
+    for c, k in zip(coords, spec.dims):
+        stride //= k
+        for step in range(1, spec.r + 1):
+            for shift in (step, -step):
+                np.add(index, ((c + shift) % k - c) * stride, out=next(column))
+    rows.sort(axis=-1)
+    return rows
+
+
+@pytest.mark.parametrize("dims", [
+    (3,), (4,), (9,), (40,), (5, 7), (8, 5), (9, 13), (3, 4, 5),
+    (7, 5, 9), (9, 11, 7), (5, 3, 4, 6), (5, 9, 7, 5), (7, 8, 9, 7),
+])
+def test_torus_rows_match_the_per_shift_build(dims):
+    # every radius up to (min k - 1) // 2, where an odd smallest axis has
+    # k = 2r + 1; (7, 5, 9) has it in the middle at r = 2
+    for r in range(1, (min(dims) - 1) // 2 + 1):
+        spec = TorusSpec(dims, r)
+        indptr, indices = build_torus(spec).csr
+        width = 2 * spec.m * r
+        assert np.array_equal(indptr, np.arange(0, spec.n * width + 1, width))
+        assert np.array_equal(indices.reshape(spec.n, width),
+                              per_shift_rows(spec))
+
+
 @settings(max_examples=200, deadline=None)
 @given(sizes=st.lists(st.integers(min_value=1, max_value=9),
                       min_size=1, max_size=3),

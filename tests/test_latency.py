@@ -293,6 +293,85 @@ class TestLatencyBounds:
         assert lower <= mean_latency_pinv(topo.graph) <= upper
 
 
+def direct_bounds(spec):
+    """The bounds by their direct rule: lam_1 of each axis from its own
+    j = 1 evaluation, the smallest over the axes."""
+    lam1 = min(float(cycle_laplacian_eigenvalues(k, spec.r, [1])[0])
+               for k in spec.dims)
+    return 2.0 / ((spec.n - 1) * lam1), 2.0 / lam1
+
+
+@pytest.fixture
+def cold_axis_cache():
+    latency._axis_spectrum.cache_clear()
+    yield latency._axis_spectrum
+    latency._axis_spectrum.cache_clear()
+
+
+class TestAxisSpectrumCache:
+    """Each axis spectrum (k <= _LEAF) is evaluated once per (k, r) while it
+    stays in a small cache; mean_latency_torus sums from it and
+    torus_latency_bounds reads lam_1 as its element 1."""
+
+    def test_bounds_match_the_direct_rule_bit_for_bit(self):
+        # every valid (k, r) up to k = 100 and, up to k = 300, the radii
+        # 1..3 and the largest (2r + 1 = k or k - 1); all 22,350 valid
+        # pairs up to k = 300 also matched, in 17 s
+        pairs = {(k, r) for k in range(3, 301)
+                 for r in {1, 2, 3, (k - 1) // 2} if 2 * r + 1 <= k}
+        pairs |= {(k, r) for k in range(3, 101)
+                  for r in range(1, (k - 1) // 2 + 1)}
+        specs = [TorusSpec((k,), r) for k, r in sorted(pairs)] + [
+            TorusSpec((1000, 1000), 5), TorusSpec((300, 7), 3),
+            TorusSpec((16, 18, 20), 4), TorusSpec((9, 5, 7), 2),
+            # an axis above _LEAF keeps its j = 1 evaluation
+            TorusSpec((3, 70001), 1), TorusSpec((200003,), 7)]
+        for spec in specs:
+            assert torus_latency_bounds(spec) == direct_bounds(spec), spec
+
+    def test_cached_spectra_are_fresh_and_read_only(self, cold_axis_cache):
+        for k, r in [(3, 1), (150, 10), (1000, 5), (latency._LEAF, 2)]:
+            vals = cold_axis_cache(k, r)
+            assert not vals.flags.writeable
+            with pytest.raises(ValueError):
+                vals[0] = 1.0
+            assert vals.tobytes() == cycle_laplacian_eigenvalues(k, r).tobytes()
+            assert cold_axis_cache(k, r) is vals
+
+    def test_sweep_leaves_the_cache_at_its_bound(self, cold_axis_cache):
+        # 100 distinct (k, r); the docstring's bound is 32 entries of at
+        # most _LEAF values, 16 MiB
+        for k in range(3, 103):
+            mean_latency_torus(TorusSpec((k,), 1))
+        info = cold_axis_cache.cache_info()
+        assert (info.misses, info.maxsize, info.currsize) == (100, 32, 32)
+        assert info.maxsize * latency._LEAF * 8 == 16 * 2**20
+
+    @pytest.mark.parametrize("dims,r", [
+        ((1000, 1000), 5),           # fig6: its two axes are one
+        ((16, 18, 20, 22), 1),
+        ((3, 70001), 1),             # the long axis is never made whole
+    ])
+    def test_each_axis_evaluated_once(self, monkeypatch, cold_axis_cache,
+                                      dims, r):
+        # the cache calls cycle_laplacian_eigenvalues by its name in
+        # latency, so a wrapper there, as the bench tracer's, sees every
+        # evaluation
+        whole = []
+
+        def counted(k, r, j=None):
+            if j is None:
+                whole.append(k)
+            return cycle_laplacian_eigenvalues(k, r, j)
+        monkeypatch.setattr(latency, "cycle_laplacian_eigenvalues", counted)
+        spec = TorusSpec(dims, r)
+        for _ in range(2):
+            mean_latency_torus(spec)
+            torus_latency_bounds(spec)
+        assert sorted(whole) == sorted({k for k in dims
+                                        if k <= latency._LEAF})
+
+
 class TestHittingTimes:
     def test_k3_all_two(self):
         h = hitting_times(build_cycle(3, 1))
