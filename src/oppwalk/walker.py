@@ -30,29 +30,30 @@ same numbers as rng.random((k, m)), so a long batch does not grow the
 heap block by block.
 
 The kernel holds each walk as its node's row start in the union, its slot,
-and a table of indptr[indices] gives the slot of each neighbor.  No node
-of a connected graph with n >= 2 has an empty row, so slots are distinct
-and a walk arrives when its slot is its target's.  On a graph whose nodes
-all have one degree d, as on every cycle and torus, a walk's column
-floor(x * d) does not depend on where it stands, so while every active
-walk is on such a graph a block takes all its columns at once: the draws
-times each walk's d, cast to intp in place in the draw buffer.  A hop is
-then one add and one gather.  While any active walk is on a graph whose
-degrees differ, as a wireless one, a hop first gathers its row's length
-from a slot table, which only a batch holding such a graph makes.
+and a table of indptr[indices] gives the slot of each neighbor.  No node of
+a connected graph with n >= 2 has an empty row, so slots are distinct and a
+walk arrives when its slot is its target's.  On a graph whose nodes all
+have one degree d, as on every cycle and torus, a walk's column
+floor(x * d) does not depend on where it stands, so while every active walk
+is on such a graph a block takes all its columns at once: the draws times
+each walk's d, cast to intp in place in the draw buffer.  While any active
+walk is on a graph of unequal degrees, as a wireless one, each step casts
+its own row in place, the draws times its walks' row lengths from a slot
+table only such a batch makes.  Either way a hop is one add and one gather.
 
 With more than _TAIL = 16 walks active, numpy moves all of them one row
 per step, arrived walks too, and scans the block for first arrivals
 once: in the benchmark's Monte-Carlo batches that simulates 3.3% more
 hops than the walks use.  A step on precomputed columns is two numpy
-calls, about 0.7-1.4 us at m = 8-100 walks; a step that reads row
-lengths is six, about 1.8-2.7 us.  With at most 16, Python walks each
-column in turn and stops a walk where it arrives, about 0.07-0.08 us a
-hop on precomputed columns and 0.17 us on row lengths (2-core Xeon,
+calls, with its share of the block's cast and scan about 0.7, 0.9, 3.2
+and 21 us at m = 20, 100, 1,000 and 9,000 walks; a step on row lengths
+is five, about 1.8, 2.2, 5.4 and 31 us.  With at most 16, Python walks
+each column in turn and stops a walk where it arrives, about 0.07-0.08
+us a hop on precomputed columns and 0.17 us on row lengths (2-core Xeon,
 Python 3.11, numpy 2.4).  On walks that do not arrive within the block
-numpy wins from about 10 walks in both loops, and a walk that arrives
-early skips the rest of its column in Python, so one _TAIL of 16 is
-about the break-even of both.  Every regime gives the same results.
+numpy wins from about 10 walks on both kinds of step, and a walk that
+arrives early skips the rest of its column in Python, so one _TAIL of
+16 is about the break-even of both.  Every regime gives the same results.
 
 Each graph gets trials walks spread over its P = n(n-1) ordered pairs
 s != t by one rule: with trials >= P, walk i takes pair i mod P in
@@ -137,18 +138,19 @@ def _run_walks(indptr, indices, starts, targets, caps, rng, degree=0):
     returns.  path is the memory of u read as intp.
 
     If every active walk has a degree, its column floor(x * d) does not
-    depend on where it stands: the block scales u by lat and casts it
-    onto path, each row then holding a step's columns.  Otherwise a hop
-    reads its row's length from deg, a slot table made only when some
-    walk has degree 0.  With more than _TAIL walks, numpy moves them all
-    a row at a time, arrived walks too: on columns, a step adds the
-    slots of the row before to its row and gathers nxt in place, and one
-    comparison of the block marks the arrivals in hits; on row lengths, a
-    step takes six calls and marks its own.  With _TAIL walks or fewer,
-    Python walks each column up to its walk's arrival and marks that
-    alone.  The first mark of a column is its walk's arrival, and the
-    walks that arrived leave the active set after the block.  At a cap,
-    the walks still active with that cap are cut.
+    depend on where it stands: the block scales u by lat and casts it onto
+    path, each row then holding a step's columns.  Otherwise a step scales
+    its row of u by the lengths of the rows at the slots of the row before,
+    read from deg, a slot table made only when some walk has degree 0, and
+    casts it onto its own memory in path.  With more than _TAIL walks, numpy
+    moves them all a row at a time, arrived walks too: a step adds the slots
+    of the row before to its row and gathers nxt in place, two calls on
+    columns and five on row lengths, and one comparison of the block marks
+    the arrivals in hits.  With _TAIL walks or fewer, Python walks each
+    column up to its walk's arrival and marks that alone.  The first mark of
+    a column is its walk's arrival, and the walks that arrived leave the
+    active set after the block.  At a cap, the walks still active with that
+    cap are cut.
     """
     nxt = indptr[indices]
     starts = np.asarray(starts, dtype=np.intp)
@@ -197,21 +199,18 @@ def _run_walks(indptr, indices, starts, targets, caps, rng, degree=0):
                             hits[i, j] = True
                             break
                     cur[j] = c
-            elif regular:
+            else:
                 prev = cur
                 for row in path:
+                    if not regular:
+                        x = row.view(float)
+                        x *= deg[prev]
+                        row[...] = x
                     row += prev
                     nxt.take(row, out=row, mode="wrap")
                     prev = row
                 np.equal(path, tgt, out=hits)
                 cur[...] = prev  # path is refilled by the next block
-            else:
-                for x, off, h in zip(u, path, hits):
-                    x *= deg[cur]
-                    off[...] = x
-                    off += cur
-                    cur = nxt[off]
-                    np.equal(cur, tgt, out=h)
             hit = hits.any(axis=0)
             if hit.any():
                 # argmax along axis 0 runs column by column, so only over

@@ -643,6 +643,31 @@ class TestBlockRule:
         assert steps[:40].max() <= k and later > walker._TAIL
         assert (steps[40:] > k).sum() == later
 
+    def test_short_row_length_blocks_beside_lattices(self):
+        # 2,400 walks on random graphs mixed with lattices, some at their
+        # target: the first blocks run 32768 // m <= 16 steps on row
+        # lengths, the random graphs' walks still active are cut at 24,
+        # and the lattice walks go on to 64 on precomputed columns
+        rng = np.random.default_rng(12)
+        blocks = [random_connected_csr(n, 0.3, rng) for n in (6, 9, 12)]
+        blocks += [build_torus(spec).csr
+                   for spec in (TorusSpec((9,), 2), TorusSpec((4, 5), 1))]
+        indptr, indices, nodes = _union(blocks)
+        block = rng.integers(0, len(blocks), 2400)
+        offset, size = nodes[block], np.diff(nodes)[block]
+        starts = offset + rng.integers(0, size)
+        targets = offset + rng.integers(0, size)
+        degree = np.array([one_degree(ip) for ip, _ in blocks])[block]
+        caps = np.where(degree == 0, 24, 64)
+        counting = CountingRng(np.random.default_rng(12))
+        _run_walks(indptr, indices, starts, targets, caps, counting,
+                   degree=degree)
+        steps, cut = assert_kernel_is_reference(indptr, indices, starts,
+                                                targets, caps, 12, degree)
+        k, m = counting.shapes[0]
+        assert k == 32768 // m <= 16 and (steps[degree == 0] > k).any()
+        assert cut[degree == 0].any() and (steps[degree > 0] > 24).any()
+
     def test_lattice_block_without_arrivals(self):
         # 20 walks 100 hops from their targets on a 200-cycle: none
         # arrives in the first block of 256 steps, so the slots it ends on
