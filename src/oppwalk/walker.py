@@ -133,9 +133,8 @@ def _run_walks(indptr, indices, starts, targets, caps, rng, degree=0):
     min(_BLOCK, max(1, _DRAWS // m), c - t) steps, c the smallest cap
     above t, on u = rng.random((k, m)): walk j takes u[i, j] for step t +
     i + 1 until it arrives.  u, the marks hits and lat, the m walks'
-    degrees, are views of buffers allocated once for the batch;
-    rng.random(out=...) fills u with the numbers rng.random((k, m))
-    returns.  path is the memory of u read as intp.
+    degrees, are views of buffers allocated once for the batch (filled
+    with rng.random(out=...)), and path is the memory of u read as intp.
 
     If every active walk has a degree, its column floor(x * d) does not
     depend on where it stands: the block scales u by lat and casts it onto
@@ -144,13 +143,11 @@ def _run_walks(indptr, indices, starts, targets, caps, rng, degree=0):
     read from deg, a slot table made only when some walk has degree 0, and
     casts it onto its own memory in path.  With more than _TAIL walks, numpy
     moves them all a row at a time, arrived walks too: a step adds the slots
-    of the row before to its row and gathers nxt in place, two calls on
-    columns and five on row lengths, and one comparison of the block marks
-    the arrivals in hits.  With _TAIL walks or fewer, Python walks each
-    column up to its walk's arrival and marks that alone.  The first mark of
-    a column is its walk's arrival, and the walks that arrived leave the
-    active set after the block.  At a cap, the walks still active with that
-    cap are cut.
+    of the row before to its row and gathers nxt in place, and one
+    comparison of the block marks the arrivals in hits.  With _TAIL walks or
+    fewer, Python walks each column up to its walk's arrival and marks that
+    alone.  A column's first mark is its walk's arrival; the walks that
+    arrived leave after the block, and at a cap those still active are cut.
     """
     nxt = indptr[indices]
     starts = np.asarray(starts, dtype=np.intp)
@@ -217,7 +214,10 @@ def _run_walks(indptr, indices, starts, targets, caps, rng, degree=0):
                 # the columns that arrived
                 steps[ids[hit]] = step + 1 + hits[:, hit].argmax(axis=0)
                 miss = ~hit
-                ids, cur, tgt = ids[miss], cur[miss], tgt[miss]
+                # one at a time, each old array freed before the next copy
+                ids = ids[miss]
+                cur = cur[miss]
+                tgt = tgt[miss]
             step += k
         # a walk still active keeps its cap in steps
         live = steps[ids] != cap
